@@ -44,12 +44,9 @@ from .quadrature import (
     CutBoundaryRule,
     CutVolumeRule,
     QuadRule1D,
-    clip_polygon_to_box,
     cut_boundary_rule,
     cut_volume_rule,
     gauss_legendre_1d,
-    triangle_quadrature,
-    triangulate_polygon,
 )
 from .solver import (
     DiscreteSolution,

@@ -240,14 +240,11 @@ def assemble_nitsche_boundary(
     return SparseSystem(matrix=buf.to_csr(), rhs=np.zeros(dofmap.n_dofs))
 
 
-def _face_jump_matrix(
-    basis: QpBasis, params: PenaltyParameters, h: float, axis: int, n_points: int
-) -> np.ndarray:
-    """Shared local ghost matrix for all faces with the given normal axis.
+def _face_derivative_rows(basis: QpBasis, h: float, axis: int, n_points: int):
+    """Face Gauss weights and the normal-derivative rows of both face sides.
 
-    The face couples the two adjacent elements' (p+1)^2 dofs; by translation
-    invariance of the uniform grid the matrix is identical for every face of
-    one orientation.
+    Per derivative order j = 1..p, (d_lo, d_hi), each (q, (p+1)^2), map the
+    low and the high element's local dofs to the j-th normal derivative.
     """
     p = basis.p
     nloc = (p + 1) ** 2
@@ -255,7 +252,7 @@ def _face_jump_matrix(
     t = 0.5 * (rule.points + 1.0)
     w_face = 0.5 * h * rule.weights
     tang = basis.lagrange_1d(t)  # (q, p+1) values along the face
-    m = np.zeros((2 * nloc, 2 * nloc))
+    rows = []
     for j in range(1, p + 1):
         end_lo = basis.lagrange_1d(np.array([1.0]), j)[0] / h**j  # low element side
         end_hi = basis.lagrange_1d(np.array([0.0]), j)[0] / h**j  # high element side
@@ -267,9 +264,24 @@ def _face_jump_matrix(
             # y-normal face: tangential direction is x.
             d_lo = end_lo[None, :, None] * tang[:, None, :]
             d_hi = end_hi[None, :, None] * tang[:, None, :]
-        jump = np.concatenate(
-            (d_lo.reshape(len(t), nloc), -d_hi.reshape(len(t), nloc)), axis=1
-        )
+        rows.append((d_lo.reshape(len(t), nloc), d_hi.reshape(len(t), nloc)))
+    return w_face, rows
+
+
+def _face_jump_matrix(
+    basis: QpBasis, params: PenaltyParameters, h: float, axis: int, n_points: int
+) -> np.ndarray:
+    """Shared local ghost matrix for all faces with the given normal axis.
+
+    The face couples the two adjacent elements' (p+1)^2 dofs; by translation
+    invariance of the uniform grid the matrix is identical for every face of
+    one orientation.
+    """
+    nloc = (basis.p + 1) ** 2
+    w_face, rows = _face_derivative_rows(basis, h, axis, n_points)
+    m = np.zeros((2 * nloc, 2 * nloc))
+    for j, (d_lo, d_hi) in enumerate(rows, start=1):
+        jump = np.concatenate((d_lo, -d_hi), axis=1)
         m += params.gamma[j - 1] * h ** (2 * j - 1) * (jump.T @ (w_face[:, None] * jump))
     return m
 
@@ -318,13 +330,7 @@ def ghost_penalty_form(
     """
     if n_face_points is None:
         n_face_points = basis.p + 1
-    p = basis.p
-    nloc = (p + 1) ** 2
     h = am.grid.h
-    rule = gauss_legendre_1d(n_face_points)
-    t = 0.5 * (rule.points + 1.0)
-    w_face = 0.5 * h * rule.weights
-    tang = basis.lagrange_1d(t)
     faces = am.ghost_faces_arr
     total = 0.0
     for axis in (0, 1):
@@ -333,15 +339,8 @@ def ghost_penalty_form(
             continue
         c_lo = coefficients[dofmap.element_dofs[dofmap.row_of_cell[sel[:, 0]]]]
         c_hi = coefficients[dofmap.element_dofs[dofmap.row_of_cell[sel[:, 1]]]]
-        for j in range(1, p + 1):
-            end_lo = basis.lagrange_1d(np.array([1.0]), j)[0] / h**j
-            end_hi = basis.lagrange_1d(np.array([0.0]), j)[0] / h**j
-            if axis == 0:
-                d_lo = (tang[:, :, None] * end_lo[None, None, :]).reshape(len(t), nloc)
-                d_hi = (tang[:, :, None] * end_hi[None, None, :]).reshape(len(t), nloc)
-            else:
-                d_lo = (end_lo[None, :, None] * tang[:, None, :]).reshape(len(t), nloc)
-                d_hi = (end_hi[None, :, None] * tang[:, None, :]).reshape(len(t), nloc)
+        w_face, rows = _face_derivative_rows(basis, h, axis, n_face_points)
+        for j, (d_lo, d_hi) in enumerate(rows, start=1):
             jumps = c_lo @ d_lo.T - c_hi @ d_hi.T  # (n_faces, q)
             total += params.gamma[j - 1] * h ** (2 * j - 1) * float(
                 np.sum(jumps**2 @ w_face)

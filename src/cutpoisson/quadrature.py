@@ -1,32 +1,35 @@
 """Reference Gauss rules and cut-cell quadrature.
 
-Volume rules on cut elements come from clipping the boundary polygon against
-the element box (successive half-plane clipping with a post-pass that splits
-degenerate bridge edges into components), ear-clipping triangulation, and
-symmetric triangle rules. Boundary rules map 1D Gauss points onto the polygon
-sub-segments inside the box; a sub-segment lying exactly on a shared element
-face is assigned to the element on the inner side of the boundary.
+The cut geometry is computed once per active mesh (``ActiveMesh.cut_geometry``)
+and shared by every quadrature order. The polygon segments are split at the
+gridlines; each piece belongs to the element on the inner side of the
+boundary, so a piece lying exactly on a shared face is counted once. Each cut
+element is walked in vertical strips between the pieces' abscissae, and the
+inside intervals of each strip are trapezoids. Boundary rules map 1D Gauss
+points onto the pieces, volume rules map tensor Gauss rules onto the
+trapezoids: all weights are positive and all points lie in element ∩ domain.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import QuadratureError
 from .geometry import BoundaryPolygon
-from .mesh import ActiveMesh, BackgroundGrid
+from .mesh import (
+    ActiveMesh,
+    BackgroundGrid,
+    piece_endpoints,
+    segment_box_interval,
+    strip_trapezoids,
+)
 
 __all__ = [
     "QuadRule1D",
     "CutVolumeRule",
     "CutBoundaryRule",
     "gauss_legendre_1d",
-    "clip_polygon_to_box",
-    "triangulate_polygon",
-    "triangle_quadrature",
     "cut_volume_rule",
     "cut_boundary_rule",
     "VolumeRuleSet",
@@ -79,417 +82,94 @@ def _points_for_degree(degree: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric triangle rules
-# ---------------------------------------------------------------------------
-# Positive-weight symmetric rules on the reference triangle; weights are
-# fractions of the triangle area. Degrees 3 and 7 are served by the next
-# higher rule so that every emitted weight stays positive.
-_TRI_GROUPS = {
-    1: [("c", 1.0)],
-    2: [("p3", 1.0 / 6.0, 1.0 / 3.0)],
-    4: [
-        ("p3", 0.445948490915965, 0.223381589678011),
-        ("p3", 0.091576213509771, 0.109951743655322),
-    ],
-    5: [
-        ("c", 0.225),
-        ("p3", 0.470142064105115, 0.132394152788506),
-        ("p3", 0.101286507323456, 0.125939180544827),
-    ],
-    6: [
-        ("p3", 0.249286745170910, 0.116786275726379),
-        ("p3", 0.063089014491502, 0.050844906370207),
-        ("p6", 0.310352451033785, 0.636502499121399, 0.082851075618374),
-    ],
-    8: [
-        ("c", 0.144315607677787),
-        ("p3", 0.459292588292723, 0.095091634413245),
-        ("p3", 0.170569307751760, 0.103217370534718),
-        ("p3", 0.050547228317031, 0.032458497623198),
-        ("p6", 0.263112829634638, 0.728492392955404, 0.027230314174435),
-    ],
-}
-
-
-_TRI_RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _build_symmetric_rule(table_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    groups = _TRI_GROUPS[table_degree]
-    bary = []
-    group_of = []
-    w_tab = []
-    for gi, g in enumerate(groups):
-        if g[0] == "c":
-            bary.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
-            group_of.append(gi)
-            w_tab.append(g[1])
-        elif g[0] == "p3":
-            a, w = g[1], g[2]
-            c = 1.0 - 2.0 * a
-            for p in ((c, a, a), (a, c, a), (a, a, c)):
-                bary.append(p)
-                group_of.append(gi)
-            w_tab.append(w)
-        else:
-            a, b, w = g[1], g[2], g[3]
-            c = 1.0 - a - b
-            for p in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-                bary.append(p)
-                group_of.append(gi)
-            w_tab.append(w)
-    bary = np.asarray(bary)
-    pts = np.column_stack((bary[:, 1], bary[:, 2]))
-    # Refine the group weights against the exact monomial moments; this
-    # removes the last-digit noise of the published tables.
-    monos = [
-        (a, b) for a in range(table_degree + 1) for b in range(table_degree + 1 - a)
-    ]
-    a_mat = np.zeros((len(monos), len(groups)))
-    rhs = np.empty(len(monos))
-    group_of = np.asarray(group_of)
-    for row, (a, b) in enumerate(monos):
-        vals = pts[:, 0] ** a * pts[:, 1] ** b
-        for gi in range(len(groups)):
-            a_mat[row, gi] = np.sum(vals[group_of == gi])
-        rhs[row] = (
-            2.0
-            * math.factorial(a)
-            * math.factorial(b)
-            / math.factorial(a + b + 2)
-        )
-    w_groups, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    return pts, w_groups[group_of]
-
-
-def triangle_quadrature(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature on the reference triangle (0,0), (1,0), (0,1).
-
-    Returns (points, weights) with weights summing to 1; physical weights are
-    obtained by multiplying with the target triangle area. Degrees up to 8 use
-    symmetric rules; higher degrees fall back to a collapsed tensor rule.
-    """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if degree <= 8:
-        for d in (1, 2, 4, 5, 6, 8):
-            if d >= degree:
-                table_degree = d
-                break
-        if table_degree not in _TRI_RULE_CACHE:
-            _TRI_RULE_CACHE[table_degree] = _build_symmetric_rule(table_degree)
-        return _TRI_RULE_CACHE[table_degree]
-    # Collapsed tensor (Duffy) rule: exact for the requested degree with
-    # ceil((degree+2)/2) Gauss points per direction, all weights positive.
-    n = (degree + 3) // 2
-    u, wu = _gauss01(n)
-    v, wv = _gauss01(n)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    WU, WV = np.meshgrid(wu, wv, indexing="ij")
-    x = (U * (1.0 - V)).ravel()
-    y = V.ravel()
-    w = (2.0 * WU * WV * (1.0 - V)).ravel()
-    return np.column_stack((x, y)), w
-
-
-# ---------------------------------------------------------------------------
-# Polygon clipping against an axis-aligned box
+# Gauss rules on boundary pieces and strip trapezoids
 # ---------------------------------------------------------------------------
 
 
-def _clip_halfplane(v: np.ndarray, f: np.ndarray, axis: int, value: float) -> np.ndarray:
-    """One Sutherland-Hodgman stage keeping f >= 0; crossings snap to the plane."""
-    inn = f >= 0.0
-    if not inn.any():
-        return v[:0]
-    if inn.all():
-        return v
-    f_next = np.roll(f, -1)
-    v_next = np.roll(v, -1, axis=0)
-    inn_next = np.roll(inn, -1)
-    cross = inn != inn_next
-    denom = np.where(cross, f - f_next, 1.0)
-    t = np.where(cross, f / denom, 0.0)
-    x = v + t[:, None] * (v_next - v)
-    x[:, axis] = value
-
-    counts = cross.astype(np.intp) + inn_next.astype(np.intp)
-    start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out = np.empty((int(counts.sum()), 2))
-    out[start[cross]] = x[cross]
-    pos_after = start + cross
-    out[pos_after[inn_next]] = v_next[inn_next]
-    return out
-
-
-def _dedupe_ring(v: np.ndarray, tol: float) -> np.ndarray:
-    if len(v) == 0:
-        return v
-    d = np.roll(v, -1, axis=0) - v
-    keep = np.hypot(d[:, 0], d[:, 1]) > tol
-    return v[keep]
-
-
-def _ring_area(v: np.ndarray) -> float:
-    # Shift to a local origin first: the shoelace sum is translation
-    # invariant, and local coordinates avoid cancellation for small polygons
-    # far from the global origin.
-    x = v[:, 0] - v[0, 0]
-    y = v[:, 1] - v[0, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def _split_bridges(v: np.ndarray, box, tol: float) -> list[np.ndarray]:
-    """Split a possibly degenerate clip ring into simple CCW components.
-
-    Clipping a region that meets the box in several components yields a single
-    ring whose components are joined by pairs of overlapping edges running
-    along the box boundary. Splitting every on-boundary edge at the endpoints
-    of the other on-boundary edges turns each bridge into a repeated-vertex
-    pinch, which is then separated recursively.
-    """
-    x0, y0, x1, y1 = box
-    sides = ((0, x0), (0, x1), (1, y0), (1, y1))
-
-    # Insert split points on edges lying exactly on a box side.
-    n = len(v)
-    nxt = np.roll(np.arange(n), -1)
-    inserted: list[np.ndarray] = []
-    changed = False
-    for i in range(n):
-        a, b = v[i], v[nxt[i]]
-        inserts = []
-        for axis, value in sides:
-            if a[axis] == value and b[axis] == value:
-                t_ax = 1 - axis
-                lo, hi = (a[t_ax], b[t_ax]) if a[t_ax] < b[t_ax] else (b[t_ax], a[t_ax])
-                cands = np.unique(
-                    np.concatenate((v[v[:, 0] == value, t_ax], []))
-                    if axis == 0
-                    else np.concatenate((v[v[:, 1] == value, t_ax], []))
-                )
-                cands = cands[(cands > lo) & (cands < hi)]
-                if len(cands):
-                    order = np.argsort(cands) if a[t_ax] < b[t_ax] else np.argsort(-cands)
-                    for c in cands[order]:
-                        p = np.array([value, c]) if axis == 0 else np.array([c, value])
-                        inserts.append(p)
-                break
-        inserted.append(a[None, :] if not inserts else np.vstack([a] + inserts))
-        changed = changed or bool(inserts)
-    ring = np.vstack(inserted) if changed else v
-
-    # Recursive split at repeated vertices.
-    def split(r: np.ndarray) -> list[np.ndarray]:
-        seen: dict[bytes, int] = {}
-        for i, p in enumerate(r):
-            key = p.tobytes()
-            if key in seen:
-                j = seen[key]
-                return split(r[j:i]) + split(np.vstack((r[i:], r[:j])))
-            seen[key] = i
-        return [r]
-
-    out = []
-    for r in split(ring):
-        r = _dedupe_ring(r, tol)
-        if len(r) < 3:
-            continue
-        area = _ring_area(r)
-        area_tol = tol * max(x1 - x0, y1 - y0)
-        if area > area_tol:
-            out.append(r)
-        elif area < -area_tol:
-            raise QuadratureError("clipping produced a negatively oriented component")
-    return out
-
-
-def clip_polygon_to_box(poly, box) -> list[np.ndarray]:
-    """Intersect a simple CCW polygon with a closed axis-aligned box.
-
-    Returns the intersection as a list of disjoint simple CCW vertex arrays;
-    the list is empty when the polygon misses the box.
-    """
-    v = poly.vertices if isinstance(poly, BoundaryPolygon) else np.asarray(poly, dtype=float)
-    x0, y0, x1, y1 = box
-    if not (x1 > x0 and y1 > y0):
-        raise QuadratureError("clip box must have positive extent")
-    v = _clip_halfplane(v, v[:, 0] - x0, 0, x0)
-    if len(v):
-        v = _clip_halfplane(v, x1 - v[:, 0], 0, x1)
-    if len(v):
-        v = _clip_halfplane(v, v[:, 1] - y0, 1, y0)
-    if len(v):
-        v = _clip_halfplane(v, y1 - v[:, 1], 1, y1)
-    tol = 1e-14 * max(x1 - x0, y1 - y0)
-    v = _dedupe_ring(v, tol)
-    if len(v) < 3:
-        return []
-    return _split_bridges(v, box, tol)
-
-
-# ---------------------------------------------------------------------------
-# Triangulation
-# ---------------------------------------------------------------------------
-
-
-def triangulate_polygon(vertices) -> np.ndarray:
-    """Ear-clipping triangulation of a simple CCW polygon.
-
-    Returns an (m, 3, 2) array of CCW triangles partitioning the polygon;
-    collinear vertices are tolerated. The triangle areas are verified to sum
-    to the polygon area.
-    """
-    v = (
-        vertices.vertices
-        if isinstance(vertices, BoundaryPolygon)
-        else np.asarray(vertices, dtype=float)
+def _pieces_rule(a_all, b_all, normals, seg, t0, t1, order: int) -> CutBoundaryRule:
+    """Mapped 1D Gauss rules on the pieces t0..t1 of polygon segments a -> b."""
+    n1d = _points_for_degree(order)
+    rule = gauss_legendre_1d(n1d)
+    a = a_all[seg]
+    d = b_all[seg] - a
+    piece_len = (t1 - t0) * np.hypot(d[:, 0], d[:, 1])
+    tq = (0.5 * (t0 + t1))[:, None] + (0.5 * (t1 - t0))[:, None] * rule.points
+    return CutBoundaryRule(
+        points=(a[:, None, :] + tq[:, :, None] * d[:, None, :]).reshape(-1, 2),
+        weights=((0.5 * piece_len)[:, None] * rule.weights).reshape(-1),
+        normals=np.repeat(normals[seg], n1d, axis=0),
     )
-    n = len(v)
-    if n < 3:
-        raise QuadratureError("polygon needs at least 3 vertices")
-    # All predicates run in vertex-local coordinates so roundoff scales with
-    # the polygon span rather than its distance from the origin.
-    w = v - v[0]
-    total = _ring_area(v)
-    span = max(np.ptp(w[:, 0]), np.ptp(w[:, 1]))
-    eps = 1e-14 * span * span
-    if total <= eps:
-        raise QuadratureError("degenerate polygon with nonpositive area")
-
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    idx = list(range(n))
-    tris = []
-    while len(idx) > 3:
-        m = len(idx)
-        # Reflex vertices of the current ring block an ear even when they lie
-        # exactly on its boundary (an ear whose edge passes through a reflex
-        # vertex would cut across the notch behind it).
-        reflex = set()
-        for k in range(m):
-            if cross(w[idx[k - 1]], w[idx[k]], w[idx[(k + 1) % m]]) < -eps:
-                reflex.add(idx[k])
-        clipped = False
-        for k in range(m):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
-            a, b, c = w[i0], w[i1], w[i2]
-            cr = cross(a, b, c)
-            if cr <= eps:
-                continue
-            blocked = False
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                p = w[j]
-                lo = min(cross(a, b, p), cross(b, c, p), cross(c, a, p))
-                if lo > eps or (j in reflex and lo >= -eps):
-                    blocked = True
-                    break
-            if not blocked:
-                tris.append((i0, i1, i2))
-                del idx[k]
-                clipped = True
-                break
-        if not clipped:
-            # No convex ear: drop a collinear or spike vertex.
-            for k in range(m):
-                i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
-                if abs(cross(w[i0], w[i1], w[i2])) <= eps:
-                    del idx[k]
-                    clipped = True
-                    break
-        if not clipped:
-            raise QuadratureError("ear clipping failed on a non-simple polygon")
-    if len(idx) == 3:
-        i0, i1, i2 = idx
-        if cross(w[i0], w[i1], w[i2]) > eps:
-            tris.append((i0, i1, i2))
-
-    out = v[np.asarray(tris, dtype=int)] if tris else np.empty((0, 3, 2))
-    tri_area = 0.0
-    for t in tris:
-        tri_area += 0.5 * cross(w[t[0]], w[t[1]], w[t[2]])
-    if abs(tri_area - total) > 1e-12 * total + 8 * n * 1e-16 * span * span:
-        raise QuadratureError("triangulation lost area; polygon may be non-simple")
-    return out
 
 
-# ---------------------------------------------------------------------------
-# Cut rules
-# ---------------------------------------------------------------------------
+def _trapezoids_rule(traps: np.ndarray, order: int) -> CutVolumeRule:
+    """Tensor Gauss rules mapped onto strip trapezoids, exact to the given degree.
+
+    Across the strip the integrand is a polynomial of degree order + 1 (the
+    trapezoid's lower and upper edges are linear), along it of degree order.
+    All weights are nonnegative and all points lie in the trapezoids.
+    """
+    u, wu = _gauss01(_points_for_degree(order + 1))
+    v, wv = _gauss01(_points_for_degree(order))
+    xl, xr, lo_l, lo_r, hl, hr = traps.T
+    width = xr - xl
+    x = xl[:, None] + width[:, None] * u
+    lo = lo_l[:, None] + (lo_r - lo_l)[:, None] * u
+    height = hl[:, None] + (hr - hl)[:, None] * u
+    y = lo[:, :, None] + height[:, :, None] * v
+    w = (width[:, None] * wu * height)[:, :, None] * wv
+    x = np.broadcast_to(x[:, :, None], y.shape)
+    return CutVolumeRule(points=np.column_stack((x.ravel(), y.ravel())), weights=w.ravel())
 
 
-def _tensor_rule_on_box(box, n1d: int) -> CutVolumeRule:
-    x0, y0, x1, y1 = box
-    u, wu = _gauss01(n1d)
-    X = x0 + (x1 - x0) * u
-    Y = y0 + (y1 - y0) * u
-    px, py = np.meshgrid(X, Y, indexing="ij")
-    wx, wy = np.meshgrid(wu, wu, indexing="ij")
-    w = (wx * wy).ravel() * (x1 - x0) * (y1 - y0)
-    return CutVolumeRule(points=np.column_stack((px.ravel(), py.ravel())), weights=w)
+def _split_rule(rule, counts):
+    """Split a rule into consecutive rules with the given numbers of points."""
+    bounds = np.cumsum(counts)[:-1]
+    parts = [np.split(getattr(rule, f.name), bounds) for f in fields(rule)]
+    return [type(rule)(*arrays) for arrays in zip(*parts)]
 
 
-def _triangles_rule(tris: np.ndarray, order: int) -> CutVolumeRule:
-    ref_pts, ref_w = triangle_quadrature(order)
-    v0 = tris[:, 0]
-    e1 = tris[:, 1] - v0
-    e2 = tris[:, 2] - v0
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    pts = (
-        v0[:, None, :]
-        + ref_pts[None, :, 0, None] * e1[:, None, :]
-        + ref_pts[None, :, 1, None] * e2[:, None, :]
-    ).reshape(-1, 2)
-    w = (areas[:, None] * ref_w[None, :]).reshape(-1)
-    return CutVolumeRule(points=pts, weights=w)
+def _box_pieces(box, poly: BoundaryPolygon):
+    """Segment indices and parameter ranges of the polygon pieces in the closed box."""
+    a_all, b_all = poly.segments()
+    h = max(box[2] - box[0], box[3] - box[1])
+    # Cheap bbox prefilter before exact interval clipping.
+    cand = ~(
+        (np.maximum(a_all[:, 0], b_all[:, 0]) < box[0])
+        | (np.minimum(a_all[:, 0], b_all[:, 0]) > box[2])
+        | (np.maximum(a_all[:, 1], b_all[:, 1]) < box[1])
+        | (np.minimum(a_all[:, 1], b_all[:, 1]) > box[3])
+    )
+    seg, t0, t1 = [], [], []
+    for s in np.nonzero(cand)[0]:
+        a, b = a_all[s], b_all[s]
+        iv = segment_box_interval(a[0], a[1], b[0], b[1], *box)
+        if iv is None:
+            continue
+        seg_len = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+        if (iv[1] - iv[0]) * seg_len < 1e-14 * h:
+            continue
+        seg.append(s)
+        t0.append(iv[0])
+        t1.append(iv[1])
+    return np.asarray(seg, dtype=np.intp), np.asarray(t0), np.asarray(t1)
+
+
+def _as_polygon(poly) -> BoundaryPolygon:
+    return poly if isinstance(poly, BoundaryPolygon) else BoundaryPolygon(poly)
 
 
 def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
     """Quadrature for box ∩ polygon exact to the given polynomial degree.
 
-    A fully inside box gets a tensor Gauss rule; a cut box is clipped,
-    triangulated, and covered with symmetric triangle rules. The rule is
-    empty when the intersection is.
+    The polygon segments are clipped to the box and the intersection is
+    decomposed into strip trapezoids, each covered by a mapped tensor Gauss
+    rule. The rule is empty when the intersection is.
     """
-    pieces = clip_polygon_to_box(poly, box)
-    if not pieces:
-        return CutVolumeRule(points=np.empty((0, 2)), weights=np.empty(0))
-    x0, y0, x1, y1 = box
-    box_area = (x1 - x0) * (y1 - y0)
-    total = sum(_ring_area(p) for p in pieces)
-    if abs(total - box_area) <= 1e-12 * box_area:
-        return _tensor_rule_on_box(box, _points_for_degree(order))
-    tris = [triangulate_polygon(p) for p in pieces]
-    return _triangles_rule(np.concatenate(tris, axis=0), order)
-
-
-def _segment_box_interval(a, b, box) -> tuple[float, float] | None:
-    """Parameter range of segment a->b inside the closed box, or None."""
-    t0, t1 = 0.0, 1.0
-    for k, (lo, hi) in enumerate(((box[0], box[2]), (box[1], box[3]))):
-        p, d = a[k], b[k] - a[k]
-        if d == 0.0:
-            if p < lo or p > hi:
-                return None
-        else:
-            ta, tb = (lo - p) / d, (hi - p) / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t0, t1 = max(t0, ta), min(t1, tb)
-            if t0 > t1:
-                return None
-    return t0, t1
-
-
-def _piece_owner_check(mid, normal, box, h: float) -> bool:
-    """True when the piece belongs to this box (inner side of the boundary)."""
-    eps = 1e-9 * h
-    qx = mid[0] - eps * normal[0]
-    qy = mid[1] - eps * normal[1]
-    return box[0] <= qx < box[2] and box[1] <= qy < box[3]
+    p = _as_polygon(poly)
+    a_all, b_all = p.segments()
+    start, end = piece_endpoints(a_all, b_all, *_box_pieces(box, p))
+    h = max(box[2] - box[0], box[3] - box[1])
+    return _trapezoids_rule(strip_trapezoids(box, start, end, p, h), order)
 
 
 def cut_boundary_rule(box, poly, order: int) -> CutBoundaryRule:
@@ -499,48 +179,15 @@ def cut_boundary_rule(box, poly, order: int) -> CutBoundaryRule:
     rule. A piece lying exactly on a box face belongs to the box on the inner
     side of the boundary, so shared faces are never double counted.
     """
-    p = poly if isinstance(poly, BoundaryPolygon) else BoundaryPolygon(poly)
+    p = _as_polygon(poly)
     a_all, b_all = p.segments()
     normals = p.segment_normals()
-    h = max(box[2] - box[0], box[3] - box[1])
-    n1d = _points_for_degree(order)
-    rule = gauss_legendre_1d(n1d)
-
-    pts, ws, ns = [], [], []
-    # Cheap bbox prefilter before exact interval clipping.
-    cand = ~(
-        (np.maximum(a_all[:, 0], b_all[:, 0]) < box[0])
-        | (np.minimum(a_all[:, 0], b_all[:, 0]) > box[2])
-        | (np.maximum(a_all[:, 1], b_all[:, 1]) < box[1])
-        | (np.minimum(a_all[:, 1], b_all[:, 1]) > box[3])
-    )
-    for s in np.nonzero(cand)[0]:
-        a, b = a_all[s], b_all[s]
-        iv = _segment_box_interval(a, b, box)
-        if iv is None:
-            continue
-        t0, t1 = iv
-        seg_len = float(np.hypot(b[0] - a[0], b[1] - a[1]))
-        piece_len = (t1 - t0) * seg_len
-        if piece_len < 1e-14 * h:
-            continue
-        tm = 0.5 * (t0 + t1)
-        mid = a + tm * (b - a)
-        if not _piece_owner_check(mid, normals[s], box, h):
-            continue
-        tq = tm + 0.5 * (t1 - t0) * rule.points
-        pts.append(a[None, :] + tq[:, None] * (b - a)[None, :])
-        ws.append(0.5 * piece_len * rule.weights)
-        ns.append(np.tile(normals[s], (n1d, 1)))
-    if not pts:
-        return CutBoundaryRule(
-            points=np.empty((0, 2)), weights=np.empty(0), normals=np.empty((0, 2))
-        )
-    return CutBoundaryRule(
-        points=np.concatenate(pts),
-        weights=np.concatenate(ws),
-        normals=np.concatenate(ns),
-    )
+    seg, t0, t1 = _box_pieces(box, p)
+    eps = 1e-9 * max(box[2] - box[0], box[3] - box[1])
+    mid = a_all[seg] + (0.5 * (t0 + t1))[:, None] * (b_all[seg] - a_all[seg])
+    q = mid - eps * normals[seg]
+    owned = (box[0] <= q[:, 0]) & (q[:, 0] < box[2]) & (box[1] <= q[:, 1]) & (q[:, 1] < box[3])
+    return _pieces_rule(a_all, b_all, normals, seg[owned], t0[owned], t1[owned], order)
 
 
 # ---------------------------------------------------------------------------
@@ -574,77 +221,33 @@ class VolumeRuleSet:
 
 
 def build_volume_rules(am: ActiveMesh, order: int) -> VolumeRuleSet:
-    """Volume rules of the given exactness degree for every active element."""
-    n1d = _points_for_degree(order)
-    u, wu = _gauss01(n1d)
-    U, V = np.meshgrid(u, u, indexing="ij")
-    WU, WV = np.meshgrid(wu, wu, indexing="ij")
-    ref_pts = np.column_stack((U.ravel(), V.ravel()))
-    ref_w = (WU * WV).ravel()
-    cut = {}
-    for eid in am.cut_ids:
-        cut[int(eid)] = cut_volume_rule(am.grid.cell_box(eid), am.poly, order)
+    """Volume rules of the given exactness degree for every active element.
+
+    Cut elements map Gauss points onto the mesh's shared strip trapezoids.
+    """
+    ref = _trapezoids_rule(np.array([[0.0, 1.0, 0.0, 0.0, 1.0, 1.0]]), order)  # [0, 1]^2
+    ids = [int(eid) for eid in am.cut_ids]
+    traps = [am.cut_geometry.trapezoids[eid] for eid in ids]
+    per_trap = _points_for_degree(order + 1) * _points_for_degree(order)
+    rule = _trapezoids_rule(np.concatenate(traps), order)
+    cut = dict(zip(ids, _split_rule(rule, [per_trap * len(t) for t in traps])))
     return VolumeRuleSet(
-        grid=am.grid, inside_ref_points=ref_pts, inside_ref_weights=ref_w, cut=cut
+        grid=am.grid, inside_ref_points=ref.points, inside_ref_weights=ref.weights, cut=cut
     )
 
 
 def build_boundary_rules(am: ActiveMesh, order: int) -> dict[int, CutBoundaryRule]:
     """Boundary rules per owning element for all polygon pieces.
 
-    Segments are split at gridline crossings; each piece is assigned to the
-    cell on the inner side of its midpoint, which handles pieces lying
-    exactly on shared element faces without double counting.
+    The pieces are the mesh's shared split of the segments at the gridlines;
+    each belongs to the cell on the inner side of its midpoint, which handles
+    pieces lying exactly on shared element faces without double counting.
     """
-    grid = am.grid
-    poly = am.poly
-    ox, oy = grid.origin
-    h = grid.h
-    a_all, b_all = poly.segments()
-    normals = poly.segment_normals()
+    geo = am.cut_geometry
+    a_all, b_all = am.poly.segments()
+    ix = np.concatenate(list(geo.owned.values()))
+    rule = _pieces_rule(
+        a_all, b_all, am.poly.segment_normals(), geo.seg[ix], geo.t0[ix], geo.t1[ix], order
+    )
     n1d = _points_for_degree(order)
-    rule = gauss_legendre_1d(n1d)
-    eps = 1e-9 * h
-
-    per_cell: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    for s in range(len(a_all)):
-        a, b = a_all[s], b_all[s]
-        d = b - a
-        cuts = [0.0, 1.0]
-        for k, o in ((0, ox), (1, oy)):
-            if d[k] != 0.0:
-                lo = int(np.floor((min(a[k], b[k]) - o) / h)) + 1
-                hi = int(np.floor((max(a[k], b[k]) - o) / h))
-                for j in range(lo, hi + 1):
-                    t = (o + j * h - a[k]) / d[k]
-                    if 0.0 < t < 1.0:
-                        cuts.append(t)
-        cuts = np.unique(cuts)
-        seg_len = float(np.hypot(d[0], d[1]))
-        nrm = normals[s]
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            piece_len = (t1 - t0) * seg_len
-            if piece_len < 1e-14 * h:
-                continue
-            tm = 0.5 * (t0 + t1)
-            mid = a + tm * d
-            ix = min(max(int(np.floor((mid[0] - eps * nrm[0] - ox) / h)), 0), grid.nx - 1)
-            iy = min(max(int(np.floor((mid[1] - eps * nrm[1] - oy) / h)), 0), grid.ny - 1)
-            eid = grid.cell_id(ix, iy)
-            tq = tm + 0.5 * (t1 - t0) * rule.points
-            per_cell.setdefault(eid, []).append(
-                (
-                    a[None, :] + tq[:, None] * d[None, :],
-                    0.5 * piece_len * rule.weights,
-                    np.tile(nrm, (n1d, 1)),
-                )
-            )
-
-    out = {}
-    for eid, chunks in per_cell.items():
-        out[eid] = CutBoundaryRule(
-            points=np.concatenate([c[0] for c in chunks]),
-            weights=np.concatenate([c[1] for c in chunks]),
-            normals=np.concatenate([c[2] for c in chunks]),
-        )
-    return out
+    return dict(zip(geo.owned, _split_rule(rule, [n1d * len(v) for v in geo.owned.values()])))

@@ -22,7 +22,6 @@ from .assembly import (
 )
 from .basis import QpBasis, eval_basis
 from .errors import EvaluationError, SolverError
-from .geometry import BoundaryPolygon
 from .mesh import ActiveMesh
 from .quadrature import build_boundary_rules, build_volume_rules
 
@@ -44,8 +43,11 @@ _RESIDUAL_TOL = 1e-12
 def solve_spd(system: SparseSystem) -> np.ndarray:
     """Direct sparse solve with a relative residual contract of 1e-12.
 
-    A residual above the tolerance signals loss of positive definiteness
-    (penalty too small or broken stabilization) and raises SolverError.
+    A residual above the tolerance after iterative refinement raises
+    SolverError. The residual does not detect an indefinite matrix: LU solves
+    an indefinite, nonsingular system to roundoff (the square on an unshifted
+    grid has negative eigenvalues and a residual of 1e-15), so such a system
+    is solved without error. See ROADMAP.md, open item 2.
     """
     a = system.matrix.tocsc()
     b = system.rhs
@@ -266,12 +268,11 @@ def galerkin_residual(system: SparseSystem, coefficients: np.ndarray) -> float:
 def compute_error_norms(
     sol: DiscreteSolution,
     ref: ReferenceSolution,
-    poly: BoundaryPolygon | None = None,
     params: PenaltyParameters | None = None,
     volume_order: int | None = None,
     boundary_order: int | None = None,
 ) -> ErrorNorms:
-    """Error norms of e = u_exact - u_h over the polygonal domain.
+    """Error norms of e = u_exact - u_h over the polygonal domain ``sol.am.poly``.
 
     Error integrands exceed the assembly order, so the quadrature defaults to
     degree 2p+2. The stabilization part is s_h(u_h, u_h): the smooth exact
@@ -282,8 +283,6 @@ def compute_error_norms(
     basis = sol.basis
     p = basis.p
     h = am.grid.h
-    if poly is None:
-        poly = am.poly
     if params is None:
         params = penalty_parameters(p)
     if volume_order is None:

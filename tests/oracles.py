@@ -1,14 +1,17 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they are meant to check: polygon
-integrals go through Green's theorem edge integrals, distances come from
-closed forms, and the series reference is cross-checked against a finite
+integrals go through Green's theorem edge integrals, cut cells are clipped by
+Sutherland-Hodgman half-planes rather than walked in strips, distances come
+from closed forms, and the series reference is cross-checked against a finite
 difference solve.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from cutpoisson import BoundaryPolygon, QuadratureError
 
 
 def shoelace(vertices) -> float:
@@ -133,3 +136,139 @@ def fd_square_center_value() -> float:
 
     c1, c2 = center(128), center(256)
     return c2 + (c2 - c1) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# Polygon clipping against an axis-aligned box
+# ---------------------------------------------------------------------------
+
+
+def _clip_halfplane(v: np.ndarray, f: np.ndarray, axis: int, value: float) -> np.ndarray:
+    """One Sutherland-Hodgman stage keeping f >= 0; crossings snap to the plane."""
+    inn = f >= 0.0
+    if not inn.any():
+        return v[:0]
+    if inn.all():
+        return v
+    f_next = np.roll(f, -1)
+    v_next = np.roll(v, -1, axis=0)
+    inn_next = np.roll(inn, -1)
+    cross = inn != inn_next
+    denom = np.where(cross, f - f_next, 1.0)
+    t = np.where(cross, f / denom, 0.0)
+    x = v + t[:, None] * (v_next - v)
+    x[:, axis] = value
+
+    counts = cross.astype(np.intp) + inn_next.astype(np.intp)
+    start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    out = np.empty((int(counts.sum()), 2))
+    out[start[cross]] = x[cross]
+    pos_after = start + cross
+    out[pos_after[inn_next]] = v_next[inn_next]
+    return out
+
+
+def _dedupe_ring(v: np.ndarray, tol: float) -> np.ndarray:
+    if len(v) == 0:
+        return v
+    d = np.roll(v, -1, axis=0) - v
+    keep = np.hypot(d[:, 0], d[:, 1]) > tol
+    return v[keep]
+
+
+def _ring_area(v: np.ndarray) -> float:
+    # Shift to a local origin first: the shoelace sum is translation
+    # invariant, and local coordinates avoid cancellation for small polygons
+    # far from the global origin.
+    x = v[:, 0] - v[0, 0]
+    y = v[:, 1] - v[0, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _split_bridges(v: np.ndarray, box, tol: float) -> list[np.ndarray]:
+    """Split a possibly degenerate clip ring into simple CCW components.
+
+    Clipping a region that meets the box in several components yields a single
+    ring whose components are joined by pairs of overlapping edges running
+    along the box boundary. Splitting every on-boundary edge at the endpoints
+    of the other on-boundary edges turns each bridge into a repeated-vertex
+    pinch, which is then separated recursively.
+    """
+    x0, y0, x1, y1 = box
+    sides = ((0, x0), (0, x1), (1, y0), (1, y1))
+
+    # Insert split points on edges lying exactly on a box side.
+    n = len(v)
+    nxt = np.roll(np.arange(n), -1)
+    inserted: list[np.ndarray] = []
+    changed = False
+    for i in range(n):
+        a, b = v[i], v[nxt[i]]
+        inserts = []
+        for axis, value in sides:
+            if a[axis] == value and b[axis] == value:
+                t_ax = 1 - axis
+                lo, hi = (a[t_ax], b[t_ax]) if a[t_ax] < b[t_ax] else (b[t_ax], a[t_ax])
+                cands = np.unique(
+                    np.concatenate((v[v[:, 0] == value, t_ax], []))
+                    if axis == 0
+                    else np.concatenate((v[v[:, 1] == value, t_ax], []))
+                )
+                cands = cands[(cands > lo) & (cands < hi)]
+                if len(cands):
+                    order = np.argsort(cands) if a[t_ax] < b[t_ax] else np.argsort(-cands)
+                    for c in cands[order]:
+                        p = np.array([value, c]) if axis == 0 else np.array([c, value])
+                        inserts.append(p)
+                break
+        inserted.append(a[None, :] if not inserts else np.vstack([a] + inserts))
+        changed = changed or bool(inserts)
+    ring = np.vstack(inserted) if changed else v
+
+    # Recursive split at repeated vertices.
+    def split(r: np.ndarray) -> list[np.ndarray]:
+        seen: dict[bytes, int] = {}
+        for i, p in enumerate(r):
+            key = p.tobytes()
+            if key in seen:
+                j = seen[key]
+                return split(r[j:i]) + split(np.vstack((r[i:], r[:j])))
+            seen[key] = i
+        return [r]
+
+    out = []
+    for r in split(ring):
+        r = _dedupe_ring(r, tol)
+        if len(r) < 3:
+            continue
+        area = _ring_area(r)
+        area_tol = tol * max(x1 - x0, y1 - y0)
+        if area > area_tol:
+            out.append(r)
+        elif area < -area_tol:
+            raise QuadratureError("clipping produced a negatively oriented component")
+    return out
+
+
+def clip_polygon_to_box(poly, box) -> list[np.ndarray]:
+    """Intersect a simple CCW polygon with a closed axis-aligned box.
+
+    Returns the intersection as a list of disjoint simple CCW vertex arrays;
+    the list is empty when the polygon misses the box.
+    """
+    v = poly.vertices if isinstance(poly, BoundaryPolygon) else np.asarray(poly, dtype=float)
+    x0, y0, x1, y1 = box
+    if not (x1 > x0 and y1 > y0):
+        raise QuadratureError("clip box must have positive extent")
+    v = _clip_halfplane(v, v[:, 0] - x0, 0, x0)
+    if len(v):
+        v = _clip_halfplane(v, x1 - v[:, 0], 0, x1)
+    if len(v):
+        v = _clip_halfplane(v, v[:, 1] - y0, 1, y0)
+    if len(v):
+        v = _clip_halfplane(v, y1 - v[:, 1], 1, y1)
+    tol = 1e-14 * max(x1 - x0, y1 - y0)
+    v = _dedupe_ring(v, tol)
+    if len(v) < 3:
+        return []
+    return _split_bridges(v, box, tol)

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 import cutpoisson as cp
 from cutpoisson.assembly import symmetry_error
 from cutpoisson.mesh import BackgroundGrid, classify_elements
-from cutpoisson.quadrature import build_boundary_rules, build_volume_rules, clip_polygon_to_box
+from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 from cutpoisson.studies import (
     StudyConfig,
     least_squares_rate,
@@ -27,7 +27,7 @@ from cutpoisson.studies import (
     run_normal_study,
 )
 
-from oracles import greens_monomial_integral, shoelace
+from oracles import clip_polygon_to_box, greens_monomial_integral, shoelace
 
 
 def ones(x, y):

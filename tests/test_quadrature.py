@@ -6,19 +6,21 @@ import pytest
 from cutpoisson import (
     BoundaryPolygon,
     QuadratureError,
-    clip_polygon_to_box,
     cut_boundary_rule,
     cut_volume_rule,
     gauss_legendre_1d,
     perturb_circle_boundary,
     perturb_square_boundary,
-    triangle_quadrature,
-    triangulate_polygon,
 )
-from cutpoisson.mesh import BackgroundGrid, classify_elements
+from cutpoisson.mesh import BackgroundGrid, classify_elements, strip_trapezoids
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 
-from oracles import greens_monomial_integral, polyline_length_in_box, shoelace
+from oracles import (
+    clip_polygon_to_box,
+    greens_monomial_integral,
+    polyline_length_in_box,
+    shoelace,
+)
 
 UNIT_SQUARE = BoundaryPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
 
@@ -49,11 +51,13 @@ class TestGauss1D:
             gauss_legendre_1d(n)
 
 
-class TestTriangleQuadrature:
+class TestTrapezoidRule:
     @pytest.mark.parametrize("degree", range(1, 11))
     def test_monomial_exactness(self, degree):
-        pts, w = triangle_quadrature(degree)
-        assert np.all(w > 0)
+        # The unit box holds the whole reference triangle: one strip whose
+        # trapezoid has the hypotenuse as its upper edge.
+        rule = cut_volume_rule((0.0, 0.0, 1.0, 1.0), [[0, 0], [1, 0], [0, 1]], degree)
+        assert np.all(rule.weights > 0)
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
                 # reference triangle integral: a! b! / (a+b+2)!
@@ -62,8 +66,7 @@ class TestTriangleQuadrature:
                     * math.factorial(b)
                     / math.factorial(a + b + 2)
                 )
-                # weights are area fractions; reference area is 1/2
-                got = 0.5 * np.sum(w * pts[:, 0] ** a * pts[:, 1] ** b)
+                got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
                 assert got == pytest.approx(exact, abs=2e-14)
 
 
@@ -146,49 +149,46 @@ class TestClip:
         assert total == pytest.approx(shoelace(poly.vertices), rel=1e-12)
 
 
-class TestTriangulate:
+def _walk(vertices, box):
+    poly = BoundaryPolygon(vertices)
+    a, b = poly.segments()
+    return strip_trapezoids(box, a, b, poly, box[2] - box[0])
+
+
+def _trapezoid_area(traps):
+    xl, xr, _, _, hl, hr = traps.T
+    return float(np.sum(0.5 * (xr - xl) * (hl + hr)))
+
+
+class TestStripTrapezoids:
     def test_square(self):
-        tris = triangulate_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]))
-        assert tris.shape[0] == 2
+        traps = _walk([[0, 0], [1, 0], [1, 1], [0, 1]], (0.0, 0.0, 1.0, 1.0))
+        assert traps.shape[0] == 1
+        assert _trapezoid_area(traps) == pytest.approx(1.0, rel=1e-15)
 
     def test_triangle_identity(self):
-        t = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
-        tris = triangulate_polygon(t)
-        assert tris.shape == (1, 3, 2)
-        assert np.allclose(tris[0], t)
+        traps = _walk([[0, 0], [1, 0], [0, 1]], (0.0, 0.0, 1.0, 1.0))
+        assert traps.shape == (1, 6)
+        # x from 0 to 1, floor y = 0, height falling from 1 to 0
+        assert np.allclose(traps[0], [0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
 
     def test_l_shaped_hexagon(self):
         poly = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
-        tris = triangulate_polygon(poly)
-        assert tris.shape[0] == 4
-        total = sum(
-            0.5
-            * abs(
-                (t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
-                - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0])
-            )
-            for t in tris
-        )
-        assert total == pytest.approx(shoelace(poly), rel=1e-12)
+        traps = _walk(poly, (0.0, 0.0, 2.0, 2.0))
+        assert traps.shape[0] == 2
+        assert _trapezoid_area(traps) == pytest.approx(shoelace(poly), rel=1e-12)
 
     def test_degenerate_rejected(self):
+        # two pieces both entering the domain upwards in the same strip
+        start = np.array([[0.0, 0.2], [0.0, 0.6]])
+        end = np.array([[1.0, 0.2], [1.0, 0.6]])
         with pytest.raises(QuadratureError):
-            triangulate_polygon(np.array([[0, 0], [1, 0], [2, 0]], dtype=float))
+            strip_trapezoids((0.0, 0.0, 1.0, 1.0), start, end, UNIT_SQUARE, 1.0)
 
     def test_collinear_chain_ok(self):
-        poly = np.array(
-            [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1.0], [0, 1]], dtype=float
-        )
-        tris = triangulate_polygon(poly)
-        total = sum(
-            0.5
-            * (
-                (t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
-                - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0])
-            )
-            for t in tris
-        )
-        assert total == pytest.approx(1.0, rel=1e-12)
+        poly = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1.0], [0, 1]]
+        traps = _walk(poly, (0.0, 0.0, 1.0, 1.0))
+        assert _trapezoid_area(traps) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCutVolumeRule:
