@@ -7,9 +7,6 @@ errors propagate into the energy, H1, and L2 error norms under refinement.
 """
 
 from .assembly import (
-    DofMap,
-    PenaltyParameters,
-    SparseSystem,
     assemble_bulk,
     assemble_ghost_penalty,
     assemble_nitsche_boundary,
@@ -29,8 +26,6 @@ from .errors import (
 from .geometry import (
     BoundaryPolygon,
     Disk,
-    ExactDomain,
-    GeometricErrors,
     UnitSquare,
     closest_point,
     extract_levelset_boundary,
@@ -40,17 +35,9 @@ from .geometry import (
     segment_outward_normal,
 )
 from .mesh import ActiveMesh, BackgroundGrid, classify_elements, ghost_faces
-from .quadrature import (
-    CutBoundaryRule,
-    CutVolumeRule,
-    QuadRule1D,
-    cut_boundary_rule,
-    cut_volume_rule,
-    gauss_legendre_1d,
-)
+from .quadrature import cut_volume_rule, gauss_legendre_1d
 from .solver import (
     DiscreteSolution,
-    ErrorNorms,
     ReferenceSolution,
     compute_error_norms,
     disk_solution,
@@ -63,7 +50,6 @@ from .studies import (
     ConvergenceRecord,
     StudyConfig,
     compute_rates,
-    least_squares_rate,
     read_records_csv,
     run_delta_study,
     run_levelset_study,

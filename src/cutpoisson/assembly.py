@@ -2,9 +2,10 @@
 
 The bilinear form combines the bulk stiffness on the cut domain, symmetric
 Nitsche boundary terms with penalty beta/h, and the ghost-penalty face
-stabilization with derivative jumps up to order p. All contributions are
-accumulated as triplets in a fixed element order and summed into CSR form,
-so assembly is deterministic.
+stabilization with derivative jumps up to order p. Cut-cell and boundary
+terms are products of sparse point operators; inside cells and ghost faces
+scatter one shared local matrix. Every sum runs in a fixed order, so
+assembly is deterministic.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .quadrature import (
     build_boundary_rules,
     build_volume_rules,
     gauss_legendre_1d,
+    rule_batches,
 )
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "DofMap",
     "build_dofmap",
     "SparseSystem",
+    "point_basis",
     "assemble_bulk",
     "assemble_nitsche_boundary",
     "assemble_ghost_penalty",
@@ -70,12 +73,6 @@ class DofMap:
     row_of_cell: np.ndarray
     n_dofs: int
     dof_coords: np.ndarray
-
-    def dofs_of(self, cell_id: int) -> np.ndarray:
-        row = self.row_of_cell[cell_id]
-        if row < 0:
-            raise MeshError(f"cell {cell_id} is not active")
-        return self.element_dofs[row]
 
 
 def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
@@ -126,40 +123,34 @@ def symmetry_error(a: sp.spmatrix) -> float:
     return float(num / den) if den else 0.0
 
 
-class _TripletBuffer:
-    def __init__(self, n_dofs: int):
-        self.n = n_dofs
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.data: list[np.ndarray] = []
+def _scatter(dofs: np.ndarray, local: np.ndarray, n_dofs: int) -> sp.csr_matrix:
+    """Sum of one local matrix (k, k) placed at every dof row of dofs (m, k)."""
+    m, k = dofs.shape
+    rows = np.repeat(dofs, k, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, k)).reshape(-1)
+    data = np.tile(local.reshape(-1), m)
+    return sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
 
-    def add_dense(self, dofs: np.ndarray, local: np.ndarray):
-        """Scatter one dense local matrix (k, k) at dof vector (k,)."""
-        k = len(dofs)
-        self.rows.append(np.repeat(dofs, k))
-        self.cols.append(np.tile(dofs, k))
-        self.data.append(local.reshape(-1))
 
-    def add_batch(self, dofs: np.ndarray, local: np.ndarray):
-        """Scatter local matrices for a batch: dofs (m, k), local (m, k, k) or (k, k)."""
-        m, k = dofs.shape
-        rows = np.repeat(dofs, k, axis=1).reshape(-1)
-        cols = np.tile(dofs, (1, k)).reshape(-1)
-        if local.ndim == 2:
-            data = np.tile(local.reshape(-1), m)
-        else:
-            data = local.reshape(-1)
-        self.rows.append(rows)
-        self.cols.append(cols)
-        self.data.append(data)
+def point_basis(basis: QpBasis, dofmap: DofMap, grid, points: np.ndarray, cells: np.ndarray):
+    """Basis at physical points, each evaluated in its owning cell.
 
-    def to_csr(self) -> sp.csr_matrix:
-        if not self.rows:
-            return sp.csr_matrix((self.n, self.n))
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        data = np.concatenate(self.data)
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+    Returns the shape function values (q, k), physical gradients (q, k, 2) and
+    the owning elements' global dofs (q, k) as int32, from one ``eval_basis``
+    call over all points. An inactive owning cell raises MeshError.
+    """
+    rows = dofmap.row_of_cell[cells]
+    if np.any(rows < 0):
+        raise MeshError(f"cell {cells[np.argmax(rows < 0)]} is not active")
+    vals, grads = eval_basis(basis, (points - grid.cell_origin(cells)) / grid.h, grid.h)
+    return vals, grads, dofmap.element_dofs.astype(np.int32)[rows]
+
+
+def _point_operator(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.csr_matrix:
+    """Sparse (q, n_dofs) operator whose row i holds data[i] at dofs[i]."""
+    q, k = dofs.shape
+    indptr = np.arange(0, q * k + 1, k, dtype=np.int32)
+    return sp.csr_matrix((data.reshape(-1), dofs.reshape(-1), indptr), shape=(q, n_dofs))
 
 
 def assemble_bulk(
@@ -168,13 +159,23 @@ def assemble_bulk(
     """Stiffness (grad u, grad v) and load (f, v) over element ∩ domain.
 
     ``f`` must accept coordinate arrays (x, y) and return an array. Inside
-    elements share one precomputed local stiffness; cut elements use their
-    individual rules.
+    elements share one precomputed local stiffness. Cut elements use the
+    point operators G_d (gradient components) and V (values) of their rules:
+    sum_d G_d^T W G_d and V^T (w f), with sqrt(w) folded into each factor.
     """
     grid = am.grid
     h = grid.h
-    buf = _TripletBuffer(dofmap.n_dofs)
-    rhs = np.zeros(dofmap.n_dofs)
+    n = dofmap.n_dofs
+    matrix = sp.csr_matrix((n, n))
+    rhs = np.zeros(n)
+    for cells, rule in rule_batches(rules.cut):
+        vals, grads, dofs = point_basis(basis, dofmap, grid, rule.points, cells)
+        sqrt_w = np.sqrt(rule.weights)[:, None]
+        for d in (0, 1):
+            g = _point_operator(sqrt_w * grads[:, :, d], dofs, n)
+            matrix += g.T @ g
+        wf = rule.weights * f(rule.points[:, 0], rule.points[:, 1])
+        rhs += _point_operator(vals, dofs, n).T @ wf
 
     inside = am.inside_ids
     if len(inside):
@@ -183,27 +184,14 @@ def assemble_bulk(
         vals, grads = eval_basis(basis, ref_pts, h)
         k_loc = np.einsum("q,qid,qjd->ij", w, grads, grads)
         dofs_in = dofmap.element_dofs[dofmap.row_of_cell[inside]]
-        buf.add_batch(dofs_in, k_loc)
+        matrix += _scatter(dofs_in, k_loc, n)
         origins = grid.cell_origin(inside)
         pts = origins[:, None, :] + h * ref_pts[None, :, :]
         fv = f(pts[:, :, 0], pts[:, :, 1])
         loc_rhs = np.einsum("eq,q,qi->ei", fv, w, vals)
         np.add.at(rhs, dofs_in, loc_rhs)
 
-    for eid in am.cut_ids:
-        rule = rules.cut[int(eid)]
-        if rule.weights.size == 0:
-            continue
-        origin = grid.cell_origin(int(eid))
-        ref = (rule.points - origin) / h
-        vals, grads = eval_basis(basis, ref, h)
-        k_loc = np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
-        dofs = dofmap.dofs_of(int(eid))
-        buf.add_dense(dofs, k_loc)
-        fv = f(rule.points[:, 0], rule.points[:, 1])
-        np.add.at(rhs, dofs, vals.T @ (fv * rule.weights))
-
-    return SparseSystem(matrix=buf.to_csr(), rhs=rhs)
+    return SparseSystem(matrix=matrix, rhs=rhs)
 
 
 def assemble_nitsche_boundary(
@@ -216,28 +204,21 @@ def assemble_nitsche_boundary(
     """Symmetric Nitsche boundary terms on the polygonal boundary.
 
     Adds -(grad_n u, v) - (u, grad_n v) + (beta/h)(u, v) over the boundary
-    pieces of each owning element. Homogeneous Dirichlet data, so there is no
-    right-hand side contribution.
+    pieces: (beta/h) V^T W V - C - C^T with C = V^T W D_n for the point
+    operators V (values) and D_n (normal derivatives). Homogeneous Dirichlet
+    data, so there is no right-hand side contribution.
     """
-    grid = am.grid
-    h = grid.h
-    buf = _TripletBuffer(dofmap.n_dofs)
-    for eid in sorted(rules):
-        rule = rules[eid]
-        if rule.weights.size == 0:
-            continue
-        if dofmap.row_of_cell[eid] < 0:
-            raise MeshError(f"boundary rule assigned to inactive cell {eid}")
-        origin = grid.cell_origin(eid)
-        ref = (rule.points - origin) / h
-        vals, grads = eval_basis(basis, ref, h)
-        normal_deriv = np.einsum("qd,qid->qi", rule.normals, grads)
-        w = rule.weights
-        consistency = vals.T @ (w[:, None] * normal_deriv)
-        penalty = (params.beta / h) * (vals.T @ (w[:, None] * vals))
-        local = penalty - consistency - consistency.T
-        buf.add_dense(dofmap.dofs_of(eid), local)
-    return SparseSystem(matrix=buf.to_csr(), rhs=np.zeros(dofmap.n_dofs))
+    h = am.grid.h
+    n = dofmap.n_dofs
+    matrix = sp.csr_matrix((n, n))
+    for cells, rule in rule_batches(rules):
+        vals, grads, dofs = point_basis(basis, dofmap, am.grid, rule.points, cells)
+        sqrt_w = np.sqrt(rule.weights)[:, None]
+        v = _point_operator(sqrt_w * vals, dofs, n)
+        d_n = np.einsum("qd,qid->qi", rule.normals, grads)
+        consistency = v.T @ _point_operator(sqrt_w * d_n, dofs, n)
+        matrix += (params.beta / h) * (v.T @ v) - consistency - consistency.T
+    return SparseSystem(matrix=matrix, rhs=np.zeros(n))
 
 
 def _face_derivative_rows(basis: QpBasis, h: float, axis: int, n_points: int):
@@ -301,17 +282,16 @@ def assemble_ghost_penalty(
     if n_face_points is None:
         n_face_points = basis.p + 1
     h = am.grid.h
-    buf = _TripletBuffer(dofmap.n_dofs)
+    n = dofmap.n_dofs
+    matrix = sp.csr_matrix((n, n))
     faces = am.ghost_faces_arr
     for axis in (0, 1):
         sel = faces[faces[:, 2] == axis]
-        if not len(sel):
-            continue
         m_face = _face_jump_matrix(basis, params, h, axis, n_face_points)
         dofs_lo = dofmap.element_dofs[dofmap.row_of_cell[sel[:, 0]]]
         dofs_hi = dofmap.element_dofs[dofmap.row_of_cell[sel[:, 1]]]
-        buf.add_batch(np.concatenate((dofs_lo, dofs_hi), axis=1), m_face)
-    return SparseSystem(matrix=buf.to_csr(), rhs=np.zeros(dofmap.n_dofs))
+        matrix += _scatter(np.concatenate((dofs_lo, dofs_hi), axis=1), m_face, n)
+    return SparseSystem(matrix=matrix, rhs=np.zeros(n))
 
 
 def ghost_penalty_form(

@@ -31,10 +31,10 @@ __all__ = [
     "CutBoundaryRule",
     "gauss_legendre_1d",
     "cut_volume_rule",
-    "cut_boundary_rule",
     "VolumeRuleSet",
     "build_volume_rules",
     "build_boundary_rules",
+    "rule_batches",
 ]
 
 
@@ -128,6 +128,30 @@ def _split_rule(rule, counts):
     return [type(rule)(*arrays) for arrays in zip(*parts)]
 
 
+# Largest number of points in one batch of rule_batches. One batch of all
+# points (arrays of 12-50 MB at the finest levels) left the heap fragmented
+# for the sparse LU that follows, and the peak resident memory then varied
+# from run to run by up to 45 MB.
+POINT_BATCH = 1 << 14
+
+
+def rule_batches(rules: dict):
+    """The points of all rules, in dict order, in batches of POINT_BATCH.
+
+    Yields (cells, rule): the owning cell of every point of the batch and one
+    rule of the rules' type holding them. Nothing for an empty dict.
+    """
+    if not rules:
+        return
+    rule_type = type(next(iter(rules.values())))
+    cells = np.repeat(list(rules), [r.weights.size for r in rules.values()])
+    parts = ([getattr(r, f.name) for r in rules.values()] for f in fields(rule_type))
+    arrays = list(map(np.concatenate, parts))
+    for start in range(0, len(cells), POINT_BATCH):
+        b = slice(start, start + POINT_BATCH)
+        yield cells[b], rule_type(*(a[b] for a in arrays))
+
+
 def _box_pieces(box, poly: BoundaryPolygon):
     """Segment indices and parameter ranges of the polygon pieces in the closed box."""
     a_all, b_all = poly.segments()
@@ -170,24 +194,6 @@ def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
     start, end = piece_endpoints(a_all, b_all, *_box_pieces(box, p))
     h = max(box[2] - box[0], box[3] - box[1])
     return _trapezoids_rule(strip_trapezoids(box, start, end, p, h), order)
-
-
-def cut_boundary_rule(box, poly, order: int) -> CutBoundaryRule:
-    """Boundary quadrature for the polygon pieces owned by this box.
-
-    Every polygon segment clipped to the box contributes a mapped 1D Gauss
-    rule. A piece lying exactly on a box face belongs to the box on the inner
-    side of the boundary, so shared faces are never double counted.
-    """
-    p = _as_polygon(poly)
-    a_all, b_all = p.segments()
-    normals = p.segment_normals()
-    seg, t0, t1 = _box_pieces(box, p)
-    eps = 1e-9 * max(box[2] - box[0], box[3] - box[1])
-    mid = a_all[seg] + (0.5 * (t0 + t1))[:, None] * (b_all[seg] - a_all[seg])
-    q = mid - eps * normals[seg]
-    owned = (box[0] <= q[:, 0]) & (q[:, 0] < box[2]) & (box[1] <= q[:, 1]) & (q[:, 1] < box[3])
-    return _pieces_rule(a_all, b_all, normals, seg[owned], t0[owned], t1[owned], order)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from .assembly import (
     SparseSystem,
     ghost_penalty_form,
     penalty_parameters,
+    point_basis,
 )
 from .basis import QpBasis, eval_basis
 from .errors import EvaluationError, SolverError
 from .mesh import ActiveMesh
-from .quadrature import build_boundary_rules, build_volume_rules
+from .quadrature import build_boundary_rules, build_volume_rules, rule_batches
 
 __all__ = [
     "solve_spd",
@@ -190,25 +191,11 @@ class DiscreteSolution:
             raise ValueError("coefficient vector length does not match dof count")
 
 
-def _candidate_cells(am: ActiveMesh, x: float, y: float) -> list[int]:
-    grid = am.grid
-    gx = (x - grid.origin[0]) / grid.h
-    gy = (y - grid.origin[1]) / grid.h
-    tol = 1e-12 * max(1.0, abs(gx), abs(gy))
-
-    def axis_candidates(g, n):
-        base = int(np.floor(g))
-        cands = {min(max(base, 0), n - 1)}
-        if abs(g - round(g)) < tol:
-            k = int(round(g))
-            cands.update(c for c in (k - 1, k) if 0 <= c < n)
-        return sorted(cands)
-
-    return sorted(
-        grid.cell_id(ix, iy)
-        for ix in axis_candidates(gx, grid.nx)
-        for iy in axis_candidates(gy, grid.ny)
-    )
+def _discrete_at(sol: DiscreteSolution, points: np.ndarray, cells: np.ndarray):
+    """Value (q,) and gradient (q, 2) of u_h at points in their owning cells."""
+    vals, grads, dofs = point_basis(sol.basis, sol.dofmap, sol.am.grid, points, cells)
+    c = sol.coefficients[dofs]
+    return np.einsum("qk,qk->q", vals, c), np.einsum("qk,qkd->qd", c, grads)
 
 
 def eval_discrete(sol: DiscreteSolution, x):
@@ -220,25 +207,21 @@ def eval_discrete(sol: DiscreteSolution, x):
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     grid = sol.am.grid
-    vals = np.empty(len(pts))
-    grads = np.empty((len(pts), 2))
-    for i, (px, py) in enumerate(pts):
-        eid = next(
-            (
-                c
-                for c in _candidate_cells(sol.am, px, py)
-                if sol.dofmap.row_of_cell[c] >= 0
-            ),
-            None,
-        )
-        if eid is None:
-            raise EvaluationError(f"point ({px}, {py}) is outside the active mesh")
-        origin = grid.cell_origin(eid)
-        ref = (np.array([px, py]) - origin) / grid.h
-        v, g = eval_basis(sol.basis, ref, grid.h)
-        c = sol.coefficients[sol.dofmap.dofs_of(eid)]
-        vals[i] = v @ c
-        grads[i] = c @ g
+    g = (pts - grid.origin) / grid.h
+    # Per axis: the cell holding g and, within 1e-12 (relative) of a
+    # gridline, both cells beside it, clamped to the grid.
+    k = np.round(g)
+    on_line = np.abs(g - k) < 1e-12 * np.maximum(1.0, np.abs(g).max(axis=1, keepdims=True))
+    base = np.floor(g)
+    cands = np.stack((base, np.where(on_line, k - 1, base), np.where(on_line, k, base)), axis=2)
+    cands = np.clip(cands, 0, [[grid.nx - 1], [grid.ny - 1]]).astype(np.intp)
+    ids = (cands[:, 1, :, None] * grid.nx + cands[:, 0, None, :]).reshape(len(pts), -1)
+    eid = np.where(sol.dofmap.row_of_cell[ids] >= 0, ids, grid.n_cells).min(axis=1)
+    outside = eid == grid.n_cells
+    if np.any(outside):
+        px, py = pts[np.argmax(outside)]
+        raise EvaluationError(f"point ({px}, {py}) is outside the active mesh")
+    vals, grads = _discrete_at(sol, pts, eid)
     if np.asarray(x).ndim == 1:
         return float(vals[0]), grads[0]
     return vals, grads
@@ -310,50 +293,20 @@ def compute_error_norms(
         val_sq += float(np.einsum("eq,q->", e_val**2, w))
         grad_sq += float(np.einsum("eqd,q->", e_grad**2, w))
 
-    cut_pts, cut_slices = [], []
-    for eid in am.cut_ids:
-        rule = vrules.cut[int(eid)]
-        if rule.weights.size:
-            cut_pts.append(rule.points)
-            cut_slices.append((int(eid), rule))
-    if cut_pts:
-        all_pts = np.concatenate(cut_pts)
-        ref_val = ref.value(all_pts)
-        ref_grad = ref.gradient(all_pts)
-        pos = 0
-        for eid, rule in cut_slices:
-            q = len(rule.weights)
-            origin = am.grid.cell_origin(eid)
-            refc = (rule.points - origin) / h
-            vals, grads = eval_basis(basis, refc, h)
-            c = sol.coefficients[sol.dofmap.dofs_of(eid)]
-            e_val = ref_val[pos : pos + q] - vals @ c
-            e_grad = ref_grad[pos : pos + q] - np.einsum("i,qid->qd", c, grads)
-            val_sq += float(np.sum(rule.weights * e_val**2))
-            grad_sq += float(np.sum(rule.weights * np.sum(e_grad**2, axis=1)))
-            pos += q
+    for cells, rule in rule_batches(vrules.cut):
+        uh_val, uh_grad = _discrete_at(sol, rule.points, cells)
+        e_val = ref.value(rule.points) - uh_val
+        e_grad = ref.gradient(rule.points) - uh_grad
+        val_sq += float(np.sum(rule.weights * e_val**2))
+        grad_sq += float(np.sum(rule.weights * np.sum(e_grad**2, axis=1)))
 
-    brules = build_boundary_rules(am, boundary_order)
-    flux_sq = 0.0
-    trace_sq = 0.0
-    if brules:
-        bpts = np.concatenate([r.points for r in brules.values()])
-        ref_val_b = ref.value(bpts)
-        ref_grad_b = ref.gradient(bpts)
-        pos = 0
-        for eid in brules:
-            rule = brules[eid]
-            q = len(rule.weights)
-            origin = am.grid.cell_origin(eid)
-            refc = (rule.points - origin) / h
-            vals, grads = eval_basis(basis, refc, h)
-            c = sol.coefficients[sol.dofmap.dofs_of(eid)]
-            e_val = ref_val_b[pos : pos + q] - vals @ c
-            e_grad = ref_grad_b[pos : pos + q] - np.einsum("i,qid->qd", c, grads)
-            e_flux = np.einsum("qd,qd->q", rule.normals, e_grad)
-            trace_sq += float(np.sum(rule.weights * e_val**2))
-            flux_sq += float(np.sum(rule.weights * e_flux**2))
-            pos += q
+    flux_sq = trace_sq = 0.0
+    for cells, rule in rule_batches(build_boundary_rules(am, boundary_order)):
+        uh_val, uh_grad = _discrete_at(sol, rule.points, cells)
+        e_val = ref.value(rule.points) - uh_val
+        e_flux = np.einsum("qd,qd->q", rule.normals, ref.gradient(rule.points) - uh_grad)
+        trace_sq += float(np.sum(rule.weights * e_val**2))
+        flux_sq += float(np.sum(rule.weights * e_flux**2))
 
     stab_sq = max(ghost_penalty_form(am, basis, params, sol.dofmap, sol.coefficients), 0.0)
 

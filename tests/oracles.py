@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cutpoisson import BoundaryPolygon, QuadratureError
+from cutpoisson import BoundaryPolygon, QuadratureError, eval_basis
 
 
 def shoelace(vertices) -> float:
@@ -272,3 +272,67 @@ def clip_polygon_to_box(poly, box) -> list[np.ndarray]:
     if len(v) < 3:
         return []
     return _split_bridges(v, box, tol)
+
+
+def per_cell_bulk_nitsche(am, basis, params, f, vrules, brules, dofmap):
+    """Bulk stiffness, load and Nitsche matrix summed element by element.
+
+    Every active element's rule goes through its own ``eval_basis`` call and
+    einsum local matrices; returns (bulk matrix, load vector, Nitsche matrix).
+    """
+    grid, h, n = am.grid, am.grid.h, dofmap.n_dofs
+
+    def local(eid, rule):
+        vals, grads = eval_basis(basis, (rule.points - grid.cell_origin(eid)) / h, h)
+        return vals, grads, dofmap.element_dofs[dofmap.row_of_cell[eid]]
+
+    bulk, nitsche, rhs = [], [], np.zeros(n)
+    for eid in am.active:
+        rule = vrules.rule_for(int(eid))
+        vals, grads, dofs = local(eid, rule)
+        bulk.append((dofs, np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)))
+        fv = f(rule.points[:, 0], rule.points[:, 1])
+        rhs[dofs] += np.einsum("q,qi->i", rule.weights * fv, vals)
+    for eid, rule in brules.items():
+        vals, grads, dofs = local(eid, rule)
+        dn = np.einsum("qd,qid->qi", rule.normals, grads)
+        c = np.einsum("q,qi,qj->ij", rule.weights, vals, dn)
+        m = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
+        nitsche.append((dofs, params.beta / h * m - c - c.T))
+
+    def to_csr(blocks):
+        rows = [np.repeat(d, len(d)) for d, _ in blocks]
+        cols = [np.tile(d, len(d)) for d, _ in blocks]
+        data = [m.reshape(-1) for _, m in blocks]
+        coo = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
+        return coo.tocsr()
+
+    return to_csr(bulk), rhs, to_csr(nitsche)
+
+
+def lowest_active_cell(am, row_of_cell, x: float, y: float):
+    """Cell that evaluates the point (x, y), found one point at a time.
+
+    Candidates per axis are the cell holding the coordinate, clamped to the
+    grid, and both cells beside a gridline within 1e-12 (relative) of it; the
+    lowest active candidate id wins. None when no candidate is active.
+    """
+    grid = am.grid
+    gx = (x - grid.origin[0]) / grid.h
+    gy = (y - grid.origin[1]) / grid.h
+    tol = 1e-12 * max(1.0, abs(gx), abs(gy))
+
+    def axis_candidates(g, n):
+        cands = {min(max(int(np.floor(g)), 0), n - 1)}
+        if abs(g - round(g)) < tol:
+            cands.update(c for c in (round(g) - 1, round(g)) if 0 <= c < n)
+        return cands
+
+    ids = sorted(
+        grid.cell_id(ix, iy)
+        for ix in axis_candidates(gx, grid.nx)
+        for iy in axis_candidates(gy, grid.ny)
+    )
+    return next((c for c in ids if row_of_cell[c] >= 0), None)

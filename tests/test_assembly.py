@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from cutpoisson import (
     perturb_square_boundary,
     qp_basis,
 )
+from cutpoisson import quadrature
 from cutpoisson.assembly import PenaltyParameters, symmetry_error
 from cutpoisson.mesh import (
     CUT,
@@ -26,6 +29,9 @@ from cutpoisson.mesh import (
     ghost_faces,
 )
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
+from cutpoisson.studies import SQUARE_SIDE, _grid, _square_origin
+
+from oracles import per_cell_bulk_nitsche
 
 
 def ones(x, y):
@@ -139,6 +145,30 @@ class TestNitsche:
         )
         penalty = (n2.matrix - n1.matrix).diagonal()  # equals 25/h * mass diag
         assert penalty[0] == pytest.approx(25.0 * 2.0 / 3.0, rel=1e-12)
+
+
+class TestPointOperators:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_match_per_cell_oracle(self, p, monkeypatch):
+        # The delta study's square on its 24 x 24 grid, delta = h^(p+1/2),
+        # with batches small enough that the points span several of them.
+        monkeypatch.setattr(quadrature, "POINT_BATCH", 1000)
+        grid = _grid(_square_origin(None), SQUARE_SIDE, None, 1)
+        poly = perturb_square_boundary(grid.h ** (p + 0.5), 16 * math.ceil(1.0 / grid.h))
+        am = classify_elements(grid, poly)
+        basis, params, dm = qp_basis(p), penalty_parameters(p), build_dofmap(am, p)
+        vrules = build_volume_rules(am, 2 * p)
+        brules = build_boundary_rules(am, 2 * p)
+
+        def f(x, y):
+            return 1.0 + x * y
+
+        bulk = assemble_bulk(am, basis, f, vrules, dm)
+        nit = assemble_nitsche_boundary(am, basis, params, brules, dm)
+        k_ref, rhs_ref, nit_ref = per_cell_bulk_nitsche(am, basis, params, f, vrules, brules, dm)
+        assert abs(bulk.matrix - k_ref).max() <= 1e-13 * abs(k_ref).max()
+        assert np.max(np.abs(bulk.rhs - rhs_ref)) <= 1e-13 * np.max(np.abs(rhs_ref))
+        assert abs(nit.matrix - nit_ref).max() <= 1e-13 * abs(nit_ref).max()
 
 
 class TestGhostPenalty:

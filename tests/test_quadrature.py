@@ -6,7 +6,6 @@ import pytest
 from cutpoisson import (
     BoundaryPolygon,
     QuadratureError,
-    cut_boundary_rule,
     cut_volume_rule,
     gauss_legendre_1d,
     perturb_circle_boundary,
@@ -244,27 +243,41 @@ class TestCutVolumeRule:
 class TestCutBoundaryRule:
     def test_horizontal_crossing(self):
         h = 0.25
-        box = (0.25, -0.1, 0.5, 0.15)
-        rule = cut_boundary_rule(box, UNIT_SQUARE, 2)
+        grid = BackgroundGrid(origin=(-0.25, -0.1), h=h, nx=6, ny=5)
+        rules = build_boundary_rules(classify_elements(grid, UNIT_SQUARE), 2)
+        rule = rules[grid.cell_id(2, 0)]  # box (0.25, -0.1, 0.5, 0.15)
         assert np.sum(rule.weights) == pytest.approx(h, rel=1e-13)
         assert np.allclose(rule.normals, [0.0, -1.0])
 
     def test_no_intersection(self):
-        rule = cut_boundary_rule((2.0, 2.0, 2.5, 2.5), UNIT_SQUARE, 2)
-        assert rule.weights.size == 0
+        grid = BackgroundGrid(origin=(-0.5, -0.5), h=0.5, nx=6, ny=6)
+        rules = build_boundary_rules(classify_elements(grid, UNIT_SQUARE), 2)
+        assert rules
+        assert grid.cell_id(5, 5) not in rules  # box (2, 2, 2.5, 2.5)
 
     def test_arc_length_oracle(self):
         poly = perturb_circle_boundary(0.0, 0.0, 0.1, 0.1, 2048)
-        box = (0.6, 0.3, 0.95, 0.75)
-        rule = cut_boundary_rule(box, poly, 4)
-        expected = polyline_length_in_box(poly.vertices, box)
-        assert np.sum(rule.weights) == pytest.approx(expected, rel=1e-12)
+        grid = BackgroundGrid(origin=(-1.25, -1.25), h=0.3125, nx=8, ny=8)
+        rules = build_boundary_rules(classify_elements(grid, poly), 4)
+        for eid, rule in rules.items():
+            expected = polyline_length_in_box(poly.vertices, grid.cell_box(eid))
+            assert np.sum(rule.weights) == pytest.approx(expected, rel=1e-12)
 
     def test_normals_unit(self):
         poly = perturb_circle_boundary(0.01, 0.0, 0.1, 0.1, 512)
-        rule = cut_boundary_rule((0.5, 0.5, 1.1, 1.1), poly, 2)
-        lens = np.hypot(rule.normals[:, 0], rule.normals[:, 1])
-        assert np.allclose(lens, 1.0, atol=1e-13)
+        grid = BackgroundGrid(origin=(-1.25, -1.25), h=0.3125, nx=8, ny=8)
+        for rule in build_boundary_rules(classify_elements(grid, poly), 2).values():
+            lens = np.hypot(rule.normals[:, 0], rule.normals[:, 1])
+            assert np.allclose(lens, 1.0, atol=1e-13)
+
+    def test_edges_just_outside_gridlines(self):
+        # The square's edges lie 1.9e-15 outside the gridlines: every piece
+        # sits in two closed cell boxes and belongs to the inner one.
+        o = -0.2500000000000019
+        grid = BackgroundGrid(origin=(o, o), h=0.125, nx=12, ny=12)
+        rules = build_boundary_rules(classify_elements(grid, UNIT_SQUARE), 4)
+        total = sum(float(np.sum(r.weights)) for r in rules.values())
+        assert abs(total - 4.0) <= 1e-12
 
 
 class TestGlobalConservation:

@@ -11,6 +11,7 @@ from cutpoisson import (
     build_dofmap,
     compute_error_norms,
     disk_solution,
+    eval_basis,
     eval_discrete,
     galerkin_residual,
     penalty_parameters,
@@ -23,7 +24,7 @@ from cutpoisson.assembly import SparseSystem
 from cutpoisson.mesh import BackgroundGrid, classify_elements
 from cutpoisson.solver import _sn_pair
 
-from oracles import fd_square_center_value
+from oracles import fd_square_center_value, lowest_active_cell
 
 
 def fitted_square_solution(p=2, coeffs_from=None, n=12):
@@ -155,6 +156,73 @@ class TestEvalDiscrete:
         sol = fitted_square_solution()
         with pytest.raises(EvaluationError):
             eval_discrete(sol, np.array([-0.2, -0.2]))
+
+    def test_one_outside_point_rejects_batch(self):
+        sol = fitted_square_solution()
+        pts = np.array([[0.4, 0.6], [0.5, 0.5], [-0.2, -0.2], [0.3, 0.3]])
+        with pytest.raises(EvaluationError, match="outside"):
+            eval_discrete(sol, pts)
+
+    def test_cell_choice_matches_pointwise_search(self):
+        # Random coefficients make the gradient jump across faces, so the
+        # gradient shows which cell evaluated each point.
+        sol = fitted_square_solution(p=2, n=12)
+        sol.coefficients[:] = np.random.default_rng(3).normal(size=sol.dofmap.n_dofs)
+        grid = sol.am.grid
+        rng = np.random.default_rng(4)
+        lines = grid.origin[0] + grid.h * np.arange(-1, grid.nx + 2)
+        pts = np.concatenate(
+            (
+                rng.uniform(-0.4, 1.4, size=(200, 2)),
+                np.column_stack((rng.choice(lines, 200), rng.uniform(-0.4, 1.4, 200))),
+                np.column_stack((rng.choice(lines, 200), rng.choice(lines, 200))),
+                rng.choice(lines, size=(200, 2)) + rng.choice([-1e-13, 1e-13, 1e-11], (200, 2)),
+            )
+        )
+        cells = [lowest_active_cell(sol.am, sol.dofmap.row_of_cell, x, y) for x, y in pts]
+        found = np.array([c is not None for c in cells])
+        assert 300 < np.count_nonzero(found) < len(pts)
+        _, grads = eval_discrete(sol, pts[found])
+        for x, eid, g in zip(pts[found], [c for c in cells if c is not None], grads):
+            _, dphi = eval_basis(sol.basis, (x - grid.cell_origin(eid)) / grid.h, grid.h)
+            c = sol.coefficients[sol.dofmap.element_dofs[sol.dofmap.row_of_cell[eid]]]
+            assert np.allclose(g, c @ dphi, rtol=1e-12, atol=1e-12)
+        for x in pts[~found]:
+            with pytest.raises(EvaluationError):
+                eval_discrete(sol, x)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_qp_reproduction_on_gridlines(self, p):
+        # u in Q_p is interpolated exactly; evaluate it where several cells
+        # are candidates: on interior gridlines, on grid corners, and on the
+        # faces between active and inactive cells.
+        exps = [(a, b) for a in range(p + 1) for b in range(p + 1)]
+
+        def u(x, y):
+            return sum((a + 1.0) * x**a * (0.5 - y) ** b for a, b in exps)
+
+        def du(x, y):
+            dx = sum(a * (a + 1.0) * x ** max(a - 1, 0) * (0.5 - y) ** b for a, b in exps)
+            dy = sum(-b * (a + 1.0) * x**a * (0.5 - y) ** max(b - 1, 0) for a, b in exps)
+            return np.column_stack((dx, dy))
+
+        sol = fitted_square_solution(p=p, coeffs_from=u)
+        am, grid = sol.am, sol.am.grid
+        ix, iy = grid.cell_coords(am.active)
+        x0 = grid.origin[0] + ix * grid.h
+        y0 = grid.origin[1] + iy * grid.h
+        t = np.random.default_rng(p).uniform(0.1, 0.9, size=len(x0))
+        corners = np.column_stack((x0, y0))
+        lines = np.concatenate(
+            (np.column_stack((x0, y0 + t * grid.h)), np.column_stack((x0 + t * grid.h, y0)))
+        )
+        right_inactive = (ix + 1 < grid.nx) & (sol.dofmap.row_of_cell[am.active + 1] < 0)
+        faces = np.column_stack((x0 + grid.h, y0 + t * grid.h))[right_inactive]
+        assert len(faces)
+        for pts in (corners, lines, faces):
+            v, g = eval_discrete(sol, pts)
+            assert np.max(np.abs(v - u(pts[:, 0], pts[:, 1]))) <= 1e-12
+            assert np.max(np.abs(g - du(pts[:, 0], pts[:, 1]))) <= 1e-10
 
 
 class TestErrorNorms:
