@@ -67,8 +67,6 @@ class DofMap:
     for inactive cells). Dof ids are dense in [0, n_dofs).
     """
 
-    p: int
-    element_ids: np.ndarray
     element_dofs: np.ndarray
     row_of_cell: np.ndarray
     n_dofs: int
@@ -98,8 +96,6 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
         )
     )
     return DofMap(
-        p=p,
-        element_ids=am.active.copy(),
         element_dofs=element_dofs,
         row_of_cell=row_of_cell,
         n_dofs=len(unique),
@@ -221,15 +217,15 @@ def assemble_nitsche_boundary(
     return SparseSystem(matrix=matrix, rhs=np.zeros(n))
 
 
-def _face_derivative_rows(basis: QpBasis, h: float, axis: int, n_points: int):
-    """Face Gauss weights and the normal-derivative rows of both face sides.
+def _face_derivative_rows(basis: QpBasis, h: float, axis: int):
+    """Face Gauss weights (p+1 points) and the normal-derivative rows of both sides.
 
     Per derivative order j = 1..p, (d_lo, d_hi), each (q, (p+1)^2), map the
     low and the high element's local dofs to the j-th normal derivative.
     """
     p = basis.p
     nloc = (p + 1) ** 2
-    rule = gauss_legendre_1d(n_points)
+    rule = gauss_legendre_1d(p + 1)
     t = 0.5 * (rule.points + 1.0)
     w_face = 0.5 * h * rule.weights
     tang = basis.lagrange_1d(t)  # (q, p+1) values along the face
@@ -250,7 +246,7 @@ def _face_derivative_rows(basis: QpBasis, h: float, axis: int, n_points: int):
 
 
 def _face_jump_matrix(
-    basis: QpBasis, params: PenaltyParameters, h: float, axis: int, n_points: int
+    basis: QpBasis, params: PenaltyParameters, h: float, axis: int
 ) -> np.ndarray:
     """Shared local ghost matrix for all faces with the given normal axis.
 
@@ -259,7 +255,7 @@ def _face_jump_matrix(
     one orientation.
     """
     nloc = (basis.p + 1) ** 2
-    w_face, rows = _face_derivative_rows(basis, h, axis, n_points)
+    w_face, rows = _face_derivative_rows(basis, h, axis)
     m = np.zeros((2 * nloc, 2 * nloc))
     for j, (d_lo, d_hi) in enumerate(rows, start=1):
         jump = np.concatenate((d_lo, -d_hi), axis=1)
@@ -272,22 +268,19 @@ def assemble_ghost_penalty(
     basis: QpBasis,
     params: PenaltyParameters,
     dofmap: DofMap,
-    n_face_points: int | None = None,
 ) -> SparseSystem:
     """Ghost-penalty stabilization over the faces touching cut elements.
 
     For each face and derivative order j = 1..p the jump of the j-th normal
     derivative is integrated along the full face with weight gamma_j h^(2j-1).
     """
-    if n_face_points is None:
-        n_face_points = basis.p + 1
     h = am.grid.h
     n = dofmap.n_dofs
     matrix = sp.csr_matrix((n, n))
     faces = am.ghost_faces_arr
     for axis in (0, 1):
         sel = faces[faces[:, 2] == axis]
-        m_face = _face_jump_matrix(basis, params, h, axis, n_face_points)
+        m_face = _face_jump_matrix(basis, params, h, axis)
         dofs_lo = dofmap.element_dofs[dofmap.row_of_cell[sel[:, 0]]]
         dofs_hi = dofmap.element_dofs[dofmap.row_of_cell[sel[:, 1]]]
         matrix += _scatter(np.concatenate((dofs_lo, dofs_hi), axis=1), m_face, n)
@@ -300,7 +293,6 @@ def ghost_penalty_form(
     params: PenaltyParameters,
     dofmap: DofMap,
     coefficients: np.ndarray,
-    n_face_points: int | None = None,
 ) -> float:
     """Evaluate s_h(v, v) directly from the derivative jumps.
 
@@ -308,8 +300,6 @@ def ghost_penalty_form(
     numerically exact on jump-free functions: the jump values are formed
     first and then squared, so roundoff enters quadratically.
     """
-    if n_face_points is None:
-        n_face_points = basis.p + 1
     h = am.grid.h
     faces = am.ghost_faces_arr
     total = 0.0
@@ -319,7 +309,7 @@ def ghost_penalty_form(
             continue
         c_lo = coefficients[dofmap.element_dofs[dofmap.row_of_cell[sel[:, 0]]]]
         c_hi = coefficients[dofmap.element_dofs[dofmap.row_of_cell[sel[:, 1]]]]
-        w_face, rows = _face_derivative_rows(basis, h, axis, n_face_points)
+        w_face, rows = _face_derivative_rows(basis, h, axis)
         for j, (d_lo, d_hi) in enumerate(rows, start=1):
             jumps = c_lo @ d_lo.T - c_hi @ d_hi.T  # (n_faces, q)
             total += params.gamma[j - 1] * h ** (2 * j - 1) * float(
@@ -329,26 +319,17 @@ def ghost_penalty_form(
 
 
 def assemble_system(
-    am: ActiveMesh,
-    basis: QpBasis,
-    params: PenaltyParameters,
-    f,
-    volume_order: int | None = None,
-    boundary_order: int | None = None,
+    am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, f
 ) -> tuple[SparseSystem, DofMap]:
     """Assemble the full stabilized Nitsche system A u = l.
 
-    Quadrature orders default to 2p, exact for the bilinear form on the
-    polygonal geometry. Returns the system and the dof map.
+    Quadrature of order 2p, exact for the bilinear form on the polygonal
+    geometry. Returns the system and the dof map.
     """
     p = basis.p
-    if volume_order is None:
-        volume_order = 2 * p
-    if boundary_order is None:
-        boundary_order = 2 * p
     dofmap = build_dofmap(am, p)
-    vrules = build_volume_rules(am, volume_order)
-    brules = build_boundary_rules(am, boundary_order)
+    vrules = build_volume_rules(am, 2 * p)
+    brules = build_boundary_rules(am, 2 * p)
     bulk = assemble_bulk(am, basis, f, vrules, dofmap)
     nitsche = assemble_nitsche_boundary(am, basis, params, brules, dofmap)
     ghost = assemble_ghost_penalty(am, basis, params, dofmap)

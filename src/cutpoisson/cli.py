@@ -1,8 +1,10 @@
 """Command line entry point for the convergence studies.
 
 Subcommands: delta-study, normal-study, levelset-study, solve. Options may
-also come from a config file of ``key = value`` lines (keys are the flag
-names without leading dashes); explicit flags override the file.
+also come from a config file of ``key = value`` lines; each line becomes the
+flag ``--key=value`` (``_`` in a key reads as ``-``), parsed by the
+subcommand's own parser ahead of the explicit flags, so explicit flags
+override the file and a key the subcommand has no flag for is rejected.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import sys
 
 from .studies import (
+    _NORM_TARGETS,
     StudyConfig,
     format_rate_table,
     run_delta_study,
@@ -21,27 +24,16 @@ from .studies import (
 )
 
 _RUNNERS = {
-    "delta-study": ("delta", run_delta_study),
-    "normal-study": ("normal", run_normal_study),
-    "levelset-study": ("levelset", run_levelset_study),
-    "solve": ("single", run_single),
-}
-
-_CONFIG_TYPES = {
-    "p": int,
-    "levels": int,
-    "h0": float,
-    "alpha": float,
-    "alpha-n": float,
-    "norm": str,
-    "terms": int,
-    "out": str,
+    "delta-study": ("delta", run_delta_study, "perturbed square study"),
+    "normal-study": ("normal", run_normal_study, "normal approximation study"),
+    "levelset-study": ("levelset", run_levelset_study, "level-set geometry study"),
+    "solve": ("single", run_single, "single solve on the square"),
 }
 
 
-def _load_config(path: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    """Flag tokens of ``key = value`` lines; '#' starts a comment."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -50,104 +42,69 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("_", "-")
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
-            values[key] = _CONFIG_TYPES[key](value)
-    return values
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per study; each flag's dest is its StudyConfig field."""
     parser = argparse.ArgumentParser(
         prog="cutpoisson",
         description="Cut finite element Poisson solver convergence studies",
     )
-    sub = parser.add_subparsers(dest="command")
-
-    def add_common(sp, with_alpha=False, with_alpha_n=False):
-        sp.add_argument("--p", type=int, default=None, help="polynomial degree (1-3)")
-        sp.add_argument("--levels", type=int, default=None, help="refinement levels")
-        sp.add_argument("--h0", type=float, default=None, help="coarsest mesh size")
-        sp.add_argument("--terms", type=int, default=None, help="series truncation")
-        sp.add_argument("--out", type=str, default=None, help="CSV output path")
-        sp.add_argument("--config", type=str, default=None, help="key = value file")
-        if with_alpha:
-            sp.add_argument("--alpha", type=float, default=None, help="delta = h^alpha")
-        if with_alpha_n:
-            sp.add_argument(
-                "--alpha-n", type=float, default=None, help="frequency exponent"
-            )
-            sp.add_argument(
-                "--norm",
-                type=str,
-                default=None,
-                choices=("energy", "h1", "l2"),
-                help="norm whose optimal delta scaling is used",
-            )
-
-    add_common(sub.add_parser("delta-study", help="perturbed square study"), with_alpha=True)
-    add_common(
-        sub.add_parser("normal-study", help="normal approximation study"),
-        with_alpha_n=True,
+    sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for command, (study, _, help_text) in _RUNNERS.items():
+        sp = subs[command] = sub.add_parser(command, help=help_text)
+        default_p = 2 if command == "normal-study" else 1
+        sp.add_argument("--p", type=int, default=default_p, help="polynomial degree (1-3)")
+        sp.add_argument("--levels", type=int, help="refinement levels")
+        sp.add_argument("--h0", type=float, help="coarsest mesh size")
+        sp.add_argument("--terms", dest="n_terms", type=int, help="series truncation")
+        sp.add_argument("--out", default=f"{study}.csv", help="CSV output path")
+        sp.add_argument("--config", help="key = value file")
+    subs["delta-study"].add_argument(
+        "--alpha", type=float, required=True, help="delta = h^alpha"
     )
-    add_common(sub.add_parser("levelset-study", help="level-set geometry study"))
-    add_common(sub.add_parser("solve", help="single solve on the square"), with_alpha=True)
+    subs["solve"].add_argument("--alpha", type=float, help="delta = h^alpha")
+    subs["normal-study"].add_argument(
+        "--alpha-n", type=float, required=True, help="frequency exponent"
+    )
+    subs["normal-study"].add_argument(
+        "--norm",
+        dest="norm_target",
+        default="energy",
+        choices=_NORM_TARGETS,
+        help="norm whose optimal delta scaling is used",
+    )
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the config file's flags placed after the subcommand."""
+    pre = argparse.ArgumentParser(prog="cutpoisson", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config is not None:
+        argv = argv[:1] + _config_flags(config) + argv[1:]
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    merged = {}
-    if args.config is not None:
-        try:
-            merged.update(_load_config(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    flag_map = {
-        "p": "p",
-        "levels": "levels",
-        "h0": "h0",
-        "terms": "terms",
-        "out": "out",
-        "alpha": "alpha",
-        "alpha_n": "alpha-n",
-        "norm": "norm",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
-
-    study_name, runner = _RUNNERS[args.command]
-    if args.command == "delta-study" and "alpha" not in merged:
-        print("error: delta-study requires --alpha", file=sys.stderr)
-        return 2
-    if args.command == "normal-study" and "alpha-n" not in merged:
-        print("error: normal-study requires --alpha-n", file=sys.stderr)
-        return 2
-
-    default_p = 2 if args.command == "normal-study" else 1
-    cfg = StudyConfig(
-        study=study_name,
-        p=merged.get("p", default_p),
-        levels=merged.get("levels"),
-        h0=merged.get("h0"),
-        alpha=merged.get("alpha"),
-        alpha_n=merged.get("alpha-n"),
-        norm_target=merged.get("norm", "energy"),
-        n_terms=merged.get("terms"),
-        out=merged.get("out"),
-    )
+    options = vars(args)
+    study_name, runner, _ = _RUNNERS[options.pop("command")]
+    out_path = options.pop("out")
+    del options["config"]
+    cfg = StudyConfig(study=study_name, **options)
 
     try:
         records = runner(cfg)
@@ -158,7 +115,6 @@ def main(argv=None) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 
-    out_path = cfg.out or f"{study_name}.csv"
     try:
         write_records_csv(records, out_path)
     except OSError as exc:

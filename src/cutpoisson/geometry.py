@@ -351,19 +351,15 @@ def extract_levelset_boundary(domain: Disk, grid) -> BoundaryPolygon:
     return BoundaryPolygon(verts)
 
 
-def measure_geometric_errors(
-    poly: BoundaryPolygon, domain: ExactDomain, samples_per_segment: int = 5
-) -> GeometricErrors:
+def measure_geometric_errors(poly: BoundaryPolygon, domain: ExactDomain) -> GeometricErrors:
     """Measure delta and delta_n of a polygon against the exact boundary.
 
-    Each segment is sampled at ``samples_per_segment`` interior points; delta
-    is the max distance to the projected point, delta_n the max deviation
-    between the exact normal at the projection and the segment normal.
+    Each segment is sampled at the 5 interior points t = k/6; delta is the
+    max distance to the projected point, delta_n the max deviation between
+    the exact normal at the projection and the segment normal.
     """
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be at least 1")
     a, b = poly.segments()
-    s = samples_per_segment
+    s = 5
     t = (np.arange(1, s + 1) / (s + 1))[None, :, None]
     pts = (a[:, None, :] + t * (b - a)[:, None, :]).reshape(-1, 2)
     q, n_exact = closest_point(domain, pts)

@@ -106,10 +106,6 @@ class ActiveMesh:
     def cut_ids(self) -> np.ndarray:
         return self.active[self.classification[self.active] == CUT]
 
-    @property
-    def n_active(self) -> int:
-        return len(self.active)
-
     @functools.cached_property
     def cut_geometry(self) -> "CutGeometry":
         """Boundary pieces and cut-cell trapezoids, shared by every quadrature order."""

@@ -17,13 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import BoundaryPolygon
-from .mesh import (
-    ActiveMesh,
-    BackgroundGrid,
-    piece_endpoints,
-    segment_box_interval,
-    strip_trapezoids,
-)
+from .mesh import ActiveMesh, piece_endpoints, segment_box_interval, strip_trapezoids
 
 __all__ = [
     "QuadRule1D",
@@ -209,21 +203,9 @@ class VolumeRuleSet:
     weights summing to 1); cut elements carry individual physical rules.
     """
 
-    grid: BackgroundGrid
     inside_ref_points: np.ndarray
     inside_ref_weights: np.ndarray
     cut: dict[int, CutVolumeRule]
-
-    def rule_for(self, eid: int) -> CutVolumeRule:
-        r = self.cut.get(eid)
-        if r is not None:
-            return r
-        h = self.grid.h
-        origin = self.grid.cell_origin(eid)
-        return CutVolumeRule(
-            points=origin[None, :] + h * self.inside_ref_points,
-            weights=h * h * self.inside_ref_weights,
-        )
 
 
 def build_volume_rules(am: ActiveMesh, order: int) -> VolumeRuleSet:
@@ -237,9 +219,7 @@ def build_volume_rules(am: ActiveMesh, order: int) -> VolumeRuleSet:
     per_trap = _points_for_degree(order + 1) * _points_for_degree(order)
     rule = _trapezoids_rule(np.concatenate(traps), order)
     cut = dict(zip(ids, _split_rule(rule, [per_trap * len(t) for t in traps])))
-    return VolumeRuleSet(
-        grid=am.grid, inside_ref_points=ref.points, inside_ref_weights=ref.weights, cut=cut
-    )
+    return VolumeRuleSet(inside_ref_points=ref.points, inside_ref_weights=ref.weights, cut=cut)
 
 
 def build_boundary_rules(am: ActiveMesh, order: int) -> dict[int, CutBoundaryRule]:

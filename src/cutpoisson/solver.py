@@ -18,7 +18,6 @@ from .assembly import (
     PenaltyParameters,
     SparseSystem,
     ghost_penalty_form,
-    penalty_parameters,
     point_basis,
 )
 from .basis import QpBasis, eval_basis
@@ -209,15 +208,19 @@ def eval_discrete(sol: DiscreteSolution, x):
     grid = sol.am.grid
     g = (pts - grid.origin) / grid.h
     # Per axis: the cell holding g and, within 1e-12 (relative) of a
-    # gridline, both cells beside it, clamped to the grid.
+    # gridline, both cells beside it, clamped to the grid. A point farther
+    # than that beyond the outer gridlines has no candidate.
     k = np.round(g)
-    on_line = np.abs(g - k) < 1e-12 * np.maximum(1.0, np.abs(g).max(axis=1, keepdims=True))
+    tol = 1e-12 * np.maximum(1.0, np.abs(g).max(axis=1, keepdims=True))
+    on_line = np.abs(g - k) < tol
+    n_cells_axis = np.array([grid.nx, grid.ny])
+    beyond = np.any((g < -tol) | (g > n_cells_axis + tol), axis=1)
     base = np.floor(g)
     cands = np.stack((base, np.where(on_line, k - 1, base), np.where(on_line, k, base)), axis=2)
-    cands = np.clip(cands, 0, [[grid.nx - 1], [grid.ny - 1]]).astype(np.intp)
+    cands = np.clip(cands, 0, n_cells_axis[:, None] - 1).astype(np.intp)
     ids = (cands[:, 1, :, None] * grid.nx + cands[:, 0, None, :]).reshape(len(pts), -1)
     eid = np.where(sol.dofmap.row_of_cell[ids] >= 0, ids, grid.n_cells).min(axis=1)
-    outside = eid == grid.n_cells
+    outside = beyond | (eid == grid.n_cells)
     if np.any(outside):
         px, py = pts[np.argmax(outside)]
         raise EvaluationError(f"point ({px}, {py}) is outside the active mesh")
@@ -251,29 +254,21 @@ def galerkin_residual(system: SparseSystem, coefficients: np.ndarray) -> float:
 def compute_error_norms(
     sol: DiscreteSolution,
     ref: ReferenceSolution,
-    params: PenaltyParameters | None = None,
-    volume_order: int | None = None,
-    boundary_order: int | None = None,
+    params: PenaltyParameters,
 ) -> ErrorNorms:
     """Error norms of e = u_exact - u_h over the polygonal domain ``sol.am.poly``.
 
-    Error integrands exceed the assembly order, so the quadrature defaults to
-    degree 2p+2. The stabilization part is s_h(u_h, u_h): the smooth exact
+    Error integrands exceed the assembly order, so the quadrature has degree
+    2p+2. The stabilization part is s_h(u_h, u_h): the smooth exact
     solution has no derivative jumps across faces, so this equals the
     stabilization seminorm of the error.
     """
     am = sol.am
     basis = sol.basis
-    p = basis.p
     h = am.grid.h
-    if params is None:
-        params = penalty_parameters(p)
-    if volume_order is None:
-        volume_order = 2 * p + 2
-    if boundary_order is None:
-        boundary_order = 2 * p + 2
+    order = 2 * basis.p + 2
 
-    vrules = build_volume_rules(am, volume_order)
+    vrules = build_volume_rules(am, order)
     grad_sq = 0.0
     val_sq = 0.0
 
@@ -301,7 +296,7 @@ def compute_error_norms(
         grad_sq += float(np.sum(rule.weights * np.sum(e_grad**2, axis=1)))
 
     flux_sq = trace_sq = 0.0
-    for cells, rule in rule_batches(build_boundary_rules(am, boundary_order)):
+    for cells, rule in rule_batches(build_boundary_rules(am, order)):
         uh_val, uh_grad = _discrete_at(sol, rule.points, cells)
         e_val = ref.value(rule.points) - uh_val
         e_flux = np.einsum("qd,qd->q", rule.normals, ref.gradient(rule.points) - uh_grad)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,11 +71,6 @@ def _square_origin(h0: float | None) -> tuple[float, float]:
     return (-0.25 - shift, -0.25 - shift)
 
 
-CSV_HEADER = (
-    "study,p,level,h,delta,delta_n,dofs,err_energy,err_h1,err_l2,"
-    "rate_energy,rate_h1,rate_l2,wall_time"
-)
-
 _NORM_TARGETS = ("energy", "h1", "l2")
 
 
@@ -91,9 +86,6 @@ class StudyConfig:
     alpha_n: float | None = None
     norm_target: str = "energy"
     n_terms: int | None = None
-    volume_order: int | None = None
-    boundary_order: int | None = None
-    out: str | None = None
 
 
 @dataclass
@@ -116,6 +108,17 @@ class ConvergenceRecord:
     wall_time: float = 0.0
 
 
+# The CSV columns are the record's fields; each is read back by its type.
+_COLUMNS = fields(ConvergenceRecord)
+CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda text: float(text) if text else None,
+}
+
+
 def _default_levels(p: int) -> int:
     return 5 if p <= 2 else 4
 
@@ -134,18 +137,11 @@ def _polygon_vertices(h: float) -> int:
     return 64 * math.ceil(1.0 / h)
 
 
-def _solve_on_polygon(grid, poly, p, ref, params, volume_order, boundary_order):
+def _solve_on_polygon(grid, poly, p, ref, params):
     """Classify, assemble, solve, and measure; returns (norms, dofs)."""
     basis = qp_basis(p)
     am = classify_elements(grid, poly)
-    system, dofmap = assemble_system(
-        am,
-        basis,
-        params,
-        f=lambda x, y: np.ones_like(x),
-        volume_order=volume_order,
-        boundary_order=boundary_order,
-    )
+    system, dofmap = assemble_system(am, basis, params, f=lambda x, y: np.ones_like(x))
     coeffs = solve_spd(system)
     resid = galerkin_residual(system, coeffs)
     if resid > 1e-10 * np.linalg.norm(system.rhs):
@@ -166,9 +162,7 @@ def _run_levels(cfg: StudyConfig, study: str, build_level) -> list[ConvergenceRe
             grid, poly, domain, ref = build_level(i)
             params = penalty_parameters(cfg.p)
             geo = measure_geometric_errors(poly, domain)
-            norms, dofs = _solve_on_polygon(
-                grid, poly, cfg.p, ref, params, cfg.volume_order, cfg.boundary_order
-            )
+            norms, dofs = _solve_on_polygon(grid, poly, cfg.p, ref, params)
         except Exception as exc:
             msg = f"{study} study failed at level {i}: {exc}"
             try:
@@ -194,10 +188,8 @@ def _run_levels(cfg: StudyConfig, study: str, build_level) -> list[ConvergenceRe
     return compute_rates(records)
 
 
-def run_delta_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
-    """Perturbed unit square with delta = h^alpha per level."""
-    if cfg.alpha is None:
-        raise ValueError("delta study requires alpha (delta = h^alpha)")
+def _square_study(cfg: StudyConfig, study: str) -> list[ConvergenceRecord]:
+    """Unit square perturbed by delta = h^alpha, or exact when alpha is unset."""
     if cfg.p not in (1, 2, 3):
         raise ValueError("p must be 1, 2 or 3")
     n_terms = cfg.n_terms if cfg.n_terms is not None else _default_terms(cfg.p)
@@ -206,11 +198,18 @@ def run_delta_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
 
     def build(level):
         grid = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, level)
-        delta = grid.h**cfg.alpha
+        delta = grid.h**cfg.alpha if cfg.alpha is not None else 0.0
         poly = perturb_square_boundary(delta, 16 * math.ceil(1.0 / grid.h))
         return grid, poly, domain, ref
 
-    return _run_levels(cfg, "delta", build)
+    return _run_levels(cfg, study, build)
+
+
+def run_delta_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
+    """Perturbed unit square with delta = h^alpha per level."""
+    if cfg.alpha is None:
+        raise ValueError("delta study requires alpha (delta = h^alpha)")
+    return _square_study(cfg, "delta")
 
 
 def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
@@ -263,25 +262,8 @@ def run_levelset_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
 
 
 def run_single(cfg: StudyConfig) -> list[ConvergenceRecord]:
-    """One solve on the square geometry at the coarsest level.
-
-    With alpha set the boundary is perturbed by h^alpha, otherwise the exact
-    square is used.
-    """
-    if cfg.p not in (1, 2, 3):
-        raise ValueError("p must be 1, 2 or 3")
-    single = replace(cfg, levels=1)
-    n_terms = cfg.n_terms if cfg.n_terms is not None else _default_terms(cfg.p)
-    ref = ReferenceSolution.square_series(n_terms)
-    domain = UnitSquare()
-
-    def build(level):
-        grid = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, level)
-        delta = grid.h**cfg.alpha if cfg.alpha is not None else 0.0
-        poly = perturb_square_boundary(delta, 16 * math.ceil(1.0 / grid.h))
-        return grid, poly, domain, ref
-
-    return _run_levels(single, "single", build)
+    """The delta study at the coarsest level only; the exact square without alpha."""
+    return _square_study(replace(cfg, levels=1), "single")
 
 
 def compute_rates(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
@@ -319,6 +301,8 @@ def least_squares_rate(
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return np.format_float_scientific(float(value), unique=True)
@@ -328,26 +312,7 @@ def write_records_csv(records: list[ConvergenceRecord], path) -> None:
     """Write records with full double precision, shortest round-trip fields."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.study,
-                    str(r.p),
-                    str(r.level),
-                    _fmt(r.h),
-                    _fmt(r.delta),
-                    _fmt(r.delta_n),
-                    str(r.dofs),
-                    _fmt(r.err_energy),
-                    _fmt(r.err_h1),
-                    _fmt(r.err_l2),
-                    _fmt(r.rate_energy),
-                    _fmt(r.rate_h1),
-                    _fmt(r.rate_l2),
-                    _fmt(r.wall_time),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, f.name)) for f in _COLUMNS))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -360,26 +325,10 @@ def read_records_csv(path) -> list[ConvergenceRecord]:
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 14:
-            raise ValueError(f"expected 14 columns, got {len(parts)}")
-        records.append(
-            ConvergenceRecord(
-                study=parts[0],
-                p=int(parts[1]),
-                level=int(parts[2]),
-                h=float(parts[3]),
-                delta=float(parts[4]),
-                delta_n=float(parts[5]),
-                dofs=int(parts[6]),
-                err_energy=float(parts[7]),
-                err_h1=float(parts[8]),
-                err_l2=float(parts[9]),
-                rate_energy=float(parts[10]) if parts[10] else None,
-                rate_h1=float(parts[11]) if parts[11] else None,
-                rate_l2=float(parts[12]) if parts[12] else None,
-                wall_time=float(parts[13]),
-            )
-        )
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"expected {len(_COLUMNS)} columns, got {len(parts)}")
+        values = {f.name: _PARSERS[f.type](text) for f, text in zip(_COLUMNS, parts)}
+        records.append(ConvergenceRecord(**values))
     return records
 
 

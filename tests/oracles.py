@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutpoisson import BoundaryPolygon, QuadratureError, eval_basis
+from cutpoisson.quadrature import CutVolumeRule
 
 
 def shoelace(vertices) -> float:
@@ -274,6 +275,18 @@ def clip_polygon_to_box(poly, box) -> list[np.ndarray]:
     return _split_bridges(v, box, tol)
 
 
+def cell_volume_rule(vrules, grid, eid: int) -> CutVolumeRule:
+    """Volume rule of one active cell: its cut rule, or the inside-cell rule
+    with points origin + h * inside_ref_points and weights h^2 * inside_ref_weights."""
+    if eid in vrules.cut:
+        return vrules.cut[eid]
+    h = grid.h
+    return CutVolumeRule(
+        points=grid.cell_origin(eid)[None, :] + h * vrules.inside_ref_points,
+        weights=h * h * vrules.inside_ref_weights,
+    )
+
+
 def per_cell_bulk_nitsche(am, basis, params, f, vrules, brules, dofmap):
     """Bulk stiffness, load and Nitsche matrix summed element by element.
 
@@ -288,7 +301,7 @@ def per_cell_bulk_nitsche(am, basis, params, f, vrules, brules, dofmap):
 
     bulk, nitsche, rhs = [], [], np.zeros(n)
     for eid in am.active:
-        rule = vrules.rule_for(int(eid))
+        rule = cell_volume_rule(vrules, grid, int(eid))
         vals, grads, dofs = local(eid, rule)
         bulk.append((dofs, np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)))
         fv = f(rule.points[:, 0], rule.points[:, 1])

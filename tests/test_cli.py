@@ -102,3 +102,24 @@ class TestConfigFile:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["delta-study", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_key_without_flag_in_subcommand_rejected(self, tmp_path, capsys):
+        # levelset-study has no --alpha, so its config may not set alpha.
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("alpha = 1.5\nlevels = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["levelset-study", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_checked_like_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("alpha_n = 1\nnorm = l3\n")
+        assert main(["normal-study", "--config", str(cfg)]) == 2
+        assert "--norm" in capsys.readouterr().err
+
+    def test_malformed_line_names_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("# comment\nalpha = 1.5\nlevels 2\n")
+        assert main(["delta-study", "--config", str(cfg)]) == 2
+        assert f"{cfg}:3:" in capsys.readouterr().err

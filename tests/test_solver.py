@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cutpoisson import (
+    BoundaryPolygon,
     DiscreteSolution,
     EvaluationError,
     ReferenceSolution,
@@ -21,10 +22,13 @@ from cutpoisson import (
     solve_spd,
 )
 from cutpoisson.assembly import SparseSystem
-from cutpoisson.mesh import BackgroundGrid, classify_elements
+from cutpoisson.mesh import INSIDE, ActiveMesh, BackgroundGrid, classify_elements
 from cutpoisson.solver import _sn_pair
 
 from oracles import fd_square_center_value, lowest_active_cell
+
+
+UNIT_SQUARE = BoundaryPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def fitted_square_solution(p=2, coeffs_from=None, n=12):
@@ -162,6 +166,33 @@ class TestEvalDiscrete:
         pts = np.array([[0.4, 0.6], [0.5, 0.5], [-0.2, -0.2], [0.3, 0.3]])
         with pytest.raises(EvaluationError, match="outside"):
             eval_discrete(sol, pts)
+
+    @staticmethod
+    def fully_active_unit_grid():
+        # All four cells of the 2x2 unit grid are active; u = x.
+        grid = BackgroundGrid(origin=(0.0, 0.0), h=0.5, nx=2, ny=2)
+        am = ActiveMesh(grid, UNIT_SQUARE, np.full(4, INSIDE), np.arange(4))
+        dm = build_dofmap(am, 1)
+        c = dm.dof_coords[:, 0].copy()
+        return DiscreteSolution(coefficients=c, dofmap=dm, basis=qp_basis(1), am=am)
+
+    @pytest.mark.parametrize(
+        "point", [(-5.0, 0.5), (0.5, 7.0), (1.0 + 1e-9, 0.5), (0.5, -1e-9), (2.0, 2.0)]
+    )
+    def test_beyond_grid_rejected(self, point):
+        sol = self.fully_active_unit_grid()
+        with pytest.raises(EvaluationError, match="outside"):
+            eval_discrete(sol, np.array(point))
+
+    def test_outer_gridlines_and_corners_evaluate(self):
+        sol = self.fully_active_unit_grid()
+        pts = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.3], [1.0, 0.7],
+             [0.4, 0.0], [0.6, 1.0], [1.0 + 1e-13, 0.5], [-1e-13, 1.0 + 1e-13]]
+        )  # fmt: skip
+        v, g = eval_discrete(sol, pts)
+        assert np.allclose(v, pts[:, 0], rtol=0.0, atol=1e-12)
+        assert np.allclose(g, [1.0, 0.0], rtol=0.0, atol=1e-12)
 
     def test_cell_choice_matches_pointwise_search(self):
         # Random coefficients make the gradient jump across faces, so the

@@ -109,6 +109,22 @@ class TestCsv:
         for line in path.read_text().strip().split("\n"):
             assert len(line.split(",")) == 14
 
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_records_csv(compute_rates([record(0, 0.2, (1e-1, 1e-2, 1e-3))]), path)
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join([lines[0].replace("delta_n", "dn")] + lines[1:]))
+        with pytest.raises(ValueError, match="header"):
+            read_records_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_records_csv(compute_rates([record(0, 0.2, (1e-1, 1e-2, 1e-3))]), path)
+        header, row = path.read_text().strip().split("\n")
+        path.write_text(header + "\n" + row.rsplit(",", 1)[0] + "\n")
+        with pytest.raises(ValueError, match="expected 14 columns, got 13"):
+            read_records_csv(path)
+
     def test_undefined_rate_empty_field(self, tmp_path):
         recs = compute_rates([record(0, 0.2, (1e-1, 1e-2, 1e-3))])
         path = tmp_path / "r.csv"
