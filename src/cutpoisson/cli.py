@@ -4,7 +4,8 @@ Subcommands: delta-study, normal-study, levelset-study, solve. Options may
 also come from a config file of ``key = value`` lines; each line becomes the
 flag ``--key=value`` (``_`` in a key reads as ``-``), parsed by the
 subcommand's own parser ahead of the explicit flags, so explicit flags
-override the file and a key the subcommand has no flag for is rejected.
+override the file. Flags are matched exactly, never by prefix, so a key the
+subcommand has no flag for is rejected.
 """
 
 from __future__ import annotations
@@ -46,23 +47,24 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """One subparser per study; each flag's dest is its StudyConfig field."""
     parser = argparse.ArgumentParser(
         prog="cutpoisson",
         description="Cut finite element Poisson solver convergence studies",
+        parents=[config],
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     subs = {}
-    for command, (study, _, help_text) in _RUNNERS.items():
-        sp = subs[command] = sub.add_parser(command, help=help_text)
+    for command, (_, _, help_text) in _RUNNERS.items():
+        sp = subs[command] = sub.add_parser(command, help=help_text, allow_abbrev=False)
         default_p = 2 if command == "normal-study" else 1
         sp.add_argument("--p", type=int, default=default_p, help="polynomial degree (1-3)")
         sp.add_argument("--levels", type=int, help="refinement levels")
         sp.add_argument("--h0", type=float, help="coarsest mesh size")
         sp.add_argument("--terms", dest="n_terms", type=int, help="series truncation")
-        sp.add_argument("--out", default=f"{study}.csv", help="CSV output path")
-        sp.add_argument("--config", help="key = value file")
+        sp.add_argument("--out", help="CSV output path (default <study>.csv)")
     subs["delta-study"].add_argument(
         "--alpha", type=float, required=True, help="delta = h^alpha"
     )
@@ -82,12 +84,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv with the config file's flags placed after the subcommand."""
-    pre = argparse.ArgumentParser(prog="cutpoisson", add_help=False)
-    pre.add_argument("--config")
-    config = pre.parse_known_args(argv)[0].config
-    if config is not None:
-        argv = argv[:1] + _config_flags(config) + argv[1:]
-    return _build_parser().parse_args(argv)
+    config = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    config.add_argument(
+        "--config", default=argparse.SUPPRESS, help="key = value file, read before the flags"
+    )
+    known, rest = config.parse_known_args(argv)
+    if "config" in known:
+        rest = rest[:1] + _config_flags(known.config) + rest[1:]
+    return _build_parser(config).parse_args(rest)
 
 
 def main(argv=None) -> int:
@@ -102,8 +106,7 @@ def main(argv=None) -> int:
 
     options = vars(args)
     study_name, runner, _ = _RUNNERS[options.pop("command")]
-    out_path = options.pop("out")
-    del options["config"]
+    out_path = options.pop("out") or f"{study_name}.csv"
     cfg = StudyConfig(study=study_name, **options)
 
     try:

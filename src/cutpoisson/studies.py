@@ -108,15 +108,16 @@ class ConvergenceRecord:
     wall_time: float = 0.0
 
 
-# The CSV columns are the record's fields; each is read back by its type.
-_COLUMNS = fields(ConvergenceRecord)
-CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+# The CSV columns are the record's fields, each with the parser of its type;
+# a field of any other type fails here, on import, with a KeyError.
 _PARSERS = {
     "str": str,
     "int": int,
     "float": float,
     "float | None": lambda text: float(text) if text else None,
 }
+_COLUMNS = [(f.name, _PARSERS[f.type]) for f in fields(ConvergenceRecord)]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def _default_levels(p: int) -> int:
@@ -312,7 +313,7 @@ def write_records_csv(records: list[ConvergenceRecord], path) -> None:
     """Write records with full double precision, shortest round-trip fields."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join(_fmt(getattr(r, f.name)) for f in _COLUMNS))
+        lines.append(",".join(_fmt(getattr(r, name)) for name, _ in _COLUMNS))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -327,7 +328,7 @@ def read_records_csv(path) -> list[ConvergenceRecord]:
         parts = ln.split(",")
         if len(parts) != len(_COLUMNS):
             raise ValueError(f"expected {len(_COLUMNS)} columns, got {len(parts)}")
-        values = {f.name: _PARSERS[f.type](text) for f, text in zip(_COLUMNS, parts)}
+        values = {name: parse(text) for (name, parse), text in zip(_COLUMNS, parts)}
         records.append(ConvergenceRecord(**values))
     return records
 

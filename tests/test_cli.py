@@ -18,6 +18,10 @@ class TestExitCodes:
         assert code == 2
         assert "--alpha" in capsys.readouterr().err
 
+    def test_abbreviated_flag_rejected(self, capsys):
+        assert main(["delta-study", "--alpha", "2", "--lev", "1"]) == 2
+        assert "--lev" in capsys.readouterr().err
+
     def test_bad_flag_value(self):
         assert main(["delta-study", "--p", "one"]) == 2
 
@@ -123,3 +127,37 @@ class TestConfigFile:
         cfg.write_text("# comment\nalpha = 1.5\nlevels 2\n")
         assert main(["delta-study", "--config", str(cfg)]) == 2
         assert f"{cfg}:3:" in capsys.readouterr().err
+
+    def test_prefix_of_a_flag_is_not_a_key(self, tmp_path, capsys):
+        # normal-study has no --alpha; 'alpha' must not be read as --alpha-n.
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("alpha_n = 0.0\nalpha = 1.5\nlevels = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["normal-study", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "--alpha=1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_rejected(self, tmp_path):
+        # A config file may not name another one; the rest of the run is valid.
+        other = tmp_path / "other.cfg"
+        other.write_text("levels = 1\n")
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"config = {other}\n")
+        out = tmp_path / "out.csv"
+        argv = ["solve", "--config", str(cfg), "--p", "1", "--h0", "0.25", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_config_before_subcommand(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("h0 = 0.25\np = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["--config", str(cfg), "solve", "--out", str(out)]) == 0
+        assert read_records_csv(out)[0].h == 0.25
+
+    def test_empty_out_writes_default_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("h0 = 0.25\nout =\n")
+        assert main(["solve", "--config", str(cfg), "--p", "1"]) == 0
+        assert os.path.exists("single.csv")
