@@ -4,7 +4,7 @@ These deliberately avoid the code paths they are meant to check: polygon
 integrals go through Green's theorem edge integrals, cut cells are clipped by
 Sutherland-Hodgman half-planes rather than walked in strips, distances come
 from closed forms, and the series reference is cross-checked against a finite
-difference solve.
+difference solve and against a direct evaluation of every term.
 """
 
 import numpy as np
@@ -137,6 +137,49 @@ def fd_square_center_value() -> float:
 
     c1, c2 = center(128), center(256)
     return c2 + (c2 - c1) / 3.0
+
+
+def _sn_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overflow-safe sinh ratio S_n(t) and its derivative on [0, 1].
+
+    S_n(t) = (sinh(n*pi*(1-t)) + sinh(n*pi*t)) / sinh(n*pi), written with
+    exponentials of nonpositive argument so it never overflows.
+    """
+    a = n * np.pi
+    e1 = np.exp(-a * t)
+    e2 = np.exp(-a * (2.0 - t))
+    e3 = np.exp(-a * (1.0 - t))
+    e4 = np.exp(-a * (1.0 + t))
+    den = 1.0 - np.exp(-2.0 * a)
+    s = (e1 - e2 + e3 - e4) / den
+    ds = a * (e3 + e4 - e1 - e2) / den
+    return s, ds
+
+
+def series_solution_direct(points, n_terms: int = 50):
+    """The square's series reference with every term's exponentials and
+    sines evaluated directly; same contract as ``series_solution``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    val = (x * (1.0 - x) + y * (1.0 - y)) / 4.0
+    gx = (1.0 - 2.0 * x) / 4.0
+    gy = (1.0 - 2.0 * y) / 4.0
+    for m in range(n_terms):
+        n = 2 * m + 1
+        c = 2.0 / (np.pi**3 * n**3)
+        sx, dsx = _sn_pair(n, x)
+        sy, dsy = _sn_pair(n, y)
+        sin_x = np.sin(n * np.pi * x)
+        cos_x = np.cos(n * np.pi * x)
+        sin_y = np.sin(n * np.pi * y)
+        cos_y = np.cos(n * np.pi * y)
+        val -= c * (sy * sin_x + sx * sin_y)
+        gx -= c * (sy * n * np.pi * cos_x + dsx * sin_y)
+        gy -= c * (dsy * sin_x + sx * n * np.pi * cos_y)
+    grad = np.column_stack((gx, gy))
+    if np.asarray(points).ndim == 1:
+        return float(val[0]), grad[0]
+    return val, grad
 
 
 # ---------------------------------------------------------------------------
