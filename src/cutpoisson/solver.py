@@ -40,15 +40,28 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-12
 
+# SuperLU arguments of the factor in solve_spd: a minimum-degree ordering of
+# A + A^T, applied to rows and columns alike, with diagonal pivots only, so
+# that the factor P A P^T = L U keeps the symmetric ordering's fill.
+FACTOR_OPTIONS = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "options": {"SymmetricMode": True, "DiagPivotThresh": 0.0},
+}
+
 
 def solve_spd(system: SparseSystem) -> np.ndarray:
     """Direct sparse solve with a relative residual contract of 1e-12.
 
-    A residual above the tolerance after iterative refinement raises
-    SolverError. The residual does not detect an indefinite matrix: LU solves
-    an indefinite, nonsingular system to roundoff (the square on an unshifted
-    grid has negative eigenvalues and a residual of 1e-15), so such a system
-    is solved without error. See ROADMAP.md, open item 2.
+    The factor is P A P^T = L U with the diagonal pivots of a symmetric
+    minimum-degree ordering (FACTOR_OPTIONS), which an SPD matrix always
+    admits. SuperLU swaps rows only where a diagonal pivot is exactly zero;
+    the factor then has perm_r != perm_c, and SolverError is raised before
+    the solve. An exactly singular factor, and a residual above the tolerance
+    after iterative refinement, raise SolverError too.
+
+    No check detects an indefinite matrix with nonzero pivots: it is
+    solved to roundoff without error (so is [[1, 2], [2, 1]], and so is the
+    square on an unshifted grid, whose system has negative eigenvalues).
     """
     a = system.matrix.tocsc()
     b = system.rhs
@@ -58,10 +71,12 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     if norm_b == 0.0:
         return np.zeros_like(b)
     try:
-        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        x = lu.solve(b)
+        lu = spla.splu(a, **FACTOR_OPTIONS)
     except Exception as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("sparse factorization needed an off-diagonal pivot (zero diagonal pivot)")
+    x = lu.solve(b)
     residual = np.linalg.norm(a @ x - b) / norm_b
     if residual > 0.1 * _RESIDUAL_TOL:
         # Iterative refinement with extended-precision residuals: on fine,

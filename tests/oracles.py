@@ -5,14 +5,25 @@ integrals go through Green's theorem edge integrals, cut cells are clipped by
 Sutherland-Hodgman half-planes rather than walked in strips, distances come
 from closed forms, and the series reference is cross-checked against a finite
 difference solve and against a direct evaluation of every term.
+
+The module also holds the random cut configurations that the property tests
+draw: grid offsets including zero, so that square edges lie on gridlines;
+perturbation amplitudes and phases; level-set contours, whose vertices lie on
+cell edges.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from cutpoisson import BoundaryPolygon, QuadratureError, eval_basis
+from cutpoisson import BoundaryPolygon, Disk, QuadratureError, eval_basis, extract_levelset_boundary
+from cutpoisson.mesh import BackgroundGrid, classify_elements
 from cutpoisson.quadrature import CutVolumeRule
+
+# Derandomized so that tier-1 runs the same examples every time.
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
 
 
 def shoelace(vertices) -> float:
@@ -392,3 +403,48 @@ def lowest_active_cell(am, row_of_cell, x: float, y: float):
         for iy in axis_candidates(gy, grid.ny)
     )
     return next((c for c in ids if row_of_cell[c] >= 0), None)
+
+
+def perturbed_square(amplitude: float, phase: float, per_side: int = 16) -> BoundaryPolygon:
+    """Unit square pushed out radially by amplitude*cos(5 theta + phase)."""
+    s = np.arange(per_side) / per_side
+    one, zero = np.ones_like(s), np.zeros_like(s)
+    pts = np.concatenate(
+        [
+            np.column_stack((s, zero)),
+            np.column_stack((one, s)),
+            np.column_stack((1.0 - s, one)),
+            np.column_stack((zero, 1.0 - s)),
+        ]
+    )
+    r = pts - np.array([0.45, 0.35])
+    theta = np.arctan2(r[:, 1], r[:, 0])
+    rhat = r / np.hypot(r[:, 0], r[:, 1])[:, None]
+    return BoundaryPolygon(pts + (amplitude * np.cos(5.0 * theta + phase))[:, None] * rhat)
+
+
+offsets = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+amplitudes = st.one_of(st.just(0.0), st.floats(1e-3, 0.04))
+phases = st.floats(0.0, 2.0 * np.pi)
+cells = st.sampled_from([12, 18, 24])
+
+
+@st.composite
+def square_meshes(draw):
+    n = draw(cells)
+    h = 1.5 / n
+    shift = draw(offsets) * h
+    grid = BackgroundGrid(origin=(-0.25 - shift, -0.25 - shift), h=h, nx=n, ny=n)
+    return classify_elements(grid, perturbed_square(draw(amplitudes), draw(phases)))
+
+
+@st.composite
+def levelset_meshes(draw):
+    n = draw(st.sampled_from([18, 24, 30]))
+    grid = BackgroundGrid(origin=(-1.25, -1.25), h=2.5 / n, nx=n, ny=n)
+    center = (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)))
+    disk = Disk(center=center, radius=draw(st.floats(0.7, 0.95)))
+    return classify_elements(grid, extract_levelset_boundary(disk, grid))
+
+
+meshes = st.one_of(square_meshes(), levelset_meshes())

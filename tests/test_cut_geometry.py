@@ -11,67 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutpoisson import BoundaryPolygon, Disk, cut_volume_rule, extract_levelset_boundary
+from cutpoisson import BoundaryPolygon, cut_volume_rule
 from cutpoisson import mesh
 from cutpoisson.mesh import BackgroundGrid, classify_elements
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 
 from oracles import (
+    PROPERTY,
     cell_volume_rule,
     clip_polygon_to_box,
     greens_monomial_integral,
+    meshes,
+    perturbed_square,
     shoelace,
 )
 
-# Derandomized so that tier-1 runs the same examples every time; the oracle
-# moment check is the slowest, so it gets fewer of them.
-PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+# The oracle moment check is the slowest, so it gets fewer examples.
 ORACLE = settings(PROPERTY, max_examples=5)
-
-
-def perturbed_square(amplitude: float, phase: float, per_side: int = 16) -> BoundaryPolygon:
-    """Unit square pushed out radially by amplitude*cos(5 theta + phase)."""
-    s = np.arange(per_side) / per_side
-    one, zero = np.ones_like(s), np.zeros_like(s)
-    pts = np.concatenate(
-        [
-            np.column_stack((s, zero)),
-            np.column_stack((one, s)),
-            np.column_stack((1.0 - s, one)),
-            np.column_stack((zero, 1.0 - s)),
-        ]
-    )
-    r = pts - np.array([0.45, 0.35])
-    theta = np.arctan2(r[:, 1], r[:, 0])
-    rhat = r / np.hypot(r[:, 0], r[:, 1])[:, None]
-    return BoundaryPolygon(pts + (amplitude * np.cos(5.0 * theta + phase))[:, None] * rhat)
-
-
-offsets = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
-amplitudes = st.one_of(st.just(0.0), st.floats(1e-3, 0.04))
-phases = st.floats(0.0, 2.0 * np.pi)
-cells = st.sampled_from([12, 18, 24])
-
-
-@st.composite
-def square_meshes(draw):
-    n = draw(cells)
-    h = 1.5 / n
-    shift = draw(offsets) * h
-    grid = BackgroundGrid(origin=(-0.25 - shift, -0.25 - shift), h=h, nx=n, ny=n)
-    return classify_elements(grid, perturbed_square(draw(amplitudes), draw(phases)))
-
-
-@st.composite
-def levelset_meshes(draw):
-    n = draw(st.sampled_from([18, 24, 30]))
-    grid = BackgroundGrid(origin=(-1.25, -1.25), h=2.5 / n, nx=n, ny=n)
-    center = (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)))
-    disk = Disk(center=center, radius=draw(st.floats(0.7, 0.95)))
-    return classify_elements(grid, extract_levelset_boundary(disk, grid))
-
-
-meshes = st.one_of(square_meshes(), levelset_meshes())
 
 
 @PROPERTY

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,7 +34,14 @@ from cutpoisson.mesh import INSIDE, ActiveMesh, BackgroundGrid, classify_element
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules, rule_batches
 from cutpoisson.studies import SQUARE_SIDE, _grid, _square_origin
 
-from oracles import _sn_pair, fd_square_center_value, lowest_active_cell, series_solution_direct
+from oracles import (
+    PROPERTY,
+    _sn_pair,
+    fd_square_center_value,
+    lowest_active_cell,
+    meshes,
+    series_solution_direct,
+)
 
 
 UNIT_SQUARE = BoundaryPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -74,6 +83,43 @@ class TestSolveSpd:
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError):
             solve_spd(SparseSystem(matrix=a, rhs=np.array([1.0, 0.0])))
+
+    def test_zero_diagonal_pivot_rejected(self):
+        # Nonsingular, but only a row swap can factor it.
+        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(SolverError, match="off-diagonal pivot"):
+            solve_spd(SparseSystem(matrix=a, rhs=np.array([1.0, 2.0])))
+
+
+def delta_study_mesh(p: int, n: int, offset: float):
+    """The delta study's square with delta = h^(p + 1.5) on an n x n grid whose
+    origin is -0.25 - offset*h: offset 0 puts the square's edges on gridlines."""
+    h = SQUARE_SIDE / n
+    grid = BackgroundGrid(origin=(-0.25 - offset * h,) * 2, h=h, nx=n, ny=n)
+    return classify_elements(grid, perturb_square_boundary(h ** (p + 1.5), 16 * math.ceil(1.0 / h)))
+
+
+# The unshifted cases have 3, 17 and 2 negative eigenvalues.
+@PROPERTY
+@given(meshes, st.sampled_from([1, 2]))
+@example(delta_study_mesh(1, 12, 0.0), 1)
+@example(delta_study_mesh(1, 24, 0.0), 1)
+@example(delta_study_mesh(2, 24, 1e-3), 2)
+def test_factor_pivots_count_negative_eigenvalues(am, p):
+    # The diagonal-pivot factor is P A P^T = L D L^T up to the scaling of L
+    # into U, so by Sylvester's law of inertia its nonpositive pivots count
+    # the negative eigenvalues.
+    system, dofmap = assemble_system(am, qp_basis(p), penalty_parameters(p), lambda x, y: np.ones_like(x))
+    assume(dofmap.n_dofs <= 1500)
+    dense = system.matrix.toarray()
+    negative = int(np.sum(scipy.linalg.eigvalsh(dense) < 0.0))
+    lu = spla.splu(system.matrix.tocsc(), **solver.FACTOR_OPTIONS)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert int(np.sum(lu.U.diagonal() <= 0.0)) == negative
+    if negative == 0:
+        expected = np.linalg.solve(dense, system.rhs)
+        x = solve_spd(system)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestSeriesSolution:
