@@ -35,7 +35,7 @@ from .geometry import (
     segment_outward_normal,
 )
 from .mesh import ActiveMesh, BackgroundGrid, classify_elements, ghost_faces
-from .quadrature import cut_volume_rule, gauss_legendre_1d
+from .quadrature import gauss_legendre_1d
 from .solver import (
     DiscreteSolution,
     ReferenceSolution,

@@ -5,7 +5,10 @@ segment touches the closed element box, Inside if the element lies strictly
 within the polygon, excluded otherwise. The ghost-penalty face set consists
 of the interior faces of the active mesh touching at least one Cut element.
 The cut geometry, computed once per active mesh for every quadrature order,
-splits the polygon at the gridlines and walks each Cut element in strips.
+splits all polygon segments at the gridlines and walks all Cut elements in
+strips, each in one pass of array operations. The Cut mask does not come from
+that split: a cell the polygon touches only at a corner is Cut but holds no
+piece.
 """
 
 from __future__ import annotations
@@ -174,20 +177,41 @@ def _mark_cut_cells(grid: BackgroundGrid, poly: BoundaryPolygon) -> np.ndarray:
     return cut.reshape(-1)
 
 
-def point_in_polygon(poly: BoundaryPolygon, point, h: float) -> bool:
-    """Even-odd test with the ray direction (1, 1e-9*h) to dodge vertex hits."""
-    px, py = float(point[0]), float(point[1])
+def _ranges(first, count) -> tuple[np.ndarray, np.ndarray]:
+    """For each i the integers first[i] .. first[i] + count[i] - 1, concatenated,
+    and the i of each of them."""
+    i = np.repeat(np.arange(len(count)), count)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + first[i]
+
+
+def point_in_polygon(poly: BoundaryPolygon, points, h: float) -> np.ndarray:
+    """Even-odd test of each point with the ray direction (1, 1e-9*h) to dodge vertex hits.
+
+    ``points`` is (m, 2) or one point. The points are grouped by y, and each
+    group is tested only against the segments whose y-range comes within
+    twice the ray's largest rise over the x-extent of the points and vertices.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     eps = 1e-9 * h
     a, b = poly.segments()
-    va = (a[:, 1] - py) - eps * (a[:, 0] - px)
-    vb = (b[:, 1] - py) - eps * (b[:, 0] - px)
+    reach = 2.0 * eps * np.ptp(np.concatenate((a[:, 0], pts[:, 0])))
+    rows, row = np.unique(pts[:, 1], return_inverse=True)
+    first_row = np.searchsorted(rows, np.minimum(a[:, 1], b[:, 1]) - reach)
+    end_row = np.searchsorted(rows, np.maximum(a[:, 1], b[:, 1]) + reach, side="right")
+    k, r = _ranges(first_row, end_row - first_row)
+    # Expand each (segment, row) pair to the row's points.
+    per_row = np.bincount(row, minlength=len(rows))
+    pair, at = _ranges((np.cumsum(per_row) - per_row)[r], per_row[r])
+    k, i = k[pair], np.argsort(row, kind="stable")[at]
+    px, py = pts[i, 0], pts[i, 1]
+    va = (a[k, 1] - py) - eps * (a[k, 0] - px)
+    vb = (b[k, 1] - py) - eps * (b[k, 0] - px)
     straddle = (va > 0.0) != (vb > 0.0)
-    if not np.any(straddle):
-        return False
-    t = va[straddle] / (va[straddle] - vb[straddle])
-    xs = a[straddle] + t[:, None] * (b[straddle] - a[straddle])
-    forward = (xs[:, 0] - px) + eps * (xs[:, 1] - py) > 0.0
-    return bool(np.count_nonzero(forward) % 2 == 1)
+    k, i, va, vb = k[straddle], i[straddle], va[straddle], vb[straddle]
+    t = va / (va - vb)
+    xs = a[k] + t[:, None] * (b[k] - a[k])
+    forward = (xs[:, 0] - pts[i, 0]) + eps * (xs[:, 1] - pts[i, 1]) > 0.0
+    return np.bincount(i[forward], minlength=len(pts)) % 2 == 1
 
 
 def piece_endpoints(a_all, b_all, seg, t0, t1) -> tuple[np.ndarray, np.ndarray]:
@@ -202,30 +226,45 @@ def piece_endpoints(a_all, b_all, seg, t0, t1) -> tuple[np.ndarray, np.ndarray]:
     return a + t0[:, None] * d, end
 
 
-def strip_trapezoids(box, start, end, poly: BoundaryPolygon, h: float) -> np.ndarray:
-    """Decompose box ∩ polygon into trapezoids over vertical strips.
+def strip_trapezoids(boxes, start, end, piece_box, poly: BoundaryPolygon, h: float):
+    """Decompose each box ∩ polygon into trapezoids over vertical strips.
 
-    ``start``/``end`` are the boundary pieces inside the closed box, oriented
-    like the CCW polygon; they are clamped onto the box. The strips run
-    between consecutive piece abscissae. Going up a strip, a piece running in
-    +x enters the domain and one running in -x leaves it; a strip no piece
-    crosses is inside when its centre is. Returns rows (xl, xr, lo_l, lo_r,
-    hl, hr): x in [xl, xr], y from lo_l + (lo_r - lo_l) u upwards by
-    hl + (hr - hl) u with u = (x - xl)/(xr - xl), and hl, hr >= 0.
+    ``boxes`` rows are (x0, y0, x1, y1). ``start``/``end`` are the boundary
+    pieces inside the closed box ``boxes[piece_box]``, oriented like the CCW
+    polygon; they are clamped onto that box. The strips of a box run between
+    consecutive abscissae of the box and its pieces. Going up a strip, a piece
+    running in +x enters the domain and one running in -x leaves it (pieces
+    at the same height keep their input order); a strip no piece crosses is
+    inside when its centre is. Returns rows (xl, xr, lo_l, lo_r, hl, hr) and
+    the box of each row, grouped by box: x in [xl, xr], y from
+    lo_l + (lo_r - lo_l) u upwards by hl + (hr - hl) u with
+    u = (x - xl)/(xr - xl), and hl, hr >= 0.
     """
-    x0, y0, x1, y1 = box
-    p = np.clip(start, (x0, y0), (x1, y1))
-    q = np.clip(end, (x0, y0), (x1, y1))
-    xs = np.unique(np.concatenate(([x0, x1], p[:, 0], q[:, 0])))
-    xl, xr = xs[:-1], xs[1:]
-    left = np.minimum(p[:, 0], q[:, 0])
-    right = np.maximum(p[:, 0], q[:, 0])
-    s, k = np.nonzero((left <= xl[:, None]) & (right >= xr[:, None]))
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    nb = len(boxes)
+    p = np.clip(start, boxes[piece_box, :2], boxes[piece_box, 2:])
+    q = np.clip(end, boxes[piece_box, :2], boxes[piece_box, 2:])
+    # Strip edges: the distinct abscissae of each box, sorted by (box, x).
+    cand_box = np.concatenate((np.arange(nb), np.arange(nb), piece_box, piece_box))
+    cand_x = np.concatenate((boxes[:, 0], boxes[:, 2], p[:, 0], q[:, 0]))
+    order = np.lexsort((cand_x, cand_box))
+    new = np.diff(cand_box[order], prepend=-1) != 0
+    new |= np.diff(cand_x[order], prepend=np.nan) != 0
+    edge = np.empty(len(order), dtype=int)
+    edge[order] = np.cumsum(new) - 1
+    xs, xs_box = cand_x[order][new], cand_box[order][new]
+    inner = xs_box[1:] == xs_box[:-1]
+    xl, xr, strip_box = xs[:-1][inner], xs[1:][inner], xs_box[:-1][inner]
+    y0, y1 = boxes[strip_box, 1], boxes[strip_box, 3]
 
+    # A piece spans the strips from its left to its right edge; the strip
+    # starting at edge i of box b is strip i - b.
+    ep, eq = edge[2 * nb :].reshape(2, -1)
+    k, s = _ranges(np.minimum(ep, eq) - piece_box, np.abs(eq - ep))
     dx = q[k, 0] - p[k, 0]
     dy = q[k, 1] - p[k, 1]
-    ya = np.clip(p[k, 1] + (xl[s] - p[k, 0]) / dx * dy, y0, y1)
-    yb = np.clip(p[k, 1] + (xr[s] - p[k, 0]) / dx * dy, y0, y1)
+    ya = np.clip(p[k, 1] + (xl[s] - p[k, 0]) / dx * dy, y0[s], y1[s])
+    yb = np.clip(p[k, 1] + (xr[s] - p[k, 0]) / dx * dy, y0[s], y1[s])
     order = np.lexsort((ya + yb, s))
     s, enters = s[order], dx[order] > 0.0
     ys = np.column_stack((ya, yb))[order]
@@ -239,16 +278,19 @@ def strip_trapezoids(box, start, end, poly: BoundaryPolygon, h: float) -> np.nda
     # whole strips that no piece crosses.
     leaves = ~enters
     top = enters & last
-    below = np.where(first[:, None], y0, np.roll(ys, 1, axis=0))
+    below = np.where(first[:, None], y0[s, None], np.roll(ys, 1, axis=0))
     free = np.setdiff1d(np.arange(len(xl)), s)
-    yc = 0.5 * (y0 + y1)
-    free = free[[point_in_polygon(poly, (0.5 * (xl[i] + xr[i]), yc), h) for i in free]]
+    centres = np.column_stack((0.5 * (xl[free] + xr[free]), 0.5 * (y0[free] + y1[free])))
+    free = free[point_in_polygon(poly, centres, h)]
     strip = np.concatenate((s[leaves], s[top], free))
-    lo = np.concatenate((below[leaves], ys[top], np.full((len(free), 2), y0)))
-    hi = np.concatenate((ys[leaves], np.full((top.sum() + len(free), 2), y1)))
+    lo = np.concatenate((below[leaves], ys[top], np.repeat(y0[free, None], 2, axis=1)))
+    hi = np.concatenate((ys[leaves], np.repeat(y1[strip[leaves.sum() :], None], 2, axis=1)))
     height = np.maximum(hi - lo, 0.0)
     keep = height.max(axis=1) > 0.0
-    return np.column_stack((xl[strip], xr[strip], lo, height))[keep]
+    rows = np.column_stack((xl[strip], xr[strip], lo, height))[keep]
+    row_box = strip_box[strip][keep]
+    by_box = np.argsort(row_box, kind="stable")
+    return rows[by_box], row_box[by_box]
 
 
 @dataclass(frozen=True)
@@ -258,76 +300,80 @@ class CutGeometry:
     The polygon segments are split at the gridlines into pieces ``seg``,
     ``t0``..``t1`` (parameter range along segment a -> b). ``owned[eid]``
     indexes the pieces whose boundary integrals belong to cell eid, in polygon
-    order; ``trapezoids[eid]`` decomposes cut cell eid ∩ polygon as returned
-    by :func:`strip_trapezoids`.
+    order, with the cells in order of their first piece. ``trapezoids`` rows
+    decompose the cut cells ∩ polygon as returned by :func:`strip_trapezoids`;
+    ``trapezoid_cells`` holds the cell of each row, ascending.
     """
 
     seg: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
     owned: dict[int, list[int]]
-    trapezoids: dict[int, np.ndarray]
+    trapezoids: np.ndarray
+    trapezoid_cells: np.ndarray
 
 
 def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
-    """Split the polygon at the gridlines and walk the strips of every cut cell.
+    """Split the polygon at the gridlines and walk the strips of all cut cells.
 
     A piece is owned by the cell holding mid - 1e-9*h*normal (the inner side
     of the boundary). A piece on, or within 1e-9*h of, a face is also listed
     for the walk of the cell on the face's other side.
     """
     grid = am.grid
-    poly = am.poly
     ox, oy = grid.origin
     h = grid.h
-    a_all, b_all = poly.segments()
-    normals = poly.segment_normals()
-    eps = 1e-9 * h
+    a, b = am.poly.segments()
+    d = b - a
+    n = len(a)
 
-    def cell_of(x, y) -> int:
-        ix = min(max(int(np.floor((x - ox) / h)), 0), grid.nx - 1)
-        iy = min(max(int(np.floor((y - oy) / h)), 0), grid.ny - 1)
-        return grid.cell_id(ix, iy)
+    # Every segment's ends t = 0, 1 and its gridline crossings 0 < t < 1.
+    seg, t = [np.arange(n), np.arange(n)], [np.zeros(n), np.ones(n)]
+    for k, o in ((0, ox), (1, oy)):
+        lo = np.floor((np.minimum(a[:, k], b[:, k]) - o) / h).astype(int) + 1
+        hi = np.floor((np.maximum(a[:, k], b[:, k]) - o) / h).astype(int)
+        s, j = _ranges(lo, hi - lo + 1)
+        ts = (o + j * h - a[s, k]) / d[s, k]
+        crossing = (ts > 0.0) & (ts < 1.0)
+        seg.append(s[crossing])
+        t.append(ts[crossing])
+    seg, t = np.concatenate(seg), np.concatenate(t)
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    same = seg[1:] == seg[:-1]
+    seg, t0, t1 = seg[:-1][same], t[:-1][same], t[1:][same]
+    # A crossing at a grid vertex comes twice; the empty piece between the
+    # copies goes with the other pieces shorter than 1e-14*h.
+    long = (t1 - t0) * np.hypot(d[seg, 0], d[seg, 1]) >= 1e-14 * h
+    seg, t0, t1 = seg[long], t0[long], t1[long]
 
-    pieces = []
-    owned: dict[int, list[int]] = {}
-    listed: dict[int, list[int]] = {}
-    for s in range(len(a_all)):
-        a, b = a_all[s], b_all[s]
-        d = b - a
-        cuts = [0.0, 1.0]
-        for k, o in ((0, ox), (1, oy)):
-            if d[k] != 0.0:
-                lo = int(np.floor((min(a[k], b[k]) - o) / h)) + 1
-                hi = int(np.floor((max(a[k], b[k]) - o) / h))
-                for j in range(lo, hi + 1):
-                    t = (o + j * h - a[k]) / d[k]
-                    if 0.0 < t < 1.0:
-                        cuts.append(t)
-        cuts = np.unique(cuts)
-        seg_len = float(np.hypot(d[0], d[1]))
-        nrm = normals[s]
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            piece_len = (t1 - t0) * seg_len
-            if piece_len < 1e-14 * h:
-                continue
-            tm = 0.5 * (t0 + t1)
-            mid = a + tm * d
-            eid = cell_of(mid[0] - eps * nrm[0], mid[1] - eps * nrm[1])
-            other = cell_of(mid[0] + eps * nrm[0], mid[1] + eps * nrm[1])
-            owned.setdefault(eid, []).append(len(pieces))
-            listed.setdefault(eid, []).append(len(pieces))
-            if other != eid:
-                listed.setdefault(other, []).append(len(pieces))
-            pieces.append((s, t0, t1))
+    mid = a[seg] + (0.5 * (t0 + t1))[:, None] * d[seg]
+    step = 1e-9 * h * am.poly.segment_normals()[seg]
 
-    seg, t0, t1 = (np.array(column) for column in zip(*pieces))
-    start, end = piece_endpoints(a_all, b_all, seg, t0, t1)
-    trapezoids = {}
-    for eid in map(int, am.cut_ids):
-        ix = listed.get(eid, [])
-        trapezoids[eid] = strip_trapezoids(grid.cell_box(eid), start[ix], end[ix], poly, h)
-    return CutGeometry(seg, t0, t1, owned, trapezoids)
+    def cell_of(x):
+        ix = np.clip(np.floor((x[:, 0] - ox) / h).astype(int), 0, grid.nx - 1)
+        iy = np.clip(np.floor((x[:, 1] - oy) / h).astype(int), 0, grid.ny - 1)
+        return iy * grid.nx + ix
+
+    owner, other = cell_of(mid - step), cell_of(mid + step)
+    cells, first, counts = np.unique(owner, return_index=True, return_counts=True)
+    groups = np.split(np.argsort(owner, kind="stable"), np.cumsum(counts)[:-1])
+    owned = {int(cells[i]): groups[i].tolist() for i in np.argsort(first)}
+
+    ids = am.cut_ids
+    box_of = np.full(grid.n_cells, -1)
+    box_of[ids] = np.arange(len(ids))
+    across = np.nonzero(other != owner)[0]
+    piece = np.concatenate((np.arange(len(seg)), across))
+    box = box_of[np.concatenate((owner, other[across]))]
+    piece, box = piece[box >= 0], box[box >= 0]
+    order = np.lexsort((piece, box))
+    start, end = piece_endpoints(a, b, seg, t0, t1)
+    boxes = [grid.cell_box(eid) for eid in ids]
+    traps, row_box = strip_trapezoids(
+        boxes, start[piece[order]], end[piece[order]], box[order], am.poly, h
+    )
+    return CutGeometry(seg, t0, t1, owned, traps, ids[row_box])
 
 
 def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh:
@@ -335,7 +381,8 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
 
     Cut cells are found by exact segment/box tests; the remaining cells are
     grouped into connected components (the boundary cannot pass between two
-    uncut neighbors), and one ray cast per component decides inside/outside.
+    uncut neighbors), and one ray cast per component, all in one batch,
+    decides inside/outside.
     """
     ext = grid.extent
     v = poly.vertices
@@ -351,19 +398,13 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
     classification = np.zeros(grid.n_cells, dtype=np.int8)
     classification[cut] = CUT
 
-    uncut = ~cut.reshape(grid.ny, grid.nx)
-    labels, n_comp = ndimage.label(uncut)
-    labels = labels.reshape(-1)
+    labels = ndimage.label(~cut.reshape(grid.ny, grid.nx))[0].reshape(-1)
+    comps, first = np.unique(labels, return_index=True)
+    ix, iy = grid.cell_coords(first[comps > 0])
     h = grid.h
-    for comp in range(1, n_comp + 1):
-        eid = int(np.argmax(labels == comp))
-        ix, iy = eid % grid.nx, eid // grid.nx
-        center = (
-            grid.origin[0] + (ix + 0.5) * h,
-            grid.origin[1] + (iy + 0.5) * h,
-        )
-        if point_in_polygon(poly, center, h):
-            classification[labels == comp] = INSIDE
+    centres = np.column_stack((grid.origin[0] + (ix + 0.5) * h, grid.origin[1] + (iy + 0.5) * h))
+    inside = np.concatenate(([False], point_in_polygon(poly, centres, h)))
+    classification[inside[labels]] = INSIDE
 
     active = np.nonzero(classification != OUTSIDE)[0]
     am = ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)

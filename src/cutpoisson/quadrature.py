@@ -3,11 +3,12 @@
 The cut geometry is computed once per active mesh (``ActiveMesh.cut_geometry``)
 and shared by every quadrature order. The polygon segments are split at the
 gridlines; each piece belongs to the element on the inner side of the
-boundary, so a piece lying exactly on a shared face is counted once. Each cut
-element is walked in vertical strips between the pieces' abscissae, and the
-inside intervals of each strip are trapezoids. Boundary rules map 1D Gauss
-points onto the pieces, volume rules map tensor Gauss rules onto the
-trapezoids: all weights are positive and all points lie in element ∩ domain.
+boundary, so a piece lying exactly on a shared face is counted once. The cut
+elements are walked together in vertical strips between the pieces'
+abscissae, and the inside intervals of each strip are trapezoids, stored as
+flat rows with the cell of each row. Boundary rules map 1D Gauss points onto
+the pieces, volume rules map tensor Gauss rules onto the trapezoids in one
+batch: all weights are positive and all points lie in element ∩ domain.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import BoundaryPolygon
-from .mesh import ActiveMesh, piece_endpoints, segment_box_interval, strip_trapezoids
+from .mesh import ActiveMesh
 
 __all__ = [
     "QuadRule1D",
     "CutVolumeRule",
     "CutBoundaryRule",
     "gauss_legendre_1d",
-    "cut_volume_rule",
     "VolumeRuleSet",
     "build_volume_rules",
     "build_boundary_rules",
@@ -146,50 +145,6 @@ def rule_batches(rules: dict):
         yield cells[b], rule_type(*(a[b] for a in arrays))
 
 
-def _box_pieces(box, poly: BoundaryPolygon):
-    """Segment indices and parameter ranges of the polygon pieces in the closed box."""
-    a_all, b_all = poly.segments()
-    h = max(box[2] - box[0], box[3] - box[1])
-    # Cheap bbox prefilter before exact interval clipping.
-    cand = ~(
-        (np.maximum(a_all[:, 0], b_all[:, 0]) < box[0])
-        | (np.minimum(a_all[:, 0], b_all[:, 0]) > box[2])
-        | (np.maximum(a_all[:, 1], b_all[:, 1]) < box[1])
-        | (np.minimum(a_all[:, 1], b_all[:, 1]) > box[3])
-    )
-    seg, t0, t1 = [], [], []
-    for s in np.nonzero(cand)[0]:
-        a, b = a_all[s], b_all[s]
-        iv = segment_box_interval(a[0], a[1], b[0], b[1], *box)
-        if iv is None:
-            continue
-        seg_len = float(np.hypot(b[0] - a[0], b[1] - a[1]))
-        if (iv[1] - iv[0]) * seg_len < 1e-14 * h:
-            continue
-        seg.append(s)
-        t0.append(iv[0])
-        t1.append(iv[1])
-    return np.asarray(seg, dtype=np.intp), np.asarray(t0), np.asarray(t1)
-
-
-def _as_polygon(poly) -> BoundaryPolygon:
-    return poly if isinstance(poly, BoundaryPolygon) else BoundaryPolygon(poly)
-
-
-def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
-    """Quadrature for box ∩ polygon exact to the given polynomial degree.
-
-    The polygon segments are clipped to the box and the intersection is
-    decomposed into strip trapezoids, each covered by a mapped tensor Gauss
-    rule. The rule is empty when the intersection is.
-    """
-    p = _as_polygon(poly)
-    a_all, b_all = p.segments()
-    start, end = piece_endpoints(a_all, b_all, *_box_pieces(box, p))
-    h = max(box[2] - box[0], box[3] - box[1])
-    return _trapezoids_rule(strip_trapezoids(box, start, end, p, h), order)
-
-
 # ---------------------------------------------------------------------------
 # Rule sets over the active mesh
 # ---------------------------------------------------------------------------
@@ -214,11 +169,13 @@ def build_volume_rules(am: ActiveMesh, order: int) -> VolumeRuleSet:
     Cut elements map Gauss points onto the mesh's shared strip trapezoids.
     """
     ref = _trapezoids_rule(np.array([[0.0, 1.0, 0.0, 0.0, 1.0, 1.0]]), order)  # [0, 1]^2
-    ids = [int(eid) for eid in am.cut_ids]
-    traps = [am.cut_geometry.trapezoids[eid] for eid in ids]
+    geo = am.cut_geometry
+    ids = am.cut_ids
+    rows = np.searchsorted(geo.trapezoid_cells, ids, side="right")
+    counts = np.diff(rows, prepend=0)
     per_trap = _points_for_degree(order + 1) * _points_for_degree(order)
-    rule = _trapezoids_rule(np.concatenate(traps), order)
-    cut = dict(zip(ids, _split_rule(rule, [per_trap * len(t) for t in traps])))
+    rule = _trapezoids_rule(geo.trapezoids, order)
+    cut = dict(zip(ids.tolist(), _split_rule(rule, per_trap * counts)))
     return VolumeRuleSet(inside_ref_points=ref.points, inside_ref_weights=ref.weights, cut=cut)
 
 

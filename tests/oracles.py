@@ -4,7 +4,11 @@ These deliberately avoid the code paths they are meant to check: polygon
 integrals go through Green's theorem edge integrals, cut cells are clipped by
 Sutherland-Hodgman half-planes rather than walked in strips, distances come
 from closed forms, and the series reference is cross-checked against a finite
-difference solve and against a direct evaluation of every term.
+difference solve and against a direct evaluation of every term. The cut
+geometry is checked against a loop that splits one segment and walks one cell
+at a time, with a one-point even-odd test. ``cut_volume_rule`` integrates
+over one given box: it clips the polygon to the box and runs the library's
+strip walk on a batch of that one box.
 
 The module also holds the random cut configurations that the property tests
 draw: grid offsets including zero, so that square edges lie on gridlines;
@@ -19,8 +23,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from cutpoisson import BoundaryPolygon, Disk, QuadratureError, eval_basis, extract_levelset_boundary
-from cutpoisson.mesh import BackgroundGrid, classify_elements
-from cutpoisson.quadrature import CutVolumeRule
+from cutpoisson.mesh import (
+    BackgroundGrid,
+    classify_elements,
+    piece_endpoints,
+    segment_box_interval,
+    strip_trapezoids,
+)
+from cutpoisson.quadrature import CutVolumeRule, _trapezoids_rule
 
 # Derandomized so that tier-1 runs the same examples every time.
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
@@ -327,6 +337,142 @@ def clip_polygon_to_box(poly, box) -> list[np.ndarray]:
     if len(v) < 3:
         return []
     return _split_bridges(v, box, tol)
+
+
+def point_in_polygon_scalar(poly, point, h: float) -> bool:
+    """Even-odd test of one point with the ray direction (1, 1e-9*h)."""
+    px, py = float(point[0]), float(point[1])
+    eps = 1e-9 * h
+    a, b = poly.segments()
+    va = (a[:, 1] - py) - eps * (a[:, 0] - px)
+    vb = (b[:, 1] - py) - eps * (b[:, 0] - px)
+    straddle = (va > 0.0) != (vb > 0.0)
+    if not np.any(straddle):
+        return False
+    t = va[straddle] / (va[straddle] - vb[straddle])
+    xs = a[straddle] + t[:, None] * (b[straddle] - a[straddle])
+    forward = (xs[:, 0] - px) + eps * (xs[:, 1] - py) > 0.0
+    return bool(np.count_nonzero(forward) % 2 == 1)
+
+
+def strip_trapezoids_one_box(box, start, end, poly, h: float) -> np.ndarray:
+    """Strip walk of one box with a one-point test per free strip; same rows
+    as ``mesh.strip_trapezoids`` gives for that box."""
+    x0, y0, x1, y1 = box
+    p = np.clip(start, (x0, y0), (x1, y1))
+    q = np.clip(end, (x0, y0), (x1, y1))
+    xs = np.unique(np.concatenate(([x0, x1], p[:, 0], q[:, 0])))
+    xl, xr = xs[:-1], xs[1:]
+    left = np.minimum(p[:, 0], q[:, 0])
+    right = np.maximum(p[:, 0], q[:, 0])
+    s, k = np.nonzero((left <= xl[:, None]) & (right >= xr[:, None]))
+
+    dx = q[k, 0] - p[k, 0]
+    dy = q[k, 1] - p[k, 1]
+    ya = np.clip(p[k, 1] + (xl[s] - p[k, 0]) / dx * dy, y0, y1)
+    yb = np.clip(p[k, 1] + (xr[s] - p[k, 0]) / dx * dy, y0, y1)
+    order = np.lexsort((ya + yb, s))
+    s, enters = s[order], dx[order] > 0.0
+    ys = np.column_stack((ya, yb))[order]
+    first = np.diff(s, prepend=-1) != 0
+    last = np.diff(s, append=len(xl)) != 0
+    if np.any(~first[1:] & (enters[1:] == enters[:-1])):
+        raise QuadratureError("boundary pieces do not alternate in a strip; polygon not simple")
+    leaves = ~enters
+    top = enters & last
+    below = np.where(first[:, None], y0, np.roll(ys, 1, axis=0))
+    free = np.setdiff1d(np.arange(len(xl)), s)
+    yc = 0.5 * (y0 + y1)
+    free = free[[point_in_polygon_scalar(poly, (0.5 * (xl[i] + xr[i]), yc), h) for i in free]]
+    strip = np.concatenate((s[leaves], s[top], free))
+    lo = np.concatenate((below[leaves], ys[top], np.full((len(free), 2), y0)))
+    hi = np.concatenate((ys[leaves], np.full((top.sum() + len(free), 2), y1)))
+    height = np.maximum(hi - lo, 0.0)
+    keep = height.max(axis=1) > 0.0
+    return np.column_stack((xl[strip], xr[strip], lo, height))[keep]
+
+
+def cut_geometry_loop(am):
+    """The cut geometry of an active mesh, one segment and one cell at a time.
+
+    Returns (seg, t0, t1, owned, trapezoids): the pieces, the owned piece
+    lists per cell in order of first appearance, and each cut cell's
+    trapezoid rows. ``mesh._build_cut_geometry`` must give the same arrays
+    bit for bit.
+    """
+    grid = am.grid
+    poly = am.poly
+    ox, oy = grid.origin
+    h = grid.h
+    a_all, b_all = poly.segments()
+    normals = poly.segment_normals()
+    eps = 1e-9 * h
+
+    def cell_of(x, y) -> int:
+        ix = min(max(int(np.floor((x - ox) / h)), 0), grid.nx - 1)
+        iy = min(max(int(np.floor((y - oy) / h)), 0), grid.ny - 1)
+        return grid.cell_id(ix, iy)
+
+    pieces = []
+    owned: dict[int, list[int]] = {}
+    listed: dict[int, list[int]] = {}
+    for s in range(len(a_all)):
+        a, b = a_all[s], b_all[s]
+        d = b - a
+        cuts = [0.0, 1.0]
+        for k, o in ((0, ox), (1, oy)):
+            if d[k] != 0.0:
+                lo = int(np.floor((min(a[k], b[k]) - o) / h)) + 1
+                hi = int(np.floor((max(a[k], b[k]) - o) / h))
+                for j in range(lo, hi + 1):
+                    t = (o + j * h - a[k]) / d[k]
+                    if 0.0 < t < 1.0:
+                        cuts.append(t)
+        cuts = np.unique(cuts)
+        seg_len = float(np.hypot(d[0], d[1]))
+        nrm = normals[s]
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            if (t1 - t0) * seg_len < 1e-14 * h:
+                continue
+            mid = a + 0.5 * (t0 + t1) * d
+            eid = cell_of(mid[0] - eps * nrm[0], mid[1] - eps * nrm[1])
+            other = cell_of(mid[0] + eps * nrm[0], mid[1] + eps * nrm[1])
+            owned.setdefault(eid, []).append(len(pieces))
+            listed.setdefault(eid, []).append(len(pieces))
+            if other != eid:
+                listed.setdefault(other, []).append(len(pieces))
+            pieces.append((s, t0, t1))
+
+    seg, t0, t1 = (np.array(column) for column in zip(*pieces))
+    start, end = piece_endpoints(a_all, b_all, seg, t0, t1)
+    trapezoids = {}
+    for eid in map(int, am.cut_ids):
+        ix = listed.get(eid, [])
+        trapezoids[eid] = strip_trapezoids_one_box(grid.cell_box(eid), start[ix], end[ix], poly, h)
+    return seg, t0, t1, owned, trapezoids
+
+
+def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
+    """Quadrature for box ∩ polygon exact to the given polynomial degree.
+
+    The polygon segments are clipped to the box one at a time, and the
+    intersection goes through the strip walk as a batch of one box. The rule
+    is empty when the intersection is.
+    """
+    p = poly if isinstance(poly, BoundaryPolygon) else BoundaryPolygon(poly)
+    a_all, b_all = p.segments()
+    h = max(box[2] - box[0], box[3] - box[1])
+    seg, t0, t1 = [], [], []
+    for s, (a, b) in enumerate(zip(a_all, b_all)):
+        iv = segment_box_interval(a[0], a[1], b[0], b[1], *box)
+        if iv is not None and (iv[1] - iv[0]) * float(np.hypot(*(b - a))) >= 1e-14 * h:
+            seg.append(s)
+            t0.append(iv[0])
+            t1.append(iv[1])
+    seg = np.array(seg, dtype=int)
+    start, end = piece_endpoints(a_all, b_all, seg, np.array(t0), np.array(t1))
+    traps, _ = strip_trapezoids([box], start, end, np.zeros(len(seg), dtype=int), p, h)
+    return _trapezoids_rule(traps, order)
 
 
 def cell_volume_rule(vrules, grid, eid: int) -> CutVolumeRule:

@@ -27,7 +27,7 @@ from cutpoisson.studies import (
     run_normal_study,
 )
 
-from oracles import clip_polygon_to_box, greens_monomial_integral, shoelace
+from oracles import clip_polygon_to_box, cut_volume_rule, greens_monomial_integral, shoelace
 
 
 def ones(x, y):
@@ -114,7 +114,7 @@ def test_01_quadrature_oracle():
         area = sum(shoelace(p) for p in pieces)
         if area < 1e-8 or abs(area - h * h) < 1e-9:
             continue
-        rule = cp.cut_volume_rule(box, poly, 6)
+        rule = cut_volume_rule(box, poly, 6)
         for a in range(7):
             for b in range(7 - a):
                 exact = sum(greens_monomial_integral(p, a, b) for p in pieces)

@@ -3,27 +3,45 @@
 Random cut configurations (grid offsets including zero, so that square edges
 lie on gridlines; perturbation amplitudes and phases; level-set contours,
 whose vertices lie on cell edges) are checked against the independent
-clipping and Green's theorem oracles.
+clipping and Green's theorem oracles, and the vectorized geometry against a
+loop over one segment and one cell at a time, bit for bit.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
-from cutpoisson import BoundaryPolygon, cut_volume_rule
+from cutpoisson import BoundaryPolygon, Disk, extract_levelset_boundary
 from cutpoisson import mesh
-from cutpoisson.mesh import BackgroundGrid, classify_elements
+from cutpoisson.mesh import CUT, BackgroundGrid, classify_elements, point_in_polygon
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 
 from oracles import (
     PROPERTY,
     cell_volume_rule,
     clip_polygon_to_box,
+    cut_geometry_loop,
+    cut_volume_rule,
     greens_monomial_integral,
     meshes,
     perturbed_square,
+    point_in_polygon_scalar,
     shoelace,
+)
+
+# The unshifted square: edges on gridlines, corners on grid vertices.
+UNSHIFTED_SQUARE = classify_elements(
+    BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12), perturbed_square(0.0, 0.0)
+)
+# Vertices just past gridlines: pieces of about 1e-11 h, which are kept, and
+# of about 1e-15 h, which are dropped.
+NEAR_GRIDLINES = classify_elements(
+    BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12),
+    BoundaryPolygon([[-1e-12, 0.3], [0.6, -1e-16], [0.9, 0.6], [0.4, 0.9]]),
+)
+_CONTOUR_GRID = BackgroundGrid(origin=(-1.25, -1.25), h=2.5 / 24, nx=24, ny=24)
+CONTOUR = classify_elements(
+    _CONTOUR_GRID, extract_levelset_boundary(Disk(center=(0.1, -0.05), radius=0.8), _CONTOUR_GRID)
 )
 
 # The oracle moment check is the slowest, so it gets fewer examples.
@@ -89,13 +107,13 @@ def test_multi_component_cells(vertices, area):
     assert_moments_match_oracle(rule, box, poly)
 
 
-def test_strip_walk_runs_once_per_cut_cell(monkeypatch):
+def test_strip_walk_runs_once_per_mesh(monkeypatch):
     walked = []
     walk = mesh.strip_trapezoids
 
-    def counting_walk(box, *args):
-        walked.append(box)
-        return walk(box, *args)
+    def counting_walk(boxes, *args):
+        walked.append(np.array(boxes))
+        return walk(boxes, *args)
 
     monkeypatch.setattr(mesh, "strip_trapezoids", counting_walk)
     grid = BackgroundGrid(origin=(-0.3, -0.3), h=1.5 / 24, nx=24, ny=24)
@@ -104,4 +122,54 @@ def test_strip_walk_runs_once_per_cut_cell(monkeypatch):
     for order in (2 * p, 2 * p + 2):
         build_volume_rules(am, order)
         build_boundary_rules(am, order)
-    assert sorted(walked) == sorted(grid.cell_box(e) for e in am.cut_ids)
+    assert len(walked) == 1
+    assert np.array_equal(walked[0], [grid.cell_box(e) for e in am.cut_ids])
+
+
+@PROPERTY
+@given(meshes)
+@example(UNSHIFTED_SQUARE)
+@example(NEAR_GRIDLINES)
+@example(CONTOUR)
+def test_cut_geometry_matches_loop_bit_for_bit(am):
+    geo = am.cut_geometry
+    seg, t0, t1, owned, trapezoids = cut_geometry_loop(am)
+    assert np.array_equal(geo.seg, seg)
+    assert np.array_equal(geo.t0, t0)
+    assert np.array_equal(geo.t1, t1)
+    assert list(geo.owned) == list(owned)
+    assert all(geo.owned[eid] == pieces for eid, pieces in owned.items())
+    walked = [eid for eid, rows in trapezoids.items() if len(rows)]
+    assert np.array_equal(np.unique(geo.trapezoid_cells), walked)
+    for eid, rows in trapezoids.items():
+        assert np.array_equal(geo.trapezoids[geo.trapezoid_cells == eid], rows), eid
+
+
+@PROPERTY
+@given(meshes)
+@example(UNSHIFTED_SQUARE)
+def test_batched_point_in_polygon_matches_scalar(am):
+    grid, poly, h = am.grid, am.poly, am.grid.h
+    v = poly.vertices
+    # Cell centres, the vertices themselves, and points at vertex heights.
+    points = np.concatenate(
+        (
+            grid.cell_origin(np.arange(grid.n_cells)) + 0.5 * h,
+            v,
+            v - (0.5 * h, 0.0),
+            v + (0.5 * h, 0.0),
+            np.column_stack((np.full(len(v), grid.extent[0] + 0.5 * h), v[:, 1])),
+        )
+    )
+    expected = [point_in_polygon_scalar(poly, x, h) for x in points]
+    assert point_in_polygon(poly, points, h).tolist() == expected
+
+
+def test_corner_touch_cell_is_cut_with_empty_rule():
+    # Cell 13 is the box (-0.125, -0.125, 0, 0): the square meets it only at
+    # its corner (0, 0). It is cut, but no boundary piece lies in it.
+    am = UNSHIFTED_SQUARE
+    assert am.grid.cell_box(13) == (-0.125, -0.125, 0.0, 0.0)
+    assert am.classification[13] == CUT
+    assert build_volume_rules(am, 4).cut[13].weights.size == 0
+    assert 13 not in build_boundary_rules(am, 4)

@@ -6,7 +6,6 @@ import pytest
 from cutpoisson import (
     BoundaryPolygon,
     QuadratureError,
-    cut_volume_rule,
     gauss_legendre_1d,
     perturb_circle_boundary,
     perturb_square_boundary,
@@ -17,6 +16,7 @@ from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 from oracles import (
     cell_volume_rule,
     clip_polygon_to_box,
+    cut_volume_rule,
     greens_monomial_integral,
     polyline_length_in_box,
     shoelace,
@@ -152,7 +152,8 @@ class TestClip:
 def _walk(vertices, box):
     poly = BoundaryPolygon(vertices)
     a, b = poly.segments()
-    return strip_trapezoids(box, a, b, poly, box[2] - box[0])
+    traps, _ = strip_trapezoids([box], a, b, np.zeros(len(a), dtype=int), poly, box[2] - box[0])
+    return traps
 
 
 def _trapezoid_area(traps):
@@ -182,8 +183,9 @@ class TestStripTrapezoids:
         # two pieces both entering the domain upwards in the same strip
         start = np.array([[0.0, 0.2], [0.0, 0.6]])
         end = np.array([[1.0, 0.2], [1.0, 0.6]])
+        box = np.zeros(2, dtype=int)
         with pytest.raises(QuadratureError):
-            strip_trapezoids((0.0, 0.0, 1.0, 1.0), start, end, UNIT_SQUARE, 1.0)
+            strip_trapezoids([(0.0, 0.0, 1.0, 1.0)], start, end, box, UNIT_SQUARE, 1.0)
 
     def test_collinear_chain_ok(self):
         poly = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1.0], [0, 1]]
