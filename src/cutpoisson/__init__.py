@@ -32,7 +32,6 @@ from .geometry import (
     measure_geometric_errors,
     perturb_circle_boundary,
     perturb_square_boundary,
-    segment_outward_normal,
 )
 from .mesh import ActiveMesh, BackgroundGrid, classify_elements, ghost_faces
 from .quadrature import gauss_legendre_1d

@@ -4,7 +4,9 @@ The solver never sees the exact domain: it works on a high resolution polygon
 approximating the boundary. This module produces those polygons (radial
 perturbation maps around a square or circle, marching-triangles contours of a
 nodal level-set) and measures how far a polygon deviates from the exact
-boundary in location (delta) and in normal direction (delta_n).
+boundary in location (delta) and in normal direction (delta_n). The level-set
+contour finds the crossings of all triangles in array operations, then walks
+the closed chain of crossings once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "perturb_circle_boundary",
     "extract_levelset_boundary",
     "closest_point",
-    "segment_outward_normal",
     "measure_geometric_errors",
 ]
 
@@ -116,21 +117,6 @@ def _shoelace(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     return 0.5 * float(np.sum(x * yn - xn * y))
-
-
-def segment_outward_normal(a, b) -> np.ndarray:
-    """Outward unit normal of the directed segment a -> b of a CCW polygon.
-
-    Rotates the segment direction by -90 degrees: ((b-a) rotated clockwise),
-    normalized, which points out of the enclosed region.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    length = math.hypot(d[0], d[1])
-    if length == 0.0:
-        raise GeometryError("degenerate segment: endpoints coincide")
-    return np.array([d[1], -d[0]]) / length
 
 
 # Outward normals of the square edges in tie-break order: bottom, right,
@@ -252,7 +238,9 @@ def extract_levelset_boundary(domain: Disk, grid) -> BoundaryPolygon:
 
     phi(x) = |x - c| - R is sampled at the grid nodes, each cell is split
     along its lower-left to upper-right diagonal, and the piecewise linear
-    zero set is chained into one closed CCW polygon.
+    zero set is chained into one closed CCW polygon. The triangles are taken
+    all at once, and the crossing on a grid edge is computed once, so both
+    triangles beside it chain through bitwise identical coordinates.
     """
     if not isinstance(domain, Disk):
         raise TypeError("level-set extraction is defined for Disk domains")
@@ -270,82 +258,44 @@ def extract_levelset_boundary(domain: Disk, grid) -> BoundaryPolygon:
     if np.any(phi[0, :] < 0) or np.any(phi[-1, :] < 0) or np.any(phi[:, 0] < 0) or np.any(phi[:, -1] < 0):
         raise GeometryError("zero level set is not strictly inside the grid")
 
-    def node_id(ix, iy):
-        return ix * (ny + 1) + iy
-
-    # Crossing point on a mesh edge, computed once per edge so both adjacent
-    # triangles chain through bitwise identical coordinates.
-    crossing: dict[tuple[int, int], np.ndarray] = {}
-
-    def edge_point(na, nb):
-        key = (na, nb) if na < nb else (nb, na)
-        p = crossing.get(key)
-        if p is None:
-            ia, ja = divmod(key[0], ny + 1)
-            ib, jb = divmod(key[1], ny + 1)
-            fa, fb = phi[ia, ja], phi[ib, jb]
-            t = fa / (fa - fb)
-            p = np.array(
-                [xs[ia] + t * (xs[ib] - xs[ia]), ys[ja] + t * (ys[jb] - ys[ja])]
-            )
-            crossing[key] = p
-        return key, p
-
-    # Each triangle with a sign change contributes one segment between two of
-    # its edges; the contour is the closed chain of those segments.
-    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def add_segment(ka, kb):
-        links.setdefault(ka, []).append(kb)
-        links.setdefault(kb, []).append(ka)
-
-    neg = phi < 0.0
-    ix_arr, iy_arr = np.nonzero(
-        neg[:-1, :-1] | neg[1:, :-1] | neg[:-1, 1:] | neg[1:, 1:]
-    )
-    for ix, iy in zip(ix_arr, iy_arr):
-        n00 = node_id(ix, iy)
-        n10 = node_id(ix + 1, iy)
-        n01 = node_id(ix, iy + 1)
-        n11 = node_id(ix + 1, iy + 1)
-        for tri in ((n00, n10, n11), (n00, n11, n01)):
-            signs = [phi[n // (ny + 1), n % (ny + 1)] < 0.0 for n in tri]
-            if all(signs) or not any(signs):
-                continue
-            cross_edges = []
-            for ea, eb in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                sa = phi[ea // (ny + 1), ea % (ny + 1)] < 0.0
-                sb = phi[eb // (ny + 1), eb % (ny + 1)] < 0.0
-                if sa != sb:
-                    cross_edges.append(edge_point(ea, eb)[0])
-            if len(cross_edges) != 2:
-                raise GeometryError("degenerate level-set crossing pattern")
-            add_segment(cross_edges[0], cross_edges[1])
-
-    if not links:
+    # Triangles (n00, n10, n11) and (n00, n11, n01) of every cell, ix-major,
+    # with node (ix, iy) numbered ix * (ny + 1) + iy, and their sign-change
+    # edges in edge order 0-1, 1-2, 2-0, keyed by (lower node, higher node).
+    # Three signs that are not all equal differ on exactly two edges.
+    n00 = np.arange(nx * (ny + 1)).reshape(nx, ny + 1)[:, :-1].reshape(-1, 1)
+    tri = (n00 + [0, ny + 1, ny + 2, 0, ny + 2, 1]).reshape(-1, 3)
+    neg = (phi < 0.0).reshape(-1)[tri]
+    change = neg != np.roll(neg, -1, axis=1)
+    ea, eb = tri[change], np.roll(tri, -1, axis=1)[change]
+    if len(ea) == 0:
         raise GeometryError("level set produced no contour segments")
-    if any(len(nbrs) != 2 for nbrs in links.values()):
-        raise GeometryError("level-set contour is open or self-touching")
+    n_nodes = (nx + 1) * (ny + 1)
+    keys, ends = np.unique(np.minimum(ea, eb) * n_nodes + np.maximum(ea, eb), return_inverse=True)
+    lo, hi = np.divmod(keys, n_nodes)
+    (ia, ib), (ja, jb) = np.divmod((lo, hi), ny + 1)
+    f = phi.reshape(-1)
+    t = f[lo] / (f[lo] - f[hi])
+    crossing = np.column_stack((xs[ia] + t * (xs[ib] - xs[ia]), ys[ja] + t * (ys[jb] - ys[ja])))
 
-    start = next(iter(links))
-    chain = [start]
-    prev, cur = None, start
-    while True:
-        a, b = links[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        chain.append(nxt)
-        prev, cur = cur, nxt
-    if len(chain) < len(crossing):
+    # Each triangle's segment joins ends[2i] and ends[2i + 1], so the partner
+    # of position p is p ^ 1. The walk starts at the first segment's first
+    # crossing and goes towards its second.
+    if np.any(np.bincount(ends) != 2):
+        raise GeometryError("level-set contour is open or self-touching")
+    neighbours = ends[np.argsort(ends, kind="stable") ^ 1].reshape(-1, 2).tolist()
+    start, cur = ends[:2].tolist()
+    chain, prev = [start], start
+    while cur != start:
+        chain.append(cur)
+        a, b = neighbours[cur]
+        prev, cur = cur, b if a == prev else a
+    if len(chain) < len(keys):
         raise GeometryError("level-set contour has multiple components")
 
-    verts = np.array([crossing[k] for k in chain])
+    verts = crossing[chain]
     # Merge near-coincident consecutive points (crossings close to a node).
-    keep = np.ones(len(verts), dtype=bool)
     d = np.roll(verts, -1, axis=0) - verts
-    keep[np.hypot(d[:, 0], d[:, 1]) < 1e-9 * h] = False
-    verts = verts[keep]
+    verts = verts[np.hypot(d[:, 0], d[:, 1]) >= 1e-9 * h]
     if _shoelace(verts) < 0.0:
         verts = verts[::-1]
     return BoundaryPolygon(verts)

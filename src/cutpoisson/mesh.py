@@ -3,7 +3,8 @@
 Elements are classified against the boundary polygon: Cut if a polygon
 segment touches the closed element box, Inside if the element lies strictly
 within the polygon, excluded otherwise. The ghost-penalty face set consists
-of the interior faces of the active mesh touching at least one Cut element.
+of the interior faces of the active mesh touching at least one Cut element;
+it is computed on first use.
 The cut geometry, computed once per active mesh for every quadrature order,
 splits all polygon segments at the gridlines and walks all Cut elements in
 strips, each in one pass of array operations. The Cut mask does not come from
@@ -14,7 +15,7 @@ piece.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -33,7 +34,6 @@ __all__ = [
     "ghost_faces",
     "piece_endpoints",
     "point_in_polygon",
-    "segment_box_interval",
     "strip_trapezoids",
 ]
 
@@ -99,7 +99,6 @@ class ActiveMesh:
     poly: BoundaryPolygon
     classification: np.ndarray
     active: np.ndarray
-    ghost_faces_arr: np.ndarray = field(default=None)
 
     @property
     def inside_ids(self) -> np.ndarray:
@@ -110,70 +109,51 @@ class ActiveMesh:
         return self.active[self.classification[self.active] == CUT]
 
     @functools.cached_property
+    def ghost_faces_arr(self) -> np.ndarray:
+        """The faces of :func:`ghost_faces`, computed on first use."""
+        return ghost_faces(self)
+
+    @functools.cached_property
     def cut_geometry(self) -> "CutGeometry":
         """Boundary pieces and cut-cell trapezoids, shared by every quadrature order."""
         return _build_cut_geometry(self)
 
 
-def segment_box_interval(ax, ay, bx, by, x0, y0, x1, y1) -> tuple[float, float] | None:
-    """Parameter range of segment (a, b) inside the closed box, or None."""
-    t0, t1 = 0.0, 1.0
-    for p0, d, lo, hi in ((ax, bx - ax, x0, x1), (ay, by - ay, y0, y1)):
-        if d == 0.0:
-            if p0 < lo or p0 > hi:
-                return None
-        else:
-            ta, tb = (lo - p0) / d, (hi - p0) / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t0, t1 = max(t0, ta), min(t1, tb)
-            if t0 > t1:
-                return None
-    return t0, t1
-
-
 def _mark_cut_cells(grid: BackgroundGrid, poly: BoundaryPolygon) -> np.ndarray:
     """Boolean mask over all cells touched by a polygon segment."""
-    a, b = poly.segments()
-    ox, oy = grid.origin
-    h = grid.h
-    min_x = np.minimum(a[:, 0], b[:, 0])
-    max_x = np.maximum(a[:, 0], b[:, 0])
-    min_y = np.minimum(a[:, 1], b[:, 1])
-    max_y = np.maximum(a[:, 1], b[:, 1])
-    jx0 = np.floor((min_x - ox) / h).astype(int)
-    jx1 = np.floor((max_x - ox) / h).astype(int)
-    jy0 = np.floor((min_y - oy) / h).astype(int)
-    jy1 = np.floor((max_y - oy) / h).astype(int)
+    # One row per axis throughout.
+    a, b = (v.T for v in poly.segments())
+    origin, h = np.array(grid.origin)[:, None], grid.h
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    j0 = np.floor((low - origin) / h).astype(int)
+    j1 = np.floor((high - origin) / h).astype(int)
 
     cut = np.zeros((grid.ny, grid.nx), dtype=bool)
     # Fast path: segment bounding box strictly interior to a single cell.
-    interior = (
-        (jx0 == jx1)
-        & (jy0 == jy1)
-        & (min_x > ox + jx0 * h)
-        & (max_x < ox + (jx0 + 1) * h)
-        & (min_y > oy + jy0 * h)
-        & (max_y < oy + (jy0 + 1) * h)
-    )
-    cut[jy0[interior], jx0[interior]] = True
+    interior = np.all((j0 == j1) & (low > origin + j0 * h) & (high < origin + (j0 + 1) * h), axis=0)
+    cut[j0[1, interior], j0[0, interior]] = True
     # Remaining segments: exact test over a padded candidate range (padding
     # absorbs touches on gridlines and floating-point rounding of the floors).
-    ix_lo = np.clip(jx0 - 1, 0, grid.nx - 1)
-    ix_hi = np.clip(jx1 + 1, 0, grid.nx - 1)
-    iy_lo = np.clip(jy0 - 1, 0, grid.ny - 1)
-    iy_hi = np.clip(jy1 + 1, 0, grid.ny - 1)
-    for s in np.nonzero(~interior)[0]:
-        axs, ays, bxs, bys = a[s, 0], a[s, 1], b[s, 0], b[s, 1]
-        for iy in range(iy_lo[s], iy_hi[s] + 1):
-            yb0 = oy + iy * h
-            for ix in range(ix_lo[s], ix_hi[s] + 1):
-                if cut[iy, ix]:
-                    continue
-                xb0 = ox + ix * h
-                hit = segment_box_interval(axs, ays, bxs, bys, xb0, yb0, xb0 + h, yb0 + h)
-                if hit is not None:
-                    cut[iy, ix] = True
+    last = np.array([[grid.nx - 1], [grid.ny - 1]])
+    first = np.clip(j0[:, ~interior] - 1, 0, last)
+    size = np.clip(j1[:, ~interior] + 1, 0, last) - first + 1
+    k, j = _ranges(np.zeros(size.shape[1], dtype=int), size[0] * size[1])
+    cell = first[:, k] + np.stack((j % size[0, k], j // size[0, k]))
+    p0, d = a[:, ~interior][:, k], (b - a)[:, ~interior][:, k]
+    # The segment's parameter range inside the closed cell box, clipped on
+    # each axis; an axis along which the segment is flat can only reject it.
+    # The box's upper edge is lo + h, not origin + (cell + 1) * h: the two can
+    # differ in the last bit, which decides whether a segment on that
+    # gridline touches the cell.
+    lo = origin + cell * h
+    hi = lo + h
+    flat = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta, tb = (lo - p0) / d, (hi - p0) / d
+    t0 = np.max(np.where(flat, 0.0, np.minimum(ta, tb)), axis=0, initial=0.0)
+    t1 = np.min(np.where(flat, 1.0, np.maximum(ta, tb)), axis=0, initial=1.0)
+    hit = np.all(~flat | ((p0 >= lo) & (p0 <= hi)), axis=0) & (t0 <= t1)
+    cut[cell[1, hit], cell[0, hit]] = True
     return cut.reshape(-1)
 
 
@@ -379,10 +359,12 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
 def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh:
     """Classify all grid cells against the polygon and collect the active mesh.
 
-    Cut cells are found by exact segment/box tests; the remaining cells are
-    grouped into connected components (the boundary cannot pass between two
-    uncut neighbors), and one ray cast per component, all in one batch,
-    decides inside/outside.
+    Cut cells are found by exact segment/box tests, one batch over every
+    segment and its candidate cells; the remaining cells are grouped into
+    connected components (the boundary cannot pass between two uncut
+    neighbors), and one ray cast per component, all in one batch, decides
+    inside/outside. The ghost faces and the cut geometry are left to the
+    first access of ``ghost_faces_arr`` and ``cut_geometry``.
     """
     ext = grid.extent
     v = poly.vertices
@@ -407,9 +389,7 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
     classification[inside[labels]] = INSIDE
 
     active = np.nonzero(classification != OUTSIDE)[0]
-    am = ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)
-    am.ghost_faces_arr = ghost_faces(am)
-    return am
+    return ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)
 
 
 def ghost_faces(am: ActiveMesh) -> np.ndarray:

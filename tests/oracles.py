@@ -6,14 +6,18 @@ Sutherland-Hodgman half-planes rather than walked in strips, distances come
 from closed forms, and the series reference is cross-checked against a finite
 difference solve and against a direct evaluation of every term. The cut
 geometry is checked against a loop that splits one segment and walks one cell
-at a time, with a one-point even-odd test. ``cut_volume_rule`` integrates
-over one given box: it clips the polygon to the box and runs the library's
-strip walk on a batch of that one box.
+at a time, with a one-point even-odd test. The level-set contour is checked
+against a loop over one triangle at a time that chains the crossings through
+dicts, and the Cut mask against a loop that clips one segment against one
+candidate cell at a time with ``segment_box_interval``; both must agree bit
+for bit. ``cut_volume_rule`` integrates over one given box: it clips the
+polygon to the box and runs the library's strip walk on a batch of that one
+box.
 
 The module also holds the random cut configurations that the property tests
 draw: grid offsets including zero, so that square edges lie on gridlines;
 perturbation amplitudes and phases; level-set contours, whose vertices lie on
-cell edges.
+cell edges; and disks on grids shifted by a fraction of a cell.
 """
 
 import numpy as np
@@ -22,14 +26,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from cutpoisson import BoundaryPolygon, Disk, QuadratureError, eval_basis, extract_levelset_boundary
-from cutpoisson.mesh import (
-    BackgroundGrid,
-    classify_elements,
-    piece_endpoints,
-    segment_box_interval,
-    strip_trapezoids,
+from cutpoisson import (
+    BoundaryPolygon,
+    Disk,
+    GeometryError,
+    QuadratureError,
+    eval_basis,
+    extract_levelset_boundary,
 )
+from cutpoisson.geometry import _shoelace
+from cutpoisson.mesh import BackgroundGrid, classify_elements, piece_endpoints, strip_trapezoids
 from cutpoisson.quadrature import CutVolumeRule, _trapezoids_rule
 
 # Derandomized so that tier-1 runs the same examples every time.
@@ -452,6 +458,175 @@ def cut_geometry_loop(am):
     return seg, t0, t1, owned, trapezoids
 
 
+def levelset_boundary_loop(domain: Disk, grid) -> BoundaryPolygon:
+    """Zero contour of the nodal signed-distance samples of a disk, one
+    triangle at a time; ``extract_levelset_boundary`` must give the same
+    vertices bit for bit.
+
+    phi(x) = |x - c| - R is sampled at the grid nodes, each cell is split
+    along its lower-left to upper-right diagonal, and the piecewise linear
+    zero set is chained into one closed CCW polygon.
+    """
+    if not isinstance(domain, Disk):
+        raise TypeError("level-set extraction is defined for Disk domains")
+    if grid.h >= domain.radius / 4.0:
+        raise GeometryError("grid too coarse to resolve the disk (need h < radius/4)")
+    nx, ny, h = grid.nx, grid.ny, grid.h
+    ox, oy = grid.origin
+    xs = ox + h * np.arange(nx + 1)
+    ys = oy + h * np.arange(ny + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    cx, cy = domain.center
+    phi = np.hypot(X - cx, Y - cy) - domain.radius
+    # Nudge exact zeros so every crossing is a strict sign change.
+    phi[phi == 0.0] = 1e-14 * h
+    if np.any(phi[0, :] < 0) or np.any(phi[-1, :] < 0) or np.any(phi[:, 0] < 0) or np.any(phi[:, -1] < 0):
+        raise GeometryError("zero level set is not strictly inside the grid")
+
+    def node_id(ix, iy):
+        return ix * (ny + 1) + iy
+
+    # Crossing point on a mesh edge, computed once per edge so both adjacent
+    # triangles chain through bitwise identical coordinates.
+    crossing: dict[tuple[int, int], np.ndarray] = {}
+
+    def edge_point(na, nb):
+        key = (na, nb) if na < nb else (nb, na)
+        p = crossing.get(key)
+        if p is None:
+            ia, ja = divmod(key[0], ny + 1)
+            ib, jb = divmod(key[1], ny + 1)
+            fa, fb = phi[ia, ja], phi[ib, jb]
+            t = fa / (fa - fb)
+            p = np.array(
+                [xs[ia] + t * (xs[ib] - xs[ia]), ys[ja] + t * (ys[jb] - ys[ja])]
+            )
+            crossing[key] = p
+        return key, p
+
+    # Each triangle with a sign change contributes one segment between two of
+    # its edges; the contour is the closed chain of those segments.
+    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def add_segment(ka, kb):
+        links.setdefault(ka, []).append(kb)
+        links.setdefault(kb, []).append(ka)
+
+    neg = phi < 0.0
+    ix_arr, iy_arr = np.nonzero(
+        neg[:-1, :-1] | neg[1:, :-1] | neg[:-1, 1:] | neg[1:, 1:]
+    )
+    for ix, iy in zip(ix_arr, iy_arr):
+        n00 = node_id(ix, iy)
+        n10 = node_id(ix + 1, iy)
+        n01 = node_id(ix, iy + 1)
+        n11 = node_id(ix + 1, iy + 1)
+        for tri in ((n00, n10, n11), (n00, n11, n01)):
+            signs = [phi[n // (ny + 1), n % (ny + 1)] < 0.0 for n in tri]
+            if all(signs) or not any(signs):
+                continue
+            cross_edges = []
+            for ea, eb in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                sa = phi[ea // (ny + 1), ea % (ny + 1)] < 0.0
+                sb = phi[eb // (ny + 1), eb % (ny + 1)] < 0.0
+                if sa != sb:
+                    cross_edges.append(edge_point(ea, eb)[0])
+            if len(cross_edges) != 2:
+                raise GeometryError("degenerate level-set crossing pattern")
+            add_segment(cross_edges[0], cross_edges[1])
+
+    if not links:
+        raise GeometryError("level set produced no contour segments")
+    if any(len(nbrs) != 2 for nbrs in links.values()):
+        raise GeometryError("level-set contour is open or self-touching")
+
+    start = next(iter(links))
+    chain = [start]
+    prev, cur = None, start
+    while True:
+        a, b = links[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        chain.append(nxt)
+        prev, cur = cur, nxt
+    if len(chain) < len(crossing):
+        raise GeometryError("level-set contour has multiple components")
+
+    verts = np.array([crossing[k] for k in chain])
+    # Merge near-coincident consecutive points (crossings close to a node).
+    keep = np.ones(len(verts), dtype=bool)
+    d = np.roll(verts, -1, axis=0) - verts
+    keep[np.hypot(d[:, 0], d[:, 1]) < 1e-9 * h] = False
+    verts = verts[keep]
+    if _shoelace(verts) < 0.0:
+        verts = verts[::-1]
+    return BoundaryPolygon(verts)
+
+
+def segment_box_interval(ax, ay, bx, by, x0, y0, x1, y1) -> tuple[float, float] | None:
+    """Parameter range of segment (a, b) inside the closed box, or None."""
+    t0, t1 = 0.0, 1.0
+    for p0, d, lo, hi in ((ax, bx - ax, x0, x1), (ay, by - ay, y0, y1)):
+        if d == 0.0:
+            if p0 < lo or p0 > hi:
+                return None
+        else:
+            ta, tb = (lo - p0) / d, (hi - p0) / d
+            if ta > tb:
+                ta, tb = tb, ta
+            t0, t1 = max(t0, ta), min(t1, tb)
+            if t0 > t1:
+                return None
+    return t0, t1
+
+
+def mark_cut_cells_loop(grid, poly) -> np.ndarray:
+    """Boolean mask over all cells touched by a polygon segment, one candidate
+    cell at a time; ``mesh._mark_cut_cells`` must give the same mask."""
+    a, b = poly.segments()
+    ox, oy = grid.origin
+    h = grid.h
+    min_x = np.minimum(a[:, 0], b[:, 0])
+    max_x = np.maximum(a[:, 0], b[:, 0])
+    min_y = np.minimum(a[:, 1], b[:, 1])
+    max_y = np.maximum(a[:, 1], b[:, 1])
+    jx0 = np.floor((min_x - ox) / h).astype(int)
+    jx1 = np.floor((max_x - ox) / h).astype(int)
+    jy0 = np.floor((min_y - oy) / h).astype(int)
+    jy1 = np.floor((max_y - oy) / h).astype(int)
+
+    cut = np.zeros((grid.ny, grid.nx), dtype=bool)
+    # Fast path: segment bounding box strictly interior to a single cell.
+    interior = (
+        (jx0 == jx1)
+        & (jy0 == jy1)
+        & (min_x > ox + jx0 * h)
+        & (max_x < ox + (jx0 + 1) * h)
+        & (min_y > oy + jy0 * h)
+        & (max_y < oy + (jy0 + 1) * h)
+    )
+    cut[jy0[interior], jx0[interior]] = True
+    # Remaining segments: exact test over a padded candidate range (padding
+    # absorbs touches on gridlines and floating-point rounding of the floors).
+    ix_lo = np.clip(jx0 - 1, 0, grid.nx - 1)
+    ix_hi = np.clip(jx1 + 1, 0, grid.nx - 1)
+    iy_lo = np.clip(jy0 - 1, 0, grid.ny - 1)
+    iy_hi = np.clip(jy1 + 1, 0, grid.ny - 1)
+    for s in np.nonzero(~interior)[0]:
+        axs, ays, bxs, bys = a[s, 0], a[s, 1], b[s, 0], b[s, 1]
+        for iy in range(iy_lo[s], iy_hi[s] + 1):
+            yb0 = oy + iy * h
+            for ix in range(ix_lo[s], ix_hi[s] + 1):
+                if cut[iy, ix]:
+                    continue
+                xb0 = ox + ix * h
+                hit = segment_box_interval(axs, ays, bxs, bys, xb0, yb0, xb0 + h, yb0 + h)
+                if hit is not None:
+                    cut[iy, ix] = True
+    return cut.reshape(-1)
+
+
 def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
     """Quadrature for box ∩ polygon exact to the given polynomial degree.
 
@@ -594,3 +769,15 @@ def levelset_meshes(draw):
 
 
 meshes = st.one_of(square_meshes(), levelset_meshes())
+
+
+@st.composite
+def disks_on_grids(draw):
+    """A disk and a grid whose boundary nodes lie outside it, with the grid
+    shifted by a fraction of a cell."""
+    n = draw(st.integers(24, 48))
+    h = 2.5 / n
+    shift = draw(offsets) * h, draw(offsets) * h
+    grid = BackgroundGrid(origin=(-1.25 - shift[0], -1.25 - shift[1]), h=h, nx=n + 1, ny=n + 1)
+    center = (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)))
+    return Disk(center=center, radius=draw(st.floats(0.5, 1.0))), grid

@@ -26,7 +26,6 @@ from cutpoisson.mesh import (
     ActiveMesh,
     BackgroundGrid,
     classify_elements,
-    ghost_faces,
 )
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 from cutpoisson.studies import SQUARE_SIDE, _grid, _square_origin
@@ -43,9 +42,7 @@ def box_mesh(x1=1.0, y1=1.0, nx=1, ny=1):
     grid = BackgroundGrid(origin=(0.0, 0.0), h=x1 / nx, nx=nx, ny=ny)
     poly = BoundaryPolygon([[0, 0], [x1, 0], [x1, y1], [0, y1]])
     cls = np.full(grid.n_cells, CUT, dtype=np.int8)
-    am = ActiveMesh(grid=grid, poly=poly, classification=cls, active=np.arange(grid.n_cells))
-    am.ghost_faces_arr = ghost_faces(am)
-    return am
+    return ActiveMesh(grid=grid, poly=poly, classification=cls, active=np.arange(grid.n_cells))
 
 
 class TestPenaltyParameters:
@@ -206,6 +203,19 @@ class TestGhostPenalty:
         for _ in range(20):
             v = rng.normal(size=dm.n_dofs)
             assert v @ (ghost.matrix @ v) >= -1e-14
+
+    def test_directly_built_mesh_assembles(self):
+        # A mesh built without classify_elements finds its ghost faces on
+        # first use and assembles the same penalty as a classified one.
+        grid = BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12)
+        am = classify_elements(grid, perturb_square_boundary(0.0, 16))
+        direct = ActiveMesh(grid, am.poly, am.classification, am.active)
+        basis, params = qp_basis(2), penalty_parameters(2)
+        dm = build_dofmap(direct, 2)
+        got = assemble_ghost_penalty(direct, basis, params, dm).matrix
+        want = assemble_ghost_penalty(am, basis, params, build_dofmap(am, 2)).matrix
+        assert len(direct.ghost_faces_arr) > 0
+        assert abs(got - want).max() == 0.0
 
 
 class TestAssembleSystem:

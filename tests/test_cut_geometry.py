@@ -3,8 +3,8 @@
 Random cut configurations (grid offsets including zero, so that square edges
 lie on gridlines; perturbation amplitudes and phases; level-set contours,
 whose vertices lie on cell edges) are checked against the independent
-clipping and Green's theorem oracles, and the vectorized geometry against a
-loop over one segment and one cell at a time, bit for bit.
+clipping and Green's theorem oracles, and the vectorized geometry and Cut
+mask against loops over one segment and one cell at a time, bit for bit.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from oracles import (
     cut_geometry_loop,
     cut_volume_rule,
     greens_monomial_integral,
+    mark_cut_cells_loop,
     meshes,
     perturbed_square,
     point_in_polygon_scalar,
@@ -143,6 +144,14 @@ def test_cut_geometry_matches_loop_bit_for_bit(am):
     assert np.array_equal(np.unique(geo.trapezoid_cells), walked)
     for eid, rows in trapezoids.items():
         assert np.array_equal(geo.trapezoids[geo.trapezoid_cells == eid], rows), eid
+
+
+@PROPERTY
+@given(meshes)
+@example(UNSHIFTED_SQUARE)
+@example(NEAR_GRIDLINES)
+def test_cut_mask_matches_loop(am):
+    assert np.array_equal(am.classification == CUT, mark_cut_cells_loop(am.grid, am.poly))
 
 
 @PROPERTY

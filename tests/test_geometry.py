@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from cutpoisson import (
     BoundaryPolygon,
@@ -13,12 +12,18 @@ from cutpoisson import (
     measure_geometric_errors,
     perturb_circle_boundary,
     perturb_square_boundary,
-    segment_outward_normal,
 )
 from cutpoisson.geometry import oscillation_frequency
 from cutpoisson.mesh import BackgroundGrid
 
-from oracles import dist_to_unit_square_boundary, is_simple_polygon, shoelace
+from oracles import (
+    PROPERTY,
+    disks_on_grids,
+    dist_to_unit_square_boundary,
+    is_simple_polygon,
+    levelset_boundary_loop,
+    shoelace,
+)
 
 
 class TestBoundaryPolygon:
@@ -139,6 +144,15 @@ class TestLevelset:
             extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid)
 
 
+@PROPERTY
+@given(disks_on_grids())
+# Nodes exactly on the circle at (±1, 0) and (0, ±1).
+@example((Disk((0.0, 0.0), 1.0), BackgroundGrid(origin=(-1.25, -1.25), h=0.125, nx=20, ny=20)))
+def test_levelset_contour_matches_loop_bit_for_bit(disk_grid):
+    got = extract_levelset_boundary(*disk_grid).vertices
+    assert np.array_equal(got, levelset_boundary_loop(*disk_grid).vertices)
+
+
 class TestClosestPoint:
     def test_disk_examples(self):
         q, n = closest_point(Disk((0.0, 0.0), 1.0), np.array([1.1, 0.0]))
@@ -180,21 +194,16 @@ class TestClosestPoint:
 
 class TestSegmentNormal:
     def test_examples(self):
-        assert np.allclose(segment_outward_normal((0, 0), (1, 0)), [0, -1])
-        assert np.allclose(segment_outward_normal((1, 0), (1, 1)), [1, 0])
+        poly = BoundaryPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+        assert np.allclose(poly.segment_normals(), [[0, -1], [1, 0], [0, 1], [-1, 0]])
 
     def test_unit_length(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b = rng.normal(size=2), rng.normal(size=2)
-            if np.allclose(a, b):
-                continue
-            n = segment_outward_normal(a, b)
-            assert math.hypot(n[0], n[1]) == pytest.approx(1.0, abs=1e-14)
-
-    def test_degenerate(self):
-        with pytest.raises(GeometryError):
-            segment_outward_normal((0.5, 0.5), (0.5, 0.5))
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 20))
+        r = rng.uniform(0.5, 2.0, 20)
+        poly = BoundaryPolygon(np.column_stack((r * np.cos(theta), r * np.sin(theta))))
+        n = poly.segment_normals()
+        assert np.allclose(np.hypot(n[:, 0], n[:, 1]), 1.0, rtol=0.0, atol=1e-14)
 
 
 class TestMeasureGeometricErrors:

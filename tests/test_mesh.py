@@ -112,14 +112,12 @@ def synthetic_mesh(classes, nx, ny):
     grid = BackgroundGrid(origin=(0.0, 0.0), h=1.0, nx=nx, ny=ny)
     poly = BoundaryPolygon([[0.1, 0.1], [0.9, 0.1], [0.9, 0.9], [0.1, 0.9]])
     cls = np.asarray(classes, dtype=np.int8).reshape(-1)
-    am = ActiveMesh(
+    return ActiveMesh(
         grid=grid,
         poly=poly,
         classification=cls,
         active=np.nonzero(cls != OUTSIDE)[0],
     )
-    am.ghost_faces_arr = ghost_faces(am)
-    return am
 
 
 class TestGhostFaces:
