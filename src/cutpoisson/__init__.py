@@ -42,6 +42,7 @@ from .solver import (
     disk_solution,
     eval_discrete,
     galerkin_residual,
+    series_on_lattice,
     series_solution,
     solve_spd,
 )

@@ -4,7 +4,9 @@ The reference solutions are globally defined analytic expressions (a
 truncated double series for the unit square with f = 1, a quadratic for the
 unit disk), which also serve as the smooth extension when evaluating errors
 on the perturbed domain. A reference evaluates value and gradient together,
-once per point set; the series steps its terms by multiplication.
+once per point set; the series steps its terms by multiplication. The
+inside cells' points form a tensor lattice, on which the series factors
+into per-axis tables and matrix products.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .quadrature import build_boundary_rules, build_volume_rules, rule_batches
 __all__ = [
     "solve_spd",
     "series_solution",
+    "series_on_lattice",
     "disk_solution",
     "ReferenceSolution",
     "DiscreteSolution",
@@ -56,8 +59,8 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     minimum-degree ordering (FACTOR_OPTIONS), which an SPD matrix always
     admits. SuperLU swaps rows only where a diagonal pivot is exactly zero;
     the factor then has perm_r != perm_c, and SolverError is raised before
-    the solve. An exactly singular factor, and a residual above the tolerance
-    after iterative refinement, raise SolverError too.
+    the solve. An exactly singular factor, and a residual of the returned x
+    above the tolerance after iterative refinement, raise SolverError too.
 
     No check detects an indefinite matrix with nonzero pivots: it is
     solved to roundoff without error (so is [[1, 2], [2, 1]], and so is the
@@ -81,19 +84,48 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     if residual > 0.1 * _RESIDUAL_TOL:
         # Iterative refinement with extended-precision residuals: on fine,
         # badly conditioned cut systems the double-precision residual
-        # evaluation alone sits near the contract threshold.
+        # evaluation alone sits near the contract threshold. Storing x in
+        # double precision sets a floor on the residual: once a correction
+        # no longer halves it, the best x measured is returned.
         a_ext = a.astype(np.longdouble)
         b_ext = b.astype(np.longdouble)
         norm_b_ext = np.sqrt(np.sum(b_ext * b_ext))
-        for _ in range(5):
+        best = (np.inf, x)
+        for k in range(6):
             r_ext = b_ext - a_ext @ x.astype(np.longdouble)
             residual = float(np.sqrt(np.sum(r_ext * r_ext)) / norm_b_ext)
-            if residual <= 0.1 * _RESIDUAL_TOL:
+            stalled = residual > 0.5 * best[0]
+            best = min(best, (residual, x), key=lambda pair: pair[0])
+            if stalled or residual <= 0.1 * _RESIDUAL_TOL or k == 5:
                 break
             x = x + lu.solve(np.asarray(r_ext, dtype=np.float64))
+        residual, x = best
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise SolverError(f"relative residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}")
     return x
+
+
+def _series_terms(t: np.ndarray, n_terms: int):
+    """Yield the coefficients and per-axis factors of the terms n = 1, 3, ...
+
+    Each item is (c, c n pi, S_n, S_n' / (n pi), sin(n pi t), cos(n pi t)),
+    the factors shaped like t, both S factors without the 1 + e^{-n pi} that c
+    holds. S_n(t) = (e^{-n pi t} + e^{-n pi (1-t)}) / (1 + e^{-n pi}). The two
+    exponentials and cos + i sin(n pi t) step from n to n + 2 by
+    multiplication, so the loop evaluates no transcendental. Outside [0, 1]
+    the e^{-n pi t} factor grows and is stepped like any other: exact to
+    roundoff for the studies' overshoot of <= 1%.
+    """
+    pit = np.pi * t
+    e_lo = np.exp(-pit)  # e^{-n pi t}
+    e_hi = np.exp(pit - np.pi)  # e^{-n pi (1-t)}
+    rot = np.exp(1j * pit)  # cos(n pi t) + i sin(n pi t)
+    step_lo, step_hi, step_rot = e_lo * e_lo, e_hi * e_hi, rot * rot
+    n = np.arange(1, 2 * n_terms, 2)
+    coef = 2.0 / (np.pi**3 * n**3 * (1.0 + np.exp(-np.pi * n)))
+    for c, cn in zip(coef, coef * n * np.pi):
+        yield c, cn, e_lo + e_hi, e_hi - e_lo, rot.imag, rot.real
+        e_lo, e_hi, rot = e_lo * step_lo, e_hi * step_hi, rot * step_rot
 
 
 def series_solution(points, n_terms: int = 50):
@@ -101,12 +133,6 @@ def series_solution(points, n_terms: int = 50):
 
     Sums the first ``n_terms`` odd-index terms. Returns (value, gradient)
     with shapes (m,) and (m, 2) for a batch, squeezed for a single point.
-
-    Term n holds sin(n pi t) and S_n(t) = (e^{-n pi t} + e^{-n pi (1-t)}) /
-    (1 + e^{-n pi}) per axis t. The two exponentials and cos + i sin(n pi t)
-    step from n to n + 2 by multiplication, so the term loop evaluates no
-    transcendental. Outside [0, 1] the e^{-n pi t} factor grows and is stepped
-    like any other: exact to roundoff for the studies' overshoot of <= 1%.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
@@ -115,28 +141,32 @@ def series_solution(points, n_terms: int = 50):
     val = (x * (1.0 - x) + y * (1.0 - y)) / 4.0
     gx = (1.0 - 2.0 * x) / 4.0
     gy = (1.0 - 2.0 * y) / 4.0
-    pit = np.pi * np.ascontiguousarray(pts.T)  # rows: the x and y axes
-    e_lo = np.exp(-pit)  # e^{-n pi t}
-    e_hi = np.exp(pit - np.pi)  # e^{-n pi (1-t)}
-    rot = np.exp(1j * pit)  # cos(n pi t) + i sin(n pi t)
-    step_lo, step_hi, step_rot = e_lo * e_lo, e_hi * e_hi, rot * rot
-    n = np.arange(1, 2 * n_terms, 2)
-    coef = 2.0 / (np.pi**3 * n**3 * (1.0 + np.exp(-np.pi * n)))
-    for m in range(n_terms):
-        # S_n and S_n' / (n pi), both without the 1 + e^{-n pi} in coef.
-        s, ds = e_lo + e_hi, e_hi - e_lo
-        sin, cos = rot.imag, rot.real
-        c, cn = coef[m], coef[m] * n[m] * np.pi
+    for c, cn, s, ds, sin, cos in _series_terms(np.ascontiguousarray(pts.T), n_terms):
+        # Row 0 holds the x axis' factors, row 1 the y axis'.
         val -= c * (s[1] * sin[0] + s[0] * sin[1])
         gx -= cn * (s[1] * cos[0] + ds[0] * sin[1])
         gy -= cn * (ds[1] * sin[0] + s[0] * cos[1])
-        e_lo *= step_lo
-        e_hi *= step_hi
-        rot *= step_rot
     grad = np.column_stack((gx, gy))
     if np.asarray(points).ndim == 1:
         return float(val[0]), grad[0]
     return val, grad
+
+
+def series_on_lattice(xs, ys, ix, iy, n_terms: int = 50):
+    """``series_solution`` at the points (xs[ix], ys[iy]) of a tensor lattice.
+
+    ``xs`` and ``ys`` are arrays, ``ix`` and ``iy`` index arrays of one
+    shape. With the terms' per-axis factors as (n_terms, len(xs)) and
+    (n_terms, len(ys)) tables, the whole lattice takes six matrix products.
+    """
+    c, cn, s, ds, sin, cos = map(np.array, zip(*_series_terms(xs, n_terms)))
+    _, _, s_y, ds_y, sin_y, cos_y = map(np.array, zip(*_series_terms(ys, n_terms)))
+    c, cn = c[:, None], cn[:, None]
+    val = ((xs * (1.0 - xs))[:, None] + ys * (1.0 - ys)) / 4.0
+    val -= (c * sin).T @ s_y + (c * s).T @ sin_y
+    gx = ((1.0 - 2.0 * xs) / 4.0)[:, None] - (cn * cos).T @ s_y - (cn * ds).T @ sin_y
+    gy = (1.0 - 2.0 * ys) / 4.0 - (cn * sin).T @ ds_y - (cn * s).T @ cos_y
+    return val[ix, iy], np.stack((gx[ix, iy], gy[ix, iy]), axis=-1)
 
 
 def disk_solution(points):
@@ -154,12 +184,14 @@ class ReferenceSolution:
 
     ``evaluate(points)`` returns both for an (m, 2) batch. ``value`` and
     ``gradient`` share its last result through a one-slot memo keyed on a copy
-    of the points, and each call returns arrays of its own.
+    of the points, and each call returns arrays of its own. The optional
+    ``lattice`` callable, if given, serves ``on_lattice``.
     """
 
-    def __init__(self, kind: str, evaluate):
+    def __init__(self, kind: str, evaluate, lattice=None):
         self.kind = kind
         self._evaluate = evaluate
+        self._lattice = lattice
         self._memo = None  # (points, value, gradient)
 
     def _at(self, points):
@@ -175,11 +207,27 @@ class ReferenceSolution:
     def gradient(self, points) -> np.ndarray:
         return self._at(points)[2].copy()
 
+    def on_lattice(self, xs, ys, ix, iy):
+        """Value and gradient at the points (xs[ix], ys[iy]) of a tensor lattice,
+        shaped like ``ix`` (plus a trailing axis of 2 for the gradient).
+
+        Without a ``lattice`` callable, ``evaluate`` runs on exactly those points.
+        """
+        if self._lattice is not None:
+            return self._lattice(xs, ys, ix, iy)
+        pts = np.stack((xs[ix], ys[iy]), axis=-1)
+        val, grad = (np.asarray(f, dtype=float) for f in self._evaluate(pts.reshape(-1, 2)))
+        return val.reshape(pts.shape[:-1]), grad.reshape(pts.shape)
+
     @classmethod
     def square_series(cls, n_terms: int = 50) -> "ReferenceSolution":
         if n_terms < 50:
             raise ValueError("square series reference requires at least 50 terms")
-        return cls(f"square_series_{n_terms}", lambda p: series_solution(p, n_terms))
+        return cls(
+            f"square_series_{n_terms}",
+            lambda p: series_solution(p, n_terms),
+            lambda xs, ys, ix, iy: series_on_lattice(xs, ys, ix, iy, n_terms),
+        )
 
     @classmethod
     def disk_quadratic(cls) -> "ReferenceSolution":
@@ -294,12 +342,20 @@ def compute_error_norms(
         vals, grads = eval_basis(basis, ref_pts, h)
         dofs_in = sol.dofmap.element_dofs[sol.dofmap.row_of_cell[inside]]
         coeff = sol.coefficients[dofs_in]
-        origins = am.grid.cell_origin(inside)
-        pts = (origins[:, None, :] + h * ref_pts[None, :, :]).reshape(-1, 2)
         uh_val = coeff @ vals.T  # (nE, q)
         uh_grad = np.einsum("ei,qid->eqd", coeff, grads)
-        e_val = ref.value(pts).reshape(uh_val.shape) - uh_val
-        e_grad = ref.gradient(pts).reshape(uh_grad.shape) - uh_grad
+        # The points form a tensor lattice. Per axis: the cell origins plus h
+        # times the rule's distinct abscissae, and each point's index there.
+        axes = []
+        for d, cell in enumerate(am.grid.cell_coords(inside)):
+            cells, at_cell = np.unique(cell, return_inverse=True)
+            r, at_r = np.unique(ref_pts[:, d], return_inverse=True)
+            coords = ((am.grid.origin[d] + cells * h)[:, None] + h * r).ravel()
+            axes.append((coords, at_cell[:, None] * len(r) + at_r))
+        (xs, ix), (ys, iy) = axes
+        ref_val, ref_grad = ref.on_lattice(xs, ys, ix, iy)
+        e_val = ref_val - uh_val
+        e_grad = ref_grad - uh_grad
         val_sq += float(np.einsum("eq,q->", e_val**2, w))
         grad_sq += float(np.einsum("eqd,q->", e_grad**2, w))
 

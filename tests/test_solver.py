@@ -25,6 +25,7 @@ from cutpoisson import (
     penalty_parameters,
     perturb_square_boundary,
     qp_basis,
+    series_on_lattice,
     series_solution,
     solve_spd,
 )
@@ -89,6 +90,77 @@ class TestSolveSpd:
         a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(SolverError, match="off-diagonal pivot"):
             solve_spd(SparseSystem(matrix=a, rhs=np.array([1.0, 2.0])))
+
+
+class _OffFactor:
+    """A factor whose first solve is off by the factor 1 + first and every
+    later one by 1 + later, so refinement scales the residual by -later."""
+
+    def __init__(self, lu, first, later):
+        self.lu, self.perm_r, self.perm_c = lu, lu.perm_r, lu.perm_c
+        self.first, self.later = first, later
+        self.calls = 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.lu.solve(rhs) * (1.0 + (self.first if self.calls == 1 else self.later))
+
+
+def off_factor_solve(first, later):
+    """solve_spd of a well-conditioned SPD system through an _OffFactor.
+    Returns x (or the SolverError), the extended-precision relative residual
+    of x, and the number of solves."""
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(50, 50))
+    a = sp.csr_matrix(m @ m.T + 50 * np.eye(50))
+    b = rng.normal(size=50)
+    factors = []
+    real_splu = spla.splu
+
+    def splu(matrix, **options):
+        factors.append(_OffFactor(real_splu(matrix, **options), first, later))
+        return factors[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver.spla, "splu", splu)
+        try:
+            x = solve_spd(SparseSystem(matrix=a, rhs=b))
+        except SolverError as exc:
+            return exc, None, factors[0].calls
+    r = b.astype(np.longdouble) - a.astype(np.longdouble) @ x.astype(np.longdouble)
+    b_ext = b.astype(np.longdouble)
+    return x, float(np.sqrt(np.sum(r * r) / np.sum(b_ext * b_ext))), factors[0].calls
+
+
+# ``first`` is the relative residual after the first solve, and each correction
+# multiplies the residual by -``later``. With (6.5e-13, 1.1) four corrections
+# stay within the contract and a fifth leaves it (1.05e-12).
+@PROPERTY
+@given(st.floats(2e-13, 2e-12), st.floats(-1.3, 1.3))
+@example(6.5e-13, 1.1)
+@example(6.5e-13, -1.1)
+def test_refined_solution_meets_the_contract_or_raises(first, later):
+    x, residual, _ = off_factor_solve(first, later)
+    assert isinstance(x, SolverError) or residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "first, later, solves, residual",
+    [
+        (1.5e-12, 0.6, 2, 0.9e-12),  # no halving: stop after one correction
+        (2e-12, 0.3, 4, 5.4e-14),  # halving each time: stop below 1e-13
+        (2e-12, -0.45, 5, 8.2e-14),  # alternating signs: four corrections
+    ],
+)
+def test_refinement_stops_when_a_correction_does_not_halve(first, later, solves, residual):
+    _, measured, calls = off_factor_solve(first, later)
+    assert calls == solves
+    assert measured == pytest.approx(residual, rel=0.02)
+
+
+def test_refinement_that_stalls_above_the_contract_raises():
+    x, _, calls = off_factor_solve(3e-12, 0.9)
+    assert isinstance(x, SolverError) and calls == 2
 
 
 def delta_study_mesh(p: int, n: int, offset: float):
@@ -193,6 +265,63 @@ def test_series_single_point_is_squeezed(x, y, n_terms):
     assert isinstance(val, float) and grad.shape == (2,)
     assert abs(val - val0) <= 1e-13
     assert np.max(np.abs(grad - grad0)) <= 1e-13
+
+
+@st.composite
+def lattices(draw):
+    """Random lattice axes reaching 1% beyond the square, with one axis
+    sometimes a single coordinate, and index arrays of one shape into them."""
+    xs = draw(hnp.arrays(float, st.integers(1, 40), elements=near_square))
+    ys = draw(hnp.arrays(float, st.integers(1, 40), elements=near_square))
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 16)))
+    ix = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, len(xs) - 1)))
+    iy = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, len(ys) - 1)))
+    return xs, ys, ix, iy
+
+
+# A single x and a single y, each against 9 coordinates on the other axis.
+NINE = np.linspace(-0.01, 1.01, 9)
+SINGLE_X = (np.array([0.37]), NINE, np.zeros((3, 3), np.intp), np.arange(9).reshape(3, 3))
+SINGLE_Y = (NINE, np.array([1.01]), np.arange(9)[:, None], np.zeros((9, 1), np.intp))
+
+
+def lattice_point_set(xs, ys, ix, iy):
+    return np.column_stack((xs[ix].ravel(), ys[iy].ravel()))
+
+
+@SERIES
+@given(lattices(), terms)
+@example(SINGLE_X, 50)
+@example(SINGLE_Y, 100)
+def test_series_lattice_matches_direct_oracle(lattice, n_terms):
+    xs, ys, ix, iy = lattice
+    val, grad = ReferenceSolution.square_series(n_terms).on_lattice(xs, ys, ix, iy)
+    assert val.shape == ix.shape and grad.shape == ix.shape + (2,)
+    val0, grad0 = series_solution_direct(lattice_point_set(*lattice), n_terms)
+    assert np.max(np.abs(val.ravel() - val0)) <= 1e-14
+    assert np.max(np.abs(grad.reshape(-1, 2) - grad0)) <= 1e-14
+
+
+@SERIES
+@given(lattices())
+@example(SINGLE_X)
+def test_lattice_without_factors_evaluates_exactly_its_points(lattice):
+    points = lattice_point_set(*lattice)
+    seen = []
+
+    def value_fn(p):
+        seen.append(p.copy())
+        return np.sin(3.0 * p[:, 0]) * np.exp(p[:, 1])
+
+    def gradient_fn(p):
+        return np.column_stack((3.0 * np.cos(3.0 * p[:, 0]), np.sin(3.0 * p[:, 0]))) * np.exp(p[:, 1:])
+
+    custom = ReferenceSolution.from_callables(value_fn, gradient_fn)
+    for ref in (custom, ReferenceSolution.disk_quadratic()):
+        val, grad = ref.on_lattice(*lattice)
+        assert np.array_equal(val.ravel(), ref.value(points))
+        assert np.array_equal(grad.reshape(-1, 2), ref.gradient(points))
+    assert len(seen) == 2 and np.array_equal(seen[0], points)
 
 
 class TestDiskSolution:
@@ -388,19 +517,28 @@ class TestErrorNorms:
         basis, params = qp_basis(2), penalty_parameters(2)
         system, dm = assemble_system(am, basis, params, lambda x, y: np.ones_like(x))
         sol = DiscreteSolution(coefficients=solve_spd(system), dofmap=dm, basis=basis, am=am)
-        sizes = []
+        sizes, lattice_points = [], []
 
         def counted(points, n_terms):
             sizes.append(len(points))
             return series_solution(points, n_terms)
 
+        def counted_lattice(xs, ys, ix, iy, n_terms):
+            lattice_points.append(np.stack((xs[ix], ys[iy]), axis=-1))
+            return series_on_lattice(xs, ys, ix, iy, n_terms)
+
         monkeypatch.setattr(solver, "series_solution", counted)
+        monkeypatch.setattr(solver, "series_on_lattice", counted_lattice)
         norms = compute_error_norms(sol, ReferenceSolution.square_series(50), params)
         vrules = build_volume_rules(am, 6)
-        expected = [len(am.inside_ids) * len(vrules.inside_ref_weights)]
-        expected += [len(c) for c, _ in rule_batches(vrules.cut)]
+        # The inside cells' points, the same floats as cell origin + h * r,
+        # in one lattice evaluation.
+        inside_points = grid.cell_origin(am.inside_ids)[:, None, :] + grid.h * vrules.inside_ref_points
+        assert len(lattice_points) == 1
+        assert np.array_equal(lattice_points[0], inside_points)
+        expected = [len(c) for c, _ in rule_batches(vrules.cut)]
         expected += [len(c) for c, _ in rule_batches(build_boundary_rules(am, 6))]
-        assert len(expected) > 4
+        assert len(expected) > 3
         assert sizes == expected
 
         direct = ReferenceSolution.from_callables(
