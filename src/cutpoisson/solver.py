@@ -91,12 +91,12 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
         b_ext = b.astype(np.longdouble)
         norm_b_ext = np.sqrt(np.sum(b_ext * b_ext))
         best = (np.inf, x)
-        for k in range(6):
+        for corrections in range(6):
             r_ext = b_ext - a_ext @ x.astype(np.longdouble)
             residual = float(np.sqrt(np.sum(r_ext * r_ext)) / norm_b_ext)
             stalled = residual > 0.5 * best[0]
             best = min(best, (residual, x), key=lambda pair: pair[0])
-            if stalled or residual <= 0.1 * _RESIDUAL_TOL or k == 5:
+            if stalled or residual <= 0.1 * _RESIDUAL_TOL or corrections == 5:
                 break
             x = x + lu.solve(np.asarray(r_ext, dtype=np.float64))
         residual, x = best

@@ -134,11 +134,13 @@ def off_factor_solve(first, later):
 
 # ``first`` is the relative residual after the first solve, and each correction
 # multiplies the residual by -``later``. With (6.5e-13, 1.1) four corrections
-# stay within the contract and a fifth leaves it (1.05e-12).
+# stay within the contract and a fifth leaves it (1.05e-12); with (9e-13, 1.2)
+# the first correction leaves it, and the uncorrected x must be returned.
 @PROPERTY
 @given(st.floats(2e-13, 2e-12), st.floats(-1.3, 1.3))
 @example(6.5e-13, 1.1)
 @example(6.5e-13, -1.1)
+@example(9e-13, 1.2)
 def test_refined_solution_meets_the_contract_or_raises(first, later):
     x, residual, _ = off_factor_solve(first, later)
     assert isinstance(x, SolverError) or residual <= 1e-12
