@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import QpBasis, eval_basis
+from .basis import QpBasis, eval_axis_derivative, eval_basis
 from .errors import MeshError
 from .mesh import ActiveMesh
 from .quadrature import (
@@ -217,73 +217,47 @@ def assemble_nitsche_boundary(
     return SparseSystem(matrix=matrix, rhs=np.zeros(n))
 
 
-def _face_derivative_rows(basis: QpBasis, h: float, axis: int):
-    """Face Gauss weights (p+1 points) and the normal-derivative rows of both sides.
+def _face_jumps(am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofmap: DofMap):
+    """Weighted jump operator of the ghost faces, one face orientation at a time.
 
-    Per derivative order j = 1..p, (d_lo, d_hi), each (q, (p+1)^2), map the
-    low and the high element's local dofs to the j-th normal derivative.
-    """
-    p = basis.p
-    nloc = (p + 1) ** 2
-    rule = gauss_legendre_1d(p + 1)
-    t = 0.5 * (rule.points + 1.0)
-    w_face = 0.5 * h * rule.weights
-    tang = basis.lagrange_1d(t)  # (q, p+1) values along the face
-    rows = []
-    for j in range(1, p + 1):
-        end_lo = basis.lagrange_1d(np.array([1.0]), j)[0] / h**j  # low element side
-        end_hi = basis.lagrange_1d(np.array([0.0]), j)[0] / h**j  # high element side
-        if axis == 0:
-            # x-normal face: tangential direction is y, local k = iy*(p+1)+ix.
-            d_lo = tang[:, :, None] * end_lo[None, None, :]
-            d_hi = tang[:, :, None] * end_hi[None, None, :]
-        else:
-            # y-normal face: tangential direction is x.
-            d_lo = end_lo[None, :, None] * tang[:, None, :]
-            d_hi = end_hi[None, :, None] * tang[:, None, :]
-        rows.append((d_lo.reshape(len(t), nloc), d_hi.reshape(len(t), nloc)))
-    return w_face, rows
-
-
-def _face_jump_matrix(
-    basis: QpBasis, params: PenaltyParameters, h: float, axis: int
-) -> np.ndarray:
-    """Shared local ghost matrix for all faces with the given normal axis.
-
-    The face couples the two adjacent elements' (p+1)^2 dofs; by translation
-    invariance of the uniform grid the matrix is identical for every face of
-    one orientation.
-    """
-    nloc = (basis.p + 1) ** 2
-    w_face, rows = _face_derivative_rows(basis, h, axis)
-    m = np.zeros((2 * nloc, 2 * nloc))
-    for j, (d_lo, d_hi) in enumerate(rows, start=1):
-        jump = np.concatenate((d_lo, -d_hi), axis=1)
-        m += params.gamma[j - 1] * h ** (2 * j - 1) * (jump.T @ (w_face[:, None] * jump))
-    return m
-
-
-def assemble_ghost_penalty(
-    am: ActiveMesh,
-    basis: QpBasis,
-    params: PenaltyParameters,
-    dofmap: DofMap,
-) -> SparseSystem:
-    """Ghost-penalty stabilization over the faces touching cut elements.
-
-    For each face and derivative order j = 1..p the jump of the j-th normal
-    derivative is integrated along the full face with weight gamma_j h^(2j-1).
+    Yields (dofs, jump) for the x-normal, then the y-normal faces: ``dofs``
+    (m, 2k) holds each face's low element's dofs, then its high element's;
+    row (j, l) of ``jump`` (p(p+1), 2k) is sqrt(gamma_j h^(2j-1) w_l) times
+    the jump of the j-th normal derivative at face Gauss point l. The uniform
+    grid makes ``jump`` the same for every face of one orientation, so
+    s_h(v, v) is the sum over orientations of ||v[dofs] jump^T||^2.
     """
     h = am.grid.h
-    n = dofmap.n_dofs
-    matrix = sp.csr_matrix((n, n))
+    rule = gauss_legendre_1d(basis.p + 1)
+    t = 0.5 * (rule.points + 1.0)
+    orders = range(1, basis.p + 1)
+    penalty = [params.gamma[j - 1] * h ** (2 * j - 1) for j in orders]
+    scale = np.sqrt(np.outer(penalty, 0.5 * h * rule.weights)).reshape(-1, 1)
     faces = am.ghost_faces_arr
     for axis in (0, 1):
         sel = faces[faces[:, 2] == axis]
-        m_face = _face_jump_matrix(basis, params, h, axis)
-        dofs_lo = dofmap.element_dofs[dofmap.row_of_cell[sel[:, 0]]]
-        dofs_hi = dofmap.element_dofs[dofmap.row_of_cell[sel[:, 1]]]
-        matrix += _scatter(np.concatenate((dofs_lo, dofs_hi), axis=1), m_face, n)
+        dofs = dofmap.element_dofs[dofmap.row_of_cell[sel[:, :2]]].reshape(-1, 2 * basis.n_local)
+        # The face is x = 1 of the low and x = 0 of the high element (y for axis 1).
+        lo, hi = (np.column_stack((np.full_like(t, x), t))[:, :: 1 - 2 * axis] for x in (1.0, 0.0))
+        d_lo, d_hi = (
+            np.vstack([eval_axis_derivative(basis, pts, axis, j, h) for j in orders])
+            for pts in (lo, hi)
+        )
+        yield dofs, scale * np.hstack((d_lo, -d_hi))
+
+
+def assemble_ghost_penalty(
+    am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofmap: DofMap
+) -> SparseSystem:
+    """Ghost-penalty stabilization over the faces touching cut elements.
+
+    Each face adds J^T J of its orientation's weighted jump operator J: the
+    jumps of the j-th normal derivatives, j = 1..p, with weight gamma_j h^(2j-1).
+    """
+    n = dofmap.n_dofs
+    matrix = sp.csr_matrix((n, n))
+    for dofs, jump in _face_jumps(am, basis, params, dofmap):
+        matrix += _scatter(dofs, jump.T @ jump, n)
     return SparseSystem(matrix=matrix, rhs=np.zeros(n))
 
 
@@ -300,22 +274,10 @@ def ghost_penalty_form(
     numerically exact on jump-free functions: the jump values are formed
     first and then squared, so roundoff enters quadratically.
     """
-    h = am.grid.h
-    faces = am.ghost_faces_arr
-    total = 0.0
-    for axis in (0, 1):
-        sel = faces[faces[:, 2] == axis]
-        if not len(sel):
-            continue
-        c_lo = coefficients[dofmap.element_dofs[dofmap.row_of_cell[sel[:, 0]]]]
-        c_hi = coefficients[dofmap.element_dofs[dofmap.row_of_cell[sel[:, 1]]]]
-        w_face, rows = _face_derivative_rows(basis, h, axis)
-        for j, (d_lo, d_hi) in enumerate(rows, start=1):
-            jumps = c_lo @ d_lo.T - c_hi @ d_hi.T  # (n_faces, q)
-            total += params.gamma[j - 1] * h ** (2 * j - 1) * float(
-                np.sum(jumps**2 @ w_face)
-            )
-    return total
+    return sum(
+        float(np.sum((coefficients[dofs] @ jump.T) ** 2))
+        for dofs, jump in _face_jumps(am, basis, params, dofmap)
+    )
 
 
 def assemble_system(
@@ -323,8 +285,9 @@ def assemble_system(
 ) -> tuple[SparseSystem, DofMap]:
     """Assemble the full stabilized Nitsche system A u = l.
 
-    Quadrature of order 2p, exact for the bilinear form on the polygonal
-    geometry. Returns the system and the dof map.
+    Quadrature of order 2p, which is not exact on cut cells. Against higher
+    orders, the p=2 cut-cell stiffness is off by up to 9.6e-10 of the largest
+    entry and the p=1 Nitsche matrix by up to 4.0e-7. Returns (system, dofmap).
     """
     p = basis.p
     dofmap = build_dofmap(am, p)

@@ -374,7 +374,7 @@ def compute_error_norms(
         trace_sq += float(np.sum(rule.weights * e_val**2))
         flux_sq += float(np.sum(rule.weights * e_flux**2))
 
-    stab_sq = max(ghost_penalty_form(am, basis, params, sol.dofmap, sol.coefficients), 0.0)
+    stab_sq = ghost_penalty_form(am, basis, params, sol.dofmap, sol.coefficients)
 
     energy = float(np.sqrt(grad_sq + h * flux_sq + trace_sq / h + stab_sq))
     return ErrorNorms(

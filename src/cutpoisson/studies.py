@@ -65,9 +65,12 @@ CIRCLE_SIDE = 2.5
 BASE_CELLS = 12
 
 
+def _base_cells(side: float, h0: float | None) -> int:
+    return BASE_CELLS if h0 is None else max(1, round(side / h0))
+
+
 def _square_origin(h0: float | None) -> tuple[float, float]:
-    base = BASE_CELLS if h0 is None else max(1, round(SQUARE_SIDE / h0))
-    shift = SQUARE_SIDE / base / 3.0
+    shift = SQUARE_SIDE / _base_cells(SQUARE_SIDE, h0) / 3.0
     return (-0.25 - shift, -0.25 - shift)
 
 
@@ -129,8 +132,7 @@ def _default_terms(p: int) -> int:
 
 
 def _grid(origin, side, h0: float | None, level: int) -> BackgroundGrid:
-    base = BASE_CELLS if h0 is None else max(1, round(side / h0))
-    n = base * 2**level
+    n = _base_cells(side, h0) * 2**level
     return BackgroundGrid(origin=origin, h=side / n, nx=n, ny=n)
 
 

@@ -12,7 +12,9 @@ dicts, and the Cut mask against a loop that clips one segment against one
 candidate cell at a time with ``segment_box_interval``; both must agree bit
 for bit. ``cut_volume_rule`` integrates over one given box: it clips the
 polygon to the box and runs the library's strip walk on a batch of that one
-box.
+box. The ghost penalty is checked against local matrices built from
+hand-broadcast face tensor products, one derivative order at a time, and
+summed face by face.
 
 The module also holds the random cut configurations that the property tests
 draw: grid offsets including zero, so that square edges lie on gridlines;
@@ -688,16 +690,60 @@ def per_cell_bulk_nitsche(am, basis, params, f, vrules, brules, dofmap):
         m = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
         nitsche.append((dofs, params.beta / h * m - c - c.T))
 
-    def to_csr(blocks):
-        rows = [np.repeat(d, len(d)) for d, _ in blocks]
-        cols = [np.tile(d, len(d)) for d, _ in blocks]
-        data = [m.reshape(-1) for _, m in blocks]
-        coo = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        )
-        return coo.tocsr()
+    return _blocks_to_csr(bulk, n), rhs, _blocks_to_csr(nitsche, n)
 
-    return to_csr(bulk), rhs, to_csr(nitsche)
+
+def _blocks_to_csr(blocks, n: int):
+    """Sum of local matrices, each given as (dofs, matrix), into an (n, n) CSR."""
+    rows = [np.repeat(d, len(d)) for d, _ in blocks]
+    cols = [np.tile(d, len(d)) for d, _ in blocks]
+    data = [m.reshape(-1) for _, m in blocks]
+    coo = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return coo.tocsr()
+
+
+def ghost_face_matrix(basis, params, h: float, axis: int) -> np.ndarray:
+    """Local ghost matrix of one face with normal ``axis``, low element's dofs first.
+
+    Per derivative order j the face rows are tensor products of the 1D
+    Lagrange values along the face and the j-th derivatives at the low (1)
+    and high (0) element ends, broadcast by hand; the weighted Gram matrices
+    gamma_j h^(2j-1) J^T W J of the jumps are summed over j.
+    """
+    p = basis.p
+    nloc = (p + 1) ** 2
+    t, w = np.polynomial.legendre.leggauss(p + 1)
+    t = 0.5 * (t + 1.0)
+    w_face = 0.5 * h * w
+    tang = basis.lagrange_1d(t)
+    m = np.zeros((2 * nloc, 2 * nloc))
+    for j in range(1, p + 1):
+        end_lo = basis.lagrange_1d(np.array([1.0]), j)[0] / h**j
+        end_hi = basis.lagrange_1d(np.array([0.0]), j)[0] / h**j
+        if axis == 0:
+            # x-normal face: tangential direction is y, local k = iy*(p+1)+ix.
+            d_lo = tang[:, :, None] * end_lo[None, None, :]
+            d_hi = tang[:, :, None] * end_hi[None, None, :]
+        else:
+            d_lo = end_lo[None, :, None] * tang[:, None, :]
+            d_hi = end_hi[None, :, None] * tang[:, None, :]
+        jump = np.concatenate((d_lo.reshape(len(t), nloc), -d_hi.reshape(len(t), nloc)), axis=1)
+        m += params.gamma[j - 1] * h ** (2 * j - 1) * (jump.T @ (w_face[:, None] * jump))
+    return m
+
+
+def per_face_ghost_penalty(am, basis, params, dofmap):
+    """Ghost-penalty matrix summed face by face from ``ghost_face_matrix``."""
+    local = [ghost_face_matrix(basis, params, am.grid.h, axis) for axis in (0, 1)]
+    blocks = []
+    for lo, hi, axis in am.ghost_faces_arr:
+        dofs = np.concatenate(
+            [dofmap.element_dofs[dofmap.row_of_cell[cell]] for cell in (lo, hi)]
+        )
+        blocks.append((dofs, local[axis]))
+    return _blocks_to_csr(blocks, dofmap.n_dofs)
 
 
 def lowest_active_cell(am, row_of_cell, x: float, y: float):

@@ -30,7 +30,7 @@ from cutpoisson.mesh import (
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 from cutpoisson.studies import SQUARE_SIDE, _grid, _square_origin
 
-from oracles import per_cell_bulk_nitsche
+from oracles import per_cell_bulk_nitsche, per_face_ghost_penalty
 
 
 def ones(x, y):
@@ -203,6 +203,20 @@ class TestGhostPenalty:
         for _ in range(20):
             v = rng.normal(size=dm.n_dofs)
             assert v @ (ghost.matrix @ v) >= -1e-14
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_match_per_face_oracle(self, p):
+        # The delta study's square on its 24 x 24 grid, delta = h^(p+1/2).
+        grid = _grid(_square_origin(None), SQUARE_SIDE, None, 1)
+        poly = perturb_square_boundary(grid.h ** (p + 0.5), 16 * math.ceil(1.0 / grid.h))
+        am = classify_elements(grid, poly)
+        basis, params, dm = qp_basis(p), penalty_parameters(p), build_dofmap(am, p)
+        ghost = assemble_ghost_penalty(am, basis, params, dm).matrix
+        ref = per_face_ghost_penalty(am, basis, params, dm)
+        assert abs(ghost - ref).max() <= 1e-14 * abs(ref).max()
+        c = np.random.default_rng(11).normal(size=dm.n_dofs)
+        quad = c @ (ghost @ c)
+        assert abs(ghost_penalty_form(am, basis, params, dm, c) - quad) <= 1e-12 * quad
 
     def test_directly_built_mesh_assembles(self):
         # A mesh built without classify_elements finds its ghost faces on
