@@ -139,7 +139,7 @@ def point_basis(basis: QpBasis, dofmap: DofMap, grid, points: np.ndarray, cells:
     if np.any(rows < 0):
         raise MeshError(f"cell {cells[np.argmax(rows < 0)]} is not active")
     vals, grads = eval_basis(basis, (points - grid.cell_origin(cells)) / grid.h, grid.h)
-    return vals, grads, dofmap.element_dofs.astype(np.int32)[rows]
+    return vals, grads, dofmap.element_dofs[rows].astype(np.int32)
 
 
 def _point_operator(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.csr_matrix:

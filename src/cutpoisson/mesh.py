@@ -1,15 +1,14 @@
 """Uniform background grid and extraction of the active mesh.
 
-Elements are classified against the boundary polygon: Cut if a polygon
-segment touches the closed element box, Inside if the element lies strictly
-within the polygon, excluded otherwise. The ghost-penalty face set consists
-of the interior faces of the active mesh touching at least one Cut element;
-it is computed on first use.
-The cut geometry, computed once per active mesh for every quadrature order,
-splits all polygon segments at the gridlines and walks all Cut elements in
-strips, each in one pass of array operations. The Cut mask does not come from
-that split: a cell the polygon touches only at a corner is Cut but holds no
-piece.
+Classification splits all polygon segments at the gridlines, once per mesh.
+An element is Cut if its closed box holds a polygon vertex or a gridline
+crossing of that split, or if it owns a boundary piece; Inside if it lies
+strictly within the polygon; excluded otherwise. A cell the polygon touches
+only at a corner is Cut but owns no piece. The ghost-penalty face set
+consists of the interior faces of the active mesh touching at least one Cut
+element; it is computed on first use. The cut geometry, computed once per
+active mesh for every quadrature order, reuses the split and walks all Cut
+elements in strips, in one pass of array operations.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MeshError, QuadratureError
 from .geometry import BoundaryPolygon
@@ -92,7 +90,9 @@ class ActiveMesh:
     ``active`` lists the active cell ids (Inside or Cut) in ascending order.
     ``ghost_faces_arr`` rows are (cell_low, cell_high, axis) with axis 0 for
     faces with an x-normal and 1 for a y-normal. The polygon used for the
-    classification is retained so downstream assembly can build quadrature.
+    classification is retained so downstream assembly can build quadrature,
+    and so is its gridline split: :func:`classify_elements` stores the split
+    it classified with, and a mesh built from its fields splits on first use.
     """
 
     grid: BackgroundGrid
@@ -114,47 +114,78 @@ class ActiveMesh:
         return ghost_faces(self)
 
     @functools.cached_property
+    def _split(self) -> tuple:
+        """The polygon split at the gridlines, computed on first use."""
+        return _split_at_gridlines(self.grid, self.poly)
+
+    @functools.cached_property
     def cut_geometry(self) -> "CutGeometry":
         """Boundary pieces and cut-cell trapezoids, shared by every quadrature order."""
         return _build_cut_geometry(self)
 
 
-def _mark_cut_cells(grid: BackgroundGrid, poly: BoundaryPolygon) -> np.ndarray:
-    """Boolean mask over all cells touched by a polygon segment."""
-    # One row per axis throughout.
-    a, b = (v.T for v in poly.segments())
-    origin, h = np.array(grid.origin)[:, None], grid.h
-    low, high = np.minimum(a, b), np.maximum(a, b)
-    j0 = np.floor((low - origin) / h).astype(int)
-    j1 = np.floor((high - origin) / h).astype(int)
+def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
+    """Split every polygon segment at the gridlines, all segments in one batch.
 
-    cut = np.zeros((grid.ny, grid.nx), dtype=bool)
-    # Fast path: segment bounding box strictly interior to a single cell.
-    interior = np.all((j0 == j1) & (low > origin + j0 * h) & (high < origin + (j0 + 1) * h), axis=0)
-    cut[j0[1, interior], j0[0, interior]] = True
-    # Remaining segments: exact test over a padded candidate range (padding
-    # absorbs touches on gridlines and floating-point rounding of the floors).
-    last = np.array([[grid.nx - 1], [grid.ny - 1]])
-    first = np.clip(j0[:, ~interior] - 1, 0, last)
-    size = np.clip(j1[:, ~interior] + 1, 0, last) - first + 1
-    k, j = _ranges(np.zeros(size.shape[1], dtype=int), size[0] * size[1])
-    cell = first[:, k] + np.stack((j % size[0, k], j // size[0, k]))
-    p0, d = a[:, ~interior][:, k], (b - a)[:, ~interior][:, k]
-    # The segment's parameter range inside the closed cell box, clipped on
-    # each axis; an axis along which the segment is flat can only reject it.
-    # The box's upper edge is lo + h, not origin + (cell + 1) * h: the two can
-    # differ in the last bit, which decides whether a segment on that
-    # gridline touches the cell.
-    lo = origin + cell * h
-    hi = lo + h
-    flat = d == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ta, tb = (lo - p0) / d, (hi - p0) / d
-    t0 = np.max(np.where(flat, 0.0, np.minimum(ta, tb)), axis=0, initial=0.0)
-    t1 = np.min(np.where(flat, 1.0, np.maximum(ta, tb)), axis=0, initial=1.0)
-    hit = np.all(~flat | ((p0 >= lo) & (p0 <= hi)), axis=0) & (t0 <= t1)
-    cut[cell[1, hit], cell[0, hit]] = True
-    return cut.reshape(-1)
+    Returns (seg, t0, t1, owner, other, cut). The pieces seg, t0..t1
+    (parameter range along segment a -> b) are in polygon order; those
+    shorter than 1e-14*h are dropped. Piece i is owned by cell owner[i],
+    which holds mid - 1e-9*h*normal (the inner side of the boundary), and
+    other[i] holds mid + 1e-9*h*normal. ``cut`` marks the cells that own a
+    piece or whose closed box, lo = origin + c*h to lo + h on each axis,
+    holds a polygon vertex or a gridline crossing.
+    """
+    origin, h = np.array(grid.origin), grid.h
+    a, b = poly.segments()
+    d = b - a
+    n = len(a)
+
+    # Every segment's ends t = 0, 1 and its gridline crossings 0 < t < 1.
+    seg, t = [np.arange(n), np.arange(n)], [np.zeros(n), np.ones(n)]
+    for k, o in enumerate(origin):
+        lo = np.floor((np.minimum(a[:, k], b[:, k]) - o) / h).astype(int) + 1
+        hi = np.floor((np.maximum(a[:, k], b[:, k]) - o) / h).astype(int)
+        s, j = _ranges(lo, hi - lo + 1)
+        ts = (o + j * h - a[s, k]) / d[s, k]
+        crossing = (ts > 0.0) & (ts < 1.0)
+        seg.append(s[crossing])
+        t.append(ts[crossing])
+    seg, t = np.concatenate(seg), np.concatenate(t)
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    # The vertices (t = 0) and the crossings; t = 1 is the next segment's t = 0.
+    start = t < 1.0
+    points = a[seg[start]] + t[start, None] * d[seg[start]]
+    same = seg[1:] == seg[:-1]
+    seg, t0, t1 = seg[:-1][same], t[:-1][same], t[1:][same]
+    # A crossing at a grid vertex comes twice; the empty piece between the
+    # copies goes with the other pieces shorter than 1e-14*h.
+    long = (t1 - t0) * np.hypot(d[seg, 0], d[seg, 1]) >= 1e-14 * h
+    seg, t0, t1 = seg[long], t0[long], t1[long]
+
+    mid = a[seg] + (0.5 * (t0 + t1))[:, None] * d[seg]
+    step = 1e-9 * h * poly.segment_normals()[seg]
+    shape = np.array([grid.nx, grid.ny])
+
+    def cell_of(x):
+        ix, iy = np.clip(np.floor((x - origin) / h).astype(int), 0, shape - 1).T
+        return iy * grid.nx + ix
+
+    owner, other = cell_of(mid - step), cell_of(mid + step)
+
+    # The closed boxes holding each point: per axis, the floor cell and its
+    # two neighbours are the candidates (a point within rounding of a
+    # gridline is in both cells beside it). The box's upper edge is lo + h,
+    # not origin + (c + 1)*h: the two can differ in the last bit.
+    cell = np.floor((points - origin) / h).astype(int)[:, :, None] + np.arange(-1, 2)
+    lo = origin[:, None] + cell * h
+    x = points[:, :, None]
+    holds = (lo <= x) & (x <= lo + h) & (cell >= 0) & (cell < shape[:, None])
+    p, i, j = np.nonzero(holds[:, 0, :, None] & holds[:, 1, None, :])
+    cut = np.zeros(grid.n_cells, dtype=bool)
+    cut[cell[p, 1, j] * grid.nx + cell[p, 0, i]] = True
+    cut[owner] = True
+    return seg, t0, t1, owner, other, cut
 
 
 def _ranges(first, count) -> tuple[np.ndarray, np.ndarray]:
@@ -294,48 +325,13 @@ class CutGeometry:
 
 
 def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
-    """Split the polygon at the gridlines and walk the strips of all cut cells.
+    """Walk the strips of all cut cells through the pieces of the gridline split.
 
-    A piece is owned by the cell holding mid - 1e-9*h*normal (the inner side
-    of the boundary). A piece on, or within 1e-9*h of, a face is also listed
-    for the walk of the cell on the face's other side.
+    A piece on, or within 1e-9*h of, a face is listed for the walk of the
+    cells on both sides of the face.
     """
     grid = am.grid
-    ox, oy = grid.origin
-    h = grid.h
-    a, b = am.poly.segments()
-    d = b - a
-    n = len(a)
-
-    # Every segment's ends t = 0, 1 and its gridline crossings 0 < t < 1.
-    seg, t = [np.arange(n), np.arange(n)], [np.zeros(n), np.ones(n)]
-    for k, o in ((0, ox), (1, oy)):
-        lo = np.floor((np.minimum(a[:, k], b[:, k]) - o) / h).astype(int) + 1
-        hi = np.floor((np.maximum(a[:, k], b[:, k]) - o) / h).astype(int)
-        s, j = _ranges(lo, hi - lo + 1)
-        ts = (o + j * h - a[s, k]) / d[s, k]
-        crossing = (ts > 0.0) & (ts < 1.0)
-        seg.append(s[crossing])
-        t.append(ts[crossing])
-    seg, t = np.concatenate(seg), np.concatenate(t)
-    order = np.lexsort((t, seg))
-    seg, t = seg[order], t[order]
-    same = seg[1:] == seg[:-1]
-    seg, t0, t1 = seg[:-1][same], t[:-1][same], t[1:][same]
-    # A crossing at a grid vertex comes twice; the empty piece between the
-    # copies goes with the other pieces shorter than 1e-14*h.
-    long = (t1 - t0) * np.hypot(d[seg, 0], d[seg, 1]) >= 1e-14 * h
-    seg, t0, t1 = seg[long], t0[long], t1[long]
-
-    mid = a[seg] + (0.5 * (t0 + t1))[:, None] * d[seg]
-    step = 1e-9 * h * am.poly.segment_normals()[seg]
-
-    def cell_of(x):
-        ix = np.clip(np.floor((x[:, 0] - ox) / h).astype(int), 0, grid.nx - 1)
-        iy = np.clip(np.floor((x[:, 1] - oy) / h).astype(int), 0, grid.ny - 1)
-        return iy * grid.nx + ix
-
-    owner, other = cell_of(mid - step), cell_of(mid + step)
+    seg, t0, t1, owner, other, _ = am._split
     cells, first, counts = np.unique(owner, return_index=True, return_counts=True)
     groups = np.split(np.argsort(owner, kind="stable"), np.cumsum(counts)[:-1])
     owned = {int(cells[i]): groups[i].tolist() for i in np.argsort(first)}
@@ -348,8 +344,11 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     box = box_of[np.concatenate((owner, other[across]))]
     piece, box = piece[box >= 0], box[box >= 0]
     order = np.lexsort((piece, box))
+    a, b = am.poly.segments()
     start, end = piece_endpoints(a, b, seg, t0, t1)
-    boxes = [grid.cell_box(eid) for eid in ids]
+    (ox, oy), h = grid.origin, grid.h
+    ix, iy = grid.cell_coords(ids)
+    boxes = np.column_stack((ox + ix * h, oy + iy * h, ox + (ix + 1) * h, oy + (iy + 1) * h))
     traps, row_box = strip_trapezoids(
         boxes, start[piece[order]], end[piece[order]], box[order], am.poly, h
     )
@@ -359,12 +358,12 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
 def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh:
     """Classify all grid cells against the polygon and collect the active mesh.
 
-    Cut cells are found by exact segment/box tests, one batch over every
-    segment and its candidate cells; the remaining cells are grouped into
-    connected components (the boundary cannot pass between two uncut
-    neighbors), and one ray cast per component, all in one batch, decides
-    inside/outside. The ghost faces and the cut geometry are left to the
-    first access of ``ghost_faces_arr`` and ``cut_geometry``.
+    The Cut cells come from one gridline split of all segments, which the
+    mesh keeps for its cut geometry. Each run of adjacent uncut cells in a
+    grid row is inside or outside as a whole (the boundary cannot pass
+    between two uncut neighbors), and one ray cast per run, all in one
+    batch, decides which. The ghost faces and the cut geometry are left to
+    the first access of ``ghost_faces_arr`` and ``cut_geometry``.
     """
     ext = grid.extent
     v = poly.vertices
@@ -376,20 +375,20 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
     ):
         raise MeshError("polygon must lie strictly inside the grid extent")
 
-    cut = _mark_cut_cells(grid, poly)
-    classification = np.zeros(grid.n_cells, dtype=np.int8)
-    classification[cut] = CUT
-
-    labels = ndimage.label(~cut.reshape(grid.ny, grid.nx))[0].reshape(-1)
-    comps, first = np.unique(labels, return_index=True)
-    ix, iy = grid.cell_coords(first[comps > 0])
+    split = _split_at_gridlines(grid, poly)
+    uncut = ~split[-1]
+    classification = np.where(uncut, OUTSIDE, CUT).astype(np.int8)
+    starts = uncut & ((np.arange(grid.n_cells) % grid.nx == 0) | ~np.roll(uncut, 1))
+    ix, iy = grid.cell_coords(np.nonzero(starts)[0])
     h = grid.h
     centres = np.column_stack((grid.origin[0] + (ix + 0.5) * h, grid.origin[1] + (iy + 0.5) * h))
     inside = np.concatenate(([False], point_in_polygon(poly, centres, h)))
-    classification[inside[labels]] = INSIDE
+    classification[uncut & inside[np.cumsum(starts)]] = INSIDE
 
     active = np.nonzero(classification != OUTSIDE)[0]
-    return ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)
+    am = ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)
+    am._split = split
+    return am
 
 
 def ghost_faces(am: ActiveMesh) -> np.ndarray:

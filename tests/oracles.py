@@ -585,7 +585,8 @@ def segment_box_interval(ax, ay, bx, by, x0, y0, x1, y1) -> tuple[float, float] 
 
 def mark_cut_cells_loop(grid, poly) -> np.ndarray:
     """Boolean mask over all cells touched by a polygon segment, one candidate
-    cell at a time; ``mesh._mark_cut_cells`` must give the same mask."""
+    cell at a time. The Cut mask of ``mesh.classify_elements`` must equal it
+    with the owner cells of ``cut_geometry_loop`` added."""
     a, b = poly.segments()
     ox, oy = grid.origin
     h = grid.h

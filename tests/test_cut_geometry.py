@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from cutpoisson import BoundaryPolygon, Disk, extract_levelset_boundary
+from cutpoisson import (
+    BoundaryPolygon,
+    Disk,
+    assemble_system,
+    extract_levelset_boundary,
+    penalty_parameters,
+    qp_basis,
+    solve_spd,
+)
 from cutpoisson import mesh
 from cutpoisson.mesh import CUT, BackgroundGrid, classify_elements, point_in_polygon
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
@@ -43,6 +51,13 @@ NEAR_GRIDLINES = classify_elements(
 _CONTOUR_GRID = BackgroundGrid(origin=(-1.25, -1.25), h=2.5 / 24, nx=24, ny=24)
 CONTOUR = classify_elements(
     _CONTOUR_GRID, extract_levelset_boundary(Disk(center=(0.1, -0.05), radius=0.8), _CONTOUR_GRID)
+)
+# An acute vertex one ulp below the grid vertex (0.5, 0.5): the first piece
+# of the segment leaving it is owned by cell 35, whose closed box holds
+# neither a vertex nor a crossing.
+_A = np.nextafter(0.5, 0.0)
+ACUTE_VERTEX = classify_elements(
+    BackgroundGrid((0.0, 0.0), 0.125, 8, 8), BoundaryPolygon([[_A, _A], [0.85, 0.51], [0.83, 0.61]])
 )
 
 # The oracle moment check is the slowest, so it gets fewer examples.
@@ -150,8 +165,35 @@ def test_cut_geometry_matches_loop_bit_for_bit(am):
 @given(meshes)
 @example(UNSHIFTED_SQUARE)
 @example(NEAR_GRIDLINES)
+@example(ACUTE_VERTEX)
 def test_cut_mask_matches_loop(am):
-    assert np.array_equal(am.classification == CUT, mark_cut_cells_loop(am.grid, am.poly))
+    # Cut: a segment touches the closed box, or the cell owns a piece.
+    expected = mark_cut_cells_loop(am.grid, am.poly)
+    expected[list(cut_geometry_loop(am)[3])] = True
+    assert np.array_equal(am.classification == CUT, expected)
+
+
+@PROPERTY
+@given(meshes)
+@example(UNSHIFTED_SQUARE)
+@example(NEAR_GRIDLINES)
+@example(CONTOUR)
+@example(ACUTE_VERTEX)
+def test_every_piece_owner_is_cut(am):
+    assert np.all(am.classification[list(am.cut_geometry.owned)] == CUT)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_acute_vertex_next_to_a_grid_vertex_solves(p):
+    am = ACUTE_VERTEX
+    system, dofmap = assemble_system(
+        am, qp_basis(p), penalty_parameters(p), lambda x, y: np.ones_like(x)
+    )
+    u = solve_spd(system)
+    assert u.shape == (dofmap.n_dofs,)
+    assert np.all(np.isfinite(u))
+    assert am.classification[35] == CUT
+    assert 35 in am.cut_geometry.owned
 
 
 @PROPERTY

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cutpoisson
 from cutpoisson import (
     BoundaryPolygon,
     MeshError,
@@ -161,3 +167,14 @@ class TestGhostFaces:
         faces = [tuple(int(v) for v in f) for f in am.ghost_faces_arr]
         assert len(faces) == len(set(faces))
         assert all(f[0] < f[1] for f in faces)
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    # A fresh interpreter, so that modules other tests imported do not count.
+    path = [str(Path(cutpoisson.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, cutpoisson; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
