@@ -1,14 +1,16 @@
 """Uniform background grid and extraction of the active mesh.
 
 Classification splits all polygon segments at the gridlines, once per mesh.
-An element is Cut if its closed box holds a polygon vertex or a gridline
-crossing of that split, or if it owns a boundary piece; Inside if it lies
-strictly within the polygon; excluded otherwise. A cell the polygon touches
-only at a corner is Cut but owns no piece. The ghost-penalty face set
-consists of the interior faces of the active mesh touching at least one Cut
-element; it is computed on first use. The cut geometry, computed once per
-active mesh for every quadrature order, reuses the split and walks all Cut
-elements in strips, in one pass of array operations.
+The points of that split, the polygon vertices and the gridline crossings,
+are the end points of the boundary pieces for every later use. An element
+is Cut if its closed box holds one of the points, or if it owns a boundary
+piece; Inside if it lies strictly within the polygon; excluded otherwise. A
+cell the polygon touches only at a corner is Cut but owns no piece. The
+ghost-penalty face set consists of the interior faces of the active mesh
+touching at least one Cut element; it is computed on first use. The cut
+geometry, computed once per active mesh for every quadrature order, reuses
+the split and walks all Cut elements in strips, in one pass of array
+operations.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "CutGeometry",
     "classify_elements",
     "ghost_faces",
-    "piece_endpoints",
     "point_in_polygon",
     "strip_trapezoids",
 ]
@@ -127,43 +128,46 @@ class ActiveMesh:
 def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     """Split every polygon segment at the gridlines, all segments in one batch.
 
-    Returns (seg, t0, t1, owner, other, cut). The pieces seg, t0..t1
-    (parameter range along segment a -> b) are in polygon order; those
-    shorter than 1e-14*h are dropped. Piece i is owned by cell owner[i],
-    which holds mid - 1e-9*h*normal (the inner side of the boundary), and
-    other[i] holds mid + 1e-9*h*normal. ``cut`` marks the cells that own a
-    piece or whose closed box, lo = origin + c*h to lo + h on each axis,
-    holds a polygon vertex or a gridline crossing.
+    Returns (seg, start, end, owner, other, cut). The points are each
+    segment's start vertex and its gridline crossings, in polygon order; a
+    crossing's gridline coordinate is origin[k] + j*h, the arithmetic of the
+    cell box edges. Piece i runs on segment seg[i] from one point to the
+    next, so end[i] is start[i + 1] and end[-1] is start[0], bit for bit;
+    only pieces whose two end points are equal are dropped. Piece i is owned
+    by cell owner[i], which holds mid - 1e-9*h*normal (the inner side of the
+    boundary), and other[i] holds mid + 1e-9*h*normal. ``cut`` marks the
+    cells that own a piece or whose closed box, lo = origin + c*h to lo + h
+    on each axis, holds a point.
     """
     origin, h = np.array(grid.origin), grid.h
     a, b = poly.segments()
     d = b - a
     n = len(a)
 
-    # Every segment's ends t = 0, 1 and its gridline crossings 0 < t < 1.
-    seg, t = [np.arange(n), np.arange(n)], [np.zeros(n), np.ones(n)]
+    # Every segment's start vertex (t = 0) and its gridline crossings 0 < t < 1.
+    seg, t, points = [np.arange(n)], [np.zeros(n)], [a]
     for k, o in enumerate(origin):
         lo = np.floor((np.minimum(a[:, k], b[:, k]) - o) / h).astype(int) + 1
         hi = np.floor((np.maximum(a[:, k], b[:, k]) - o) / h).astype(int)
         s, j = _ranges(lo, hi - lo + 1)
         ts = (o + j * h - a[s, k]) / d[s, k]
         crossing = (ts > 0.0) & (ts < 1.0)
-        seg.append(s[crossing])
-        t.append(ts[crossing])
-    seg, t = np.concatenate(seg), np.concatenate(t)
+        s, j, ts = s[crossing], j[crossing], ts[crossing]
+        x = a[s] + ts[:, None] * d[s]
+        x[:, k] = o + j * h
+        seg.append(s)
+        t.append(ts)
+        points.append(x)
+    seg, t, points = np.concatenate(seg), np.concatenate(t), np.concatenate(points)
     order = np.lexsort((t, seg))
-    seg, t = seg[order], t[order]
-    # The vertices (t = 0) and the crossings; t = 1 is the next segment's t = 0.
-    start = t < 1.0
-    points = a[seg[start]] + t[start, None] * d[seg[start]]
-    same = seg[1:] == seg[:-1]
-    seg, t0, t1 = seg[:-1][same], t[:-1][same], t[1:][same]
-    # A crossing at a grid vertex comes twice; the empty piece between the
-    # copies goes with the other pieces shorter than 1e-14*h.
-    long = (t1 - t0) * np.hypot(d[seg, 0], d[seg, 1]) >= 1e-14 * h
-    seg, t0, t1 = seg[long], t0[long], t1[long]
+    seg, points = seg[order], points[order]
+    following = np.roll(points, -1, axis=0)
+    # A crossing on a vertex, or at a grid vertex that both axes find, can
+    # give two equal points; the empty piece between them is dropped.
+    piece = np.any(points != following, axis=1)
+    seg, start, end = seg[piece], points[piece], following[piece]
 
-    mid = a[seg] + (0.5 * (t0 + t1))[:, None] * d[seg]
+    mid = 0.5 * (start + end)
     step = 1e-9 * h * poly.segment_normals()[seg]
     shape = np.array([grid.nx, grid.ny])
 
@@ -185,7 +189,7 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     cut = np.zeros(grid.n_cells, dtype=bool)
     cut[cell[p, 1, j] * grid.nx + cell[p, 0, i]] = True
     cut[owner] = True
-    return seg, t0, t1, owner, other, cut
+    return seg, start, end, owner, other, cut
 
 
 def _ranges(first, count) -> tuple[np.ndarray, np.ndarray]:
@@ -225,29 +229,19 @@ def point_in_polygon(poly: BoundaryPolygon, points, h: float) -> np.ndarray:
     return np.bincount(i[forward], minlength=len(pts)) % 2 == 1
 
 
-def piece_endpoints(a_all, b_all, seg, t0, t1) -> tuple[np.ndarray, np.ndarray]:
-    """End points of the pieces t0..t1 of polygon segments a -> b, each (k, 2).
-
-    t = 1 returns the segment's end vertex itself (as t = 0 does its start),
-    so consecutive pieces of a polygon share their end points exactly.
-    """
-    a = a_all[seg]
-    d = b_all[seg] - a
-    end = np.where((t1 == 1.0)[:, None], b_all[seg], a + t1[:, None] * d)
-    return a + t0[:, None] * d, end
-
-
 def strip_trapezoids(boxes, start, end, piece_box, poly: BoundaryPolygon, h: float):
     """Decompose each box ∩ polygon into trapezoids over vertical strips.
 
     ``boxes`` rows are (x0, y0, x1, y1). ``start``/``end`` are the boundary
     pieces inside the closed box ``boxes[piece_box]``, oriented like the CCW
     polygon; they are clamped onto that box. The strips of a box run between
-    consecutive abscissae of the box and its pieces. Going up a strip, a piece
-    running in +x enters the domain and one running in -x leaves it (pieces
-    at the same height keep their input order); a strip no piece crosses is
-    inside when its centre is. Returns rows (xl, xr, lo_l, lo_r, hl, hr) and
-    the box of each row, grouped by box: x in [xl, xr], y from
+    consecutive abscissae of the box and its pieces; an abscissa within
+    1e-14*h of the next lower one joins its edge, since the two ends of a
+    piece at a grid vertex can differ in their last bits. Going up a strip,
+    a piece running in +x enters the domain and one running in -x leaves it
+    (pieces at the same height keep their input order); a strip no piece
+    crosses is inside when its centre is. Returns rows (xl, xr, lo_l, lo_r,
+    hl, hr) and the box of each row, grouped by box: x in [xl, xr], y from
     lo_l + (lo_r - lo_l) u upwards by hl + (hr - hl) u with
     u = (x - xl)/(xr - xl), and hl, hr >= 0.
     """
@@ -255,12 +249,12 @@ def strip_trapezoids(boxes, start, end, piece_box, poly: BoundaryPolygon, h: flo
     nb = len(boxes)
     p = np.clip(start, boxes[piece_box, :2], boxes[piece_box, 2:])
     q = np.clip(end, boxes[piece_box, :2], boxes[piece_box, 2:])
-    # Strip edges: the distinct abscissae of each box, sorted by (box, x).
+    # Strip edges: the abscissae of each box, sorted by (box, x) and merged.
     cand_box = np.concatenate((np.arange(nb), np.arange(nb), piece_box, piece_box))
     cand_x = np.concatenate((boxes[:, 0], boxes[:, 2], p[:, 0], q[:, 0]))
     order = np.lexsort((cand_x, cand_box))
     new = np.diff(cand_box[order], prepend=-1) != 0
-    new |= np.diff(cand_x[order], prepend=np.nan) != 0
+    new |= np.diff(cand_x[order], prepend=-np.inf) > 1e-14 * h
     edge = np.empty(len(order), dtype=int)
     edge[order] = np.cumsum(new) - 1
     xs, xs_box = cand_x[order][new], cand_box[order][new]
@@ -308,17 +302,19 @@ def strip_trapezoids(boxes, start, end, piece_box, poly: BoundaryPolygon, h: flo
 class CutGeometry:
     """Order-independent cut geometry of an active mesh.
 
-    The polygon segments are split at the gridlines into pieces ``seg``,
-    ``t0``..``t1`` (parameter range along segment a -> b). ``owned[eid]``
-    indexes the pieces whose boundary integrals belong to cell eid, in polygon
-    order, with the cells in order of their first piece. ``trapezoids`` rows
+    The polygon segments are split at the gridlines into pieces ``start`` to
+    ``end`` on segments ``seg``, in polygon order: consecutive pieces share
+    their end points, and a piece end that is not a polygon vertex lies
+    exactly on a gridline, origin[k] + j*h. ``owned[eid]`` indexes the
+    pieces whose boundary integrals belong to cell eid, in polygon order,
+    with the cells in order of their first piece. ``trapezoids`` rows
     decompose the cut cells ∩ polygon as returned by :func:`strip_trapezoids`;
     ``trapezoid_cells`` holds the cell of each row, ascending.
     """
 
     seg: np.ndarray
-    t0: np.ndarray
-    t1: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
     owned: dict[int, list[int]]
     trapezoids: np.ndarray
     trapezoid_cells: np.ndarray
@@ -331,7 +327,7 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     cells on both sides of the face.
     """
     grid = am.grid
-    seg, t0, t1, owner, other, _ = am._split
+    seg, start, end, owner, other, _ = am._split
     cells, first, counts = np.unique(owner, return_index=True, return_counts=True)
     groups = np.split(np.argsort(owner, kind="stable"), np.cumsum(counts)[:-1])
     owned = {int(cells[i]): groups[i].tolist() for i in np.argsort(first)}
@@ -344,15 +340,13 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     box = box_of[np.concatenate((owner, other[across]))]
     piece, box = piece[box >= 0], box[box >= 0]
     order = np.lexsort((piece, box))
-    a, b = am.poly.segments()
-    start, end = piece_endpoints(a, b, seg, t0, t1)
     (ox, oy), h = grid.origin, grid.h
     ix, iy = grid.cell_coords(ids)
     boxes = np.column_stack((ox + ix * h, oy + iy * h, ox + (ix + 1) * h, oy + (iy + 1) * h))
     traps, row_box = strip_trapezoids(
         boxes, start[piece[order]], end[piece[order]], box[order], am.poly, h
     )
-    return CutGeometry(seg, t0, t1, owned, traps, ids[row_box])
+    return CutGeometry(seg, start, end, owned, traps, ids[row_box])
 
 
 def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh:
@@ -403,16 +397,13 @@ def ghost_faces(am: ActiveMesh) -> np.ndarray:
     is_cut = cls == CUT
 
     faces = []
-    # Vertical faces between (ix, iy) and (ix+1, iy): normal along x.
-    pair_act = act[:, :-1] & act[:, 1:]
-    pair_cut = is_cut[:, :-1] | is_cut[:, 1:]
-    iy, ix = np.nonzero(pair_act & pair_cut)
-    left = iy * grid.nx + ix
-    faces.append(np.column_stack((left, left + 1, np.zeros_like(left))))
-    # Horizontal faces between (ix, iy) and (ix, iy+1): normal along y.
-    pair_act = act[:-1, :] & act[1:, :]
-    pair_cut = is_cut[:-1, :] | is_cut[1:, :]
-    iy, ix = np.nonzero(pair_act & pair_cut)
-    low = iy * grid.nx + ix
-    faces.append(np.column_stack((low, low + grid.nx, np.ones_like(low))))
+    # Faces with a normal along x (axis 0) join cell (ix, iy) to (ix + 1, iy),
+    # those with a normal along y (axis 1) join it to (ix, iy + 1).
+    for axis, low, high, step in (
+        (0, np.s_[:, :-1], np.s_[:, 1:], 1),
+        (1, np.s_[:-1], np.s_[1:], grid.nx),
+    ):
+        iy, ix = np.nonzero(act[low] & act[high] & (is_cut[low] | is_cut[high]))
+        cell = iy * grid.nx + ix
+        faces.append(np.column_stack((cell, cell + step, np.full_like(cell, axis))))
     return np.concatenate(faces, axis=0)

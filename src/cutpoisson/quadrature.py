@@ -2,13 +2,15 @@
 
 The cut geometry is computed once per active mesh (``ActiveMesh.cut_geometry``)
 and shared by every quadrature order. The polygon segments are split at the
-gridlines; each piece belongs to the element on the inner side of the
-boundary, so a piece lying exactly on a shared face is counted once. The cut
-elements are walked together in vertical strips between the pieces'
-abscissae, and the inside intervals of each strip are trapezoids, stored as
-flat rows with the cell of each row. Boundary rules map 1D Gauss points onto
-the pieces, volume rules map tensor Gauss rules onto the trapezoids in one
-batch: all weights are positive and all points lie in element ∩ domain.
+gridlines into pieces that share their end points, so the boundary rules and
+the volume rules start from the same points. Each piece belongs to the
+element on the inner side of the boundary, so a piece lying exactly on a
+shared face is counted once. The cut elements are walked together in
+vertical strips between the pieces' abscissae, and the inside intervals of
+each strip are trapezoids, stored as flat rows with the cell of each row.
+Boundary rules map 1D Gauss points onto the pieces' end points, volume rules
+map tensor Gauss rules onto the trapezoids in one batch: all weights are
+positive and all points lie in element ∩ domain.
 """
 
 from __future__ import annotations
@@ -79,18 +81,18 @@ def _points_for_degree(degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pieces_rule(a_all, b_all, normals, seg, t0, t1, order: int) -> CutBoundaryRule:
-    """Mapped 1D Gauss rules on the pieces t0..t1 of polygon segments a -> b."""
-    n1d = _points_for_degree(order)
-    rule = gauss_legendre_1d(n1d)
-    a = a_all[seg]
-    d = b_all[seg] - a
-    piece_len = (t1 - t0) * np.hypot(d[:, 0], d[:, 1])
-    tq = (0.5 * (t0 + t1))[:, None] + (0.5 * (t1 - t0))[:, None] * rule.points
+def _pieces_rule(start, end, normals, order: int) -> CutBoundaryRule:
+    """Mapped 1D Gauss rules on the pieces start -> end with the given normals.
+
+    The points are start + s*(end - start) and the weights |end - start|*w
+    for the Gauss rule (s, w) on [0, 1].
+    """
+    s, w = _gauss01(_points_for_degree(order))
+    d = end - start
     return CutBoundaryRule(
-        points=(a[:, None, :] + tq[:, :, None] * d[:, None, :]).reshape(-1, 2),
-        weights=((0.5 * piece_len)[:, None] * rule.weights).reshape(-1),
-        normals=np.repeat(normals[seg], n1d, axis=0),
+        points=(start[:, None, :] + s[:, None] * d[:, None, :]).reshape(-1, 2),
+        weights=(np.hypot(d[:, 0], d[:, 1])[:, None] * w).reshape(-1),
+        normals=np.repeat(normals, len(s), axis=0),
     )
 
 
@@ -187,10 +189,7 @@ def build_boundary_rules(am: ActiveMesh, order: int) -> dict[int, CutBoundaryRul
     pieces lying exactly on shared element faces without double counting.
     """
     geo = am.cut_geometry
-    a_all, b_all = am.poly.segments()
     ix = np.concatenate(list(geo.owned.values()))
-    rule = _pieces_rule(
-        a_all, b_all, am.poly.segment_normals(), geo.seg[ix], geo.t0[ix], geo.t1[ix], order
-    )
+    rule = _pieces_rule(geo.start[ix], geo.end[ix], am.poly.segment_normals()[geo.seg[ix]], order)
     n1d = _points_for_degree(order)
     return dict(zip(geo.owned, _split_rule(rule, [n1d * len(v) for v in geo.owned.values()])))

@@ -37,7 +37,7 @@ from cutpoisson import (
     extract_levelset_boundary,
 )
 from cutpoisson.geometry import _shoelace
-from cutpoisson.mesh import BackgroundGrid, classify_elements, piece_endpoints, strip_trapezoids
+from cutpoisson.mesh import BackgroundGrid, classify_elements, strip_trapezoids
 from cutpoisson.quadrature import CutVolumeRule, _trapezoids_rule
 
 # Derandomized so that tier-1 runs the same examples every time.
@@ -365,15 +365,22 @@ def point_in_polygon_scalar(poly, point, h: float) -> bool:
 
 def strip_trapezoids_one_box(box, start, end, poly, h: float) -> np.ndarray:
     """Strip walk of one box with a one-point test per free strip; same rows
-    as ``mesh.strip_trapezoids`` gives for that box."""
+    as ``mesh.strip_trapezoids`` gives for that box.
+
+    The strip edges are the distinct abscissae of the box and the pieces,
+    less each one within 1e-14*h of the one below it; an abscissa belongs to
+    the nearest edge at or below it.
+    """
     x0, y0, x1, y1 = box
     p = np.clip(start, (x0, y0), (x1, y1))
     q = np.clip(end, (x0, y0), (x1, y1))
     xs = np.unique(np.concatenate(([x0, x1], p[:, 0], q[:, 0])))
+    xs = xs[np.diff(xs, prepend=-np.inf) > 1e-14 * h]
     xl, xr = xs[:-1], xs[1:]
-    left = np.minimum(p[:, 0], q[:, 0])
-    right = np.maximum(p[:, 0], q[:, 0])
-    s, k = np.nonzero((left <= xl[:, None]) & (right >= xr[:, None]))
+    ep = np.searchsorted(xs, p[:, 0], side="right") - 1
+    eq = np.searchsorted(xs, q[:, 0], side="right") - 1
+    strips = np.arange(len(xl))[:, None]
+    s, k = np.nonzero((np.minimum(ep, eq) <= strips) & (strips < np.maximum(ep, eq)))
 
     dx = q[k, 0] - p[k, 0]
     dy = q[k, 1] - p[k, 1]
@@ -403,10 +410,14 @@ def strip_trapezoids_one_box(box, start, end, poly, h: float) -> np.ndarray:
 def cut_geometry_loop(am):
     """The cut geometry of an active mesh, one segment and one cell at a time.
 
-    Returns (seg, t0, t1, owned, trapezoids): the pieces, the owned piece
+    Returns (seg, start, end, owned, trapezoids): the pieces, the owned piece
     lists per cell in order of first appearance, and each cut cell's
-    trapezoid rows. ``mesh._build_cut_geometry`` must give the same arrays
-    bit for bit.
+    trapezoid rows. A segment's points are its start vertex and its gridline
+    crossings, each with its gridline coordinate set to origin + j*h, in
+    order along the segment; its pieces join each point to the next and the
+    last to the segment's end vertex, and a piece is dropped only when its
+    two end points are equal. ``mesh._build_cut_geometry`` must give the
+    same arrays bit for bit.
     """
     grid = am.grid
     poly = am.poly
@@ -427,7 +438,7 @@ def cut_geometry_loop(am):
     for s in range(len(a_all)):
         a, b = a_all[s], b_all[s]
         d = b - a
-        cuts = [0.0, 1.0]
+        points = [(0.0, a)]
         for k, o in ((0, ox), (1, oy)):
             if d[k] != 0.0:
                 lo = int(np.floor((min(a[k], b[k]) - o) / h)) + 1
@@ -435,29 +446,32 @@ def cut_geometry_loop(am):
                 for j in range(lo, hi + 1):
                     t = (o + j * h - a[k]) / d[k]
                     if 0.0 < t < 1.0:
-                        cuts.append(t)
-        cuts = np.unique(cuts)
-        seg_len = float(np.hypot(d[0], d[1]))
+                        x = a + t * d
+                        x[k] = o + j * h
+                        points.append((t, x))
+        # A stable sort: at equal t the x-gridline crossing stays first.
+        ends = [x for _, x in sorted(points, key=lambda point: point[0])] + [b]
         nrm = normals[s]
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            if (t1 - t0) * seg_len < 1e-14 * h:
+        for p, q in zip(ends[:-1], ends[1:]):
+            if np.array_equal(p, q):
                 continue
-            mid = a + 0.5 * (t0 + t1) * d
+            mid = 0.5 * (p + q)
             eid = cell_of(mid[0] - eps * nrm[0], mid[1] - eps * nrm[1])
             other = cell_of(mid[0] + eps * nrm[0], mid[1] + eps * nrm[1])
             owned.setdefault(eid, []).append(len(pieces))
             listed.setdefault(eid, []).append(len(pieces))
             if other != eid:
                 listed.setdefault(other, []).append(len(pieces))
-            pieces.append((s, t0, t1))
+            pieces.append((s, p, q))
 
-    seg, t0, t1 = (np.array(column) for column in zip(*pieces))
-    start, end = piece_endpoints(a_all, b_all, seg, t0, t1)
+    seg = np.array([s for s, _, _ in pieces])
+    start = np.array([p for _, p, _ in pieces])
+    end = np.array([q for _, _, q in pieces])
     trapezoids = {}
     for eid in map(int, am.cut_ids):
         ix = listed.get(eid, [])
         trapezoids[eid] = strip_trapezoids_one_box(grid.cell_box(eid), start[ix], end[ix], poly, h)
-    return seg, t0, t1, owned, trapezoids
+    return seg, start, end, owned, trapezoids
 
 
 def levelset_boundary_loop(domain: Disk, grid) -> BoundaryPolygon:
@@ -630,6 +644,15 @@ def mark_cut_cells_loop(grid, poly) -> np.ndarray:
     return cut.reshape(-1)
 
 
+def _piece_endpoints(a_all, b_all, seg, t0, t1) -> tuple[np.ndarray, np.ndarray]:
+    """End points of the pieces t0..t1 of polygon segments a -> b, each (k, 2);
+    t = 1 gives the segment's end vertex itself, as t = 0 gives its start."""
+    a = a_all[seg]
+    d = b_all[seg] - a
+    end = np.where((t1 == 1.0)[:, None], b_all[seg], a + t1[:, None] * d)
+    return a + t0[:, None] * d, end
+
+
 def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
     """Quadrature for box ∩ polygon exact to the given polynomial degree.
 
@@ -648,7 +671,7 @@ def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
             t0.append(iv[0])
             t1.append(iv[1])
     seg = np.array(seg, dtype=int)
-    start, end = piece_endpoints(a_all, b_all, seg, np.array(t0), np.array(t1))
+    start, end = _piece_endpoints(a_all, b_all, seg, np.array(t0), np.array(t1))
     traps, _ = strip_trapezoids([box], start, end, np.zeros(len(seg), dtype=int), p, h)
     return _trapezoids_rule(traps, order)
 

@@ -42,8 +42,8 @@ from oracles import (
 UNSHIFTED_SQUARE = classify_elements(
     BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12), perturbed_square(0.0, 0.0)
 )
-# Vertices just past gridlines: pieces of about 1e-11 h, which are kept, and
-# of about 1e-15 h, which are dropped.
+# Vertices just past gridlines: pieces of about 1e-11 h and of about
+# 1e-15 h, both of which are kept.
 NEAR_GRIDLINES = classify_elements(
     BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12),
     BoundaryPolygon([[-1e-12, 0.3], [0.6, -1e-16], [0.9, 0.6], [0.4, 0.9]]),
@@ -58,6 +58,60 @@ CONTOUR = classify_elements(
 _A = np.nextafter(0.5, 0.0)
 ACUTE_VERTEX = classify_elements(
     BackgroundGrid((0.0, 0.0), 0.125, 8, 8), BoundaryPolygon([[_A, _A], [0.85, 0.51], [0.83, 0.61]])
+)
+# Polygons that are simple in exact arithmetic, with vertices within a few
+# ulp of gridlines, so that some of their boundary pieces are a few ulp
+# long; the strip walk needs every piece to meet its neighbours.
+PENTAGON = classify_elements(
+    BackgroundGrid((-0.25, -0.25), 0.125, 12, 12),
+    BoundaryPolygon(
+        [
+            [0.6249999999999992, 1.0000000000000002],
+            [0.1249999999999998, 0.834656537284972],
+            [0.2500000000000005, 0.42615664371434236],
+            [0.1250000000000003, 0.4004908132872358],
+            [0.7806089494268272, 0.41751793588365216],
+        ]
+    ),
+)
+SLIVER_A = classify_elements(
+    BackgroundGrid((-0.25, -0.25), 0.1875, 8, 8),
+    BoundaryPolygon(
+        [
+            [0.6875000000000003, 0.6172599862591904],
+            [0.5, 0.740627102627993],
+            [0.48893692942687916, 0.8540053066250821],
+            [0.36402510304921065, 0.6875000000000003],
+            [0.25787971034552815, 0.5000000000000001],
+            [0.12499999999999994, 0.4047887794619203],
+            [0.016323943229604676, 0.3125000000000002],
+            [-0.06250000000000004, 0.31249999999999983],
+            [0.31250000000000006, 0.3125],
+            [0.4878734038453841, 0.3125],
+            [0.5290804113928342, 0.31249999999999983],
+            [0.5000000000000003, 0.35621797663710186],
+            [0.8750000000000004, 0.47701945858057],
+        ]
+    ),
+)
+SLIVER_B = classify_elements(
+    BackgroundGrid((-0.25, -0.25), 0.1875, 8, 8),
+    BoundaryPolygon(
+        [
+            [0.934597824289519, 0.5000000000000004],
+            [0.7628432704993733, 0.5775869899027373],
+            [0.3124999999999998, 0.4946953492659795],
+            [0.12313144837991002, 0.3124999999999999],
+            [0.12499999999999997, 0.2650161272398308],
+            [0.3481043665389788, 0.33078445018930347],
+            [0.5000000000000004, 0.1250000000000001],
+            [0.6875000000000003, 0.06621394247999901],
+            [0.7870063978597555, 0.3125000000000002],
+            [0.8535838124736361, 0.2315287151703892],
+            [0.8750000000000002, 0.4550473900230594],
+            [0.6686925519372464, 0.49521033389525554],
+        ]
+    ),
 )
 
 # The oracle moment check is the slowest, so it gets fewer examples.
@@ -147,12 +201,15 @@ def test_strip_walk_runs_once_per_mesh(monkeypatch):
 @example(UNSHIFTED_SQUARE)
 @example(NEAR_GRIDLINES)
 @example(CONTOUR)
+@example(PENTAGON)
+@example(SLIVER_A)
+@example(SLIVER_B)
 def test_cut_geometry_matches_loop_bit_for_bit(am):
     geo = am.cut_geometry
-    seg, t0, t1, owned, trapezoids = cut_geometry_loop(am)
+    seg, start, end, owned, trapezoids = cut_geometry_loop(am)
     assert np.array_equal(geo.seg, seg)
-    assert np.array_equal(geo.t0, t0)
-    assert np.array_equal(geo.t1, t1)
+    assert np.array_equal(geo.start, start)
+    assert np.array_equal(geo.end, end)
     assert list(geo.owned) == list(owned)
     assert all(geo.owned[eid] == pieces for eid, pieces in owned.items())
     walked = [eid for eid, rows in trapezoids.items() if len(rows)]
@@ -179,8 +236,31 @@ def test_cut_mask_matches_loop(am):
 @example(NEAR_GRIDLINES)
 @example(CONTOUR)
 @example(ACUTE_VERTEX)
+@example(PENTAGON)
+@example(SLIVER_A)
+@example(SLIVER_B)
 def test_every_piece_owner_is_cut(am):
     assert np.all(am.classification[list(am.cut_geometry.owned)] == CUT)
+
+
+@PROPERTY
+@given(meshes)
+@example(UNSHIFTED_SQUARE)
+@example(NEAR_GRIDLINES)
+@example(CONTOUR)
+@example(ACUTE_VERTEX)
+@example(PENTAGON)
+@example(SLIVER_A)
+@example(SLIVER_B)
+def test_pieces_share_end_points_on_gridlines(am):
+    geo = am.cut_geometry
+    assert np.array_equal(geo.end[:-1], geo.start[1:])
+    assert np.array_equal(geo.end[-1], geo.start[0])
+    # Every end that is not a vertex has a coordinate exactly origin + j*h.
+    origin, h = np.array(am.grid.origin), am.grid.h
+    vertex = np.any(np.all(geo.end[:, None, :] == am.poly.vertices, axis=2), axis=1)
+    ends = geo.end[~vertex]
+    assert np.all(np.any(ends == origin + np.rint((ends - origin) / h) * h, axis=1))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -194,6 +274,24 @@ def test_acute_vertex_next_to_a_grid_vertex_solves(p):
     assert np.all(np.isfinite(u))
     assert am.classification[35] == CUT
     assert 35 in am.cut_geometry.owned
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "am",
+    [
+        pytest.param(PENTAGON, id="pentagon"),
+        pytest.param(SLIVER_A, id="sliver_a"),
+        pytest.param(SLIVER_B, id="sliver_b"),
+    ],
+)
+def test_vertex_within_ulps_of_a_gridline_solves(am, p):
+    system, dofmap = assemble_system(
+        am, qp_basis(p), penalty_parameters(p), lambda x, y: np.ones_like(x)
+    )
+    u = solve_spd(system)
+    assert u.shape == (dofmap.n_dofs,)
+    assert np.all(np.isfinite(u))
 
 
 @PROPERTY
