@@ -3,9 +3,9 @@
 The bilinear form combines the bulk stiffness on the cut domain, symmetric
 Nitsche boundary terms with penalty beta/h, and the ghost-penalty face
 stabilization with derivative jumps up to order p. Cut-cell and boundary
-terms are products of sparse point operators; inside cells and ghost faces
-scatter one shared local matrix. Every sum runs in a fixed order, so
-assembly is deterministic.
+terms are Gram products B^T B of sparse point operators B; inside cells and
+ghost faces scatter one shared local matrix. Every sum runs in a fixed
+order, so assembly is deterministic and its matrices exactly symmetric.
 """
 
 from __future__ import annotations
@@ -142,11 +142,12 @@ def point_basis(basis: QpBasis, dofmap: DofMap, grid, points: np.ndarray, cells:
     return vals, grads, dofmap.element_dofs[rows].astype(np.int32)
 
 
-def _point_operator(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.csr_matrix:
-    """Sparse (q, n_dofs) operator whose row i holds data[i] at dofs[i]."""
+def _gram(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.spmatrix:
+    """B^T B for the sparse (q, n_dofs) point operator B whose row i holds data[i] at dofs[i]."""
     q, k = dofs.shape
     indptr = np.arange(0, q * k + 1, k, dtype=np.int32)
-    return sp.csr_matrix((data.reshape(-1), dofs.reshape(-1), indptr), shape=(q, n_dofs))
+    b = sp.csr_matrix((data.reshape(-1), dofs.reshape(-1), indptr), shape=(q, n_dofs))
+    return b.T @ b
 
 
 def assemble_bulk(
@@ -155,9 +156,9 @@ def assemble_bulk(
     """Stiffness (grad u, grad v) and load (f, v) over element ∩ domain.
 
     ``f`` must accept coordinate arrays (x, y) and return an array. Inside
-    elements share one precomputed local stiffness. Cut elements use the
-    point operators G_d (gradient components) and V (values) of their rules:
-    sum_d G_d^T W G_d and V^T (w f), with sqrt(w) folded into each factor.
+    elements share one precomputed local stiffness; cut elements add G^T G,
+    with G stacking both gradient components of each point times sqrt(w).
+    Each load is a bincount of w f v over the points' dofs.
     """
     grid = am.grid
     h = grid.h
@@ -166,12 +167,10 @@ def assemble_bulk(
     rhs = np.zeros(n)
     for cells, rule in rule_batches(rules.cut):
         vals, grads, dofs = point_basis(basis, dofmap, grid, rule.points, cells)
-        sqrt_w = np.sqrt(rule.weights)[:, None]
-        for d in (0, 1):
-            g = _point_operator(sqrt_w * grads[:, :, d], dofs, n)
-            matrix += g.T @ g
+        sqrt_w = np.sqrt(rule.weights)[:, None, None]
+        matrix += _gram(sqrt_w * grads.transpose(0, 2, 1), np.repeat(dofs, 2, axis=0), n)
         wf = rule.weights * f(rule.points[:, 0], rule.points[:, 1])
-        rhs += _point_operator(vals, dofs, n).T @ wf
+        rhs += np.bincount(dofs.reshape(-1), (wf[:, None] * vals).reshape(-1), minlength=n)
 
     inside = am.inside_ids
     if len(inside):
@@ -185,7 +184,7 @@ def assemble_bulk(
         pts = origins[:, None, :] + h * ref_pts[None, :, :]
         fv = f(pts[:, :, 0], pts[:, :, 1])
         loc_rhs = np.einsum("eq,q,qi->ei", fv, w, vals)
-        np.add.at(rhs, dofs_in, loc_rhs)
+        rhs += np.bincount(dofs_in.reshape(-1), loc_rhs.reshape(-1), minlength=n)
 
     return SparseSystem(matrix=matrix, rhs=rhs)
 
@@ -196,25 +195,23 @@ def assemble_nitsche_boundary(
     params: PenaltyParameters,
     rules: dict[int, CutBoundaryRule],
     dofmap: DofMap,
-) -> SparseSystem:
+) -> sp.csr_matrix:
     """Symmetric Nitsche boundary terms on the polygonal boundary.
 
-    Adds -(grad_n u, v) - (u, grad_n v) + (beta/h)(u, v) over the boundary
-    pieces: (beta/h) V^T W V - C - C^T with C = V^T W D_n for the point
-    operators V (values) and D_n (normal derivatives). Homogeneous Dirichlet
-    data, so there is no right-hand side contribution.
+    Adds (beta/h)(u, v) - (grad_n u, v) - (u, grad_n v) over the boundary
+    pieces as P^T P - Q^T Q, with P = s V - Q and Q = D_n / s times sqrt(w)
+    for the values V, normal derivatives D_n and s = sqrt(beta/h): Q^T Q is
+    the system's only negative term. Homogeneous Dirichlet data, no load.
     """
-    h = am.grid.h
     n = dofmap.n_dofs
+    s = math.sqrt(params.beta / am.grid.h)
     matrix = sp.csr_matrix((n, n))
     for cells, rule in rule_batches(rules):
         vals, grads, dofs = point_basis(basis, dofmap, am.grid, rule.points, cells)
         sqrt_w = np.sqrt(rule.weights)[:, None]
-        v = _point_operator(sqrt_w * vals, dofs, n)
-        d_n = np.einsum("qd,qid->qi", rule.normals, grads)
-        consistency = v.T @ _point_operator(sqrt_w * d_n, dofs, n)
-        matrix += (params.beta / h) * (v.T @ v) - consistency - consistency.T
-    return SparseSystem(matrix=matrix, rhs=np.zeros(n))
+        q = sqrt_w * np.einsum("qd,qid->qi", rule.normals, grads) / s
+        matrix += _gram(s * sqrt_w * vals - q, dofs, n) - _gram(q, dofs, n)
+    return matrix
 
 
 def _face_jumps(am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofmap: DofMap):
@@ -248,7 +245,7 @@ def _face_jumps(am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofma
 
 def assemble_ghost_penalty(
     am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofmap: DofMap
-) -> SparseSystem:
+) -> sp.csr_matrix:
     """Ghost-penalty stabilization over the faces touching cut elements.
 
     Each face adds J^T J of its orientation's weighted jump operator J: the
@@ -258,7 +255,7 @@ def assemble_ghost_penalty(
     matrix = sp.csr_matrix((n, n))
     for dofs, jump in _face_jumps(am, basis, params, dofmap):
         matrix += _scatter(dofs, jump.T @ jump, n)
-    return SparseSystem(matrix=matrix, rhs=np.zeros(n))
+    return matrix
 
 
 def ghost_penalty_form(
@@ -294,7 +291,6 @@ def assemble_system(
     vrules = build_volume_rules(am, 2 * p)
     brules = build_boundary_rules(am, 2 * p)
     bulk = assemble_bulk(am, basis, f, vrules, dofmap)
-    nitsche = assemble_nitsche_boundary(am, basis, params, brules, dofmap)
-    ghost = assemble_ghost_penalty(am, basis, params, dofmap)
-    matrix = (bulk.matrix + nitsche.matrix + ghost.matrix).tocsr()
-    return SparseSystem(matrix=matrix, rhs=bulk.rhs), dofmap
+    matrix = bulk.matrix + assemble_nitsche_boundary(am, basis, params, brules, dofmap)
+    matrix += assemble_ghost_penalty(am, basis, params, dofmap)
+    return SparseSystem(matrix=matrix.tocsr(), rhs=bulk.rhs), dofmap

@@ -37,11 +37,7 @@ class QpBasis:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if j > self.p:
             return np.zeros((len(t), self.p + 1))
-        c = self._deriv_coeffs[j]
-        out = np.zeros((len(t), self.p + 1))
-        for m in range(c.shape[1] - 1, -1, -1):
-            out = out * t[:, None] + c[:, m][None, :]
-        return out
+        return np.polynomial.polynomial.polyval(t, self._deriv_coeffs[j].T).T
 
 
 def qp_basis(p: int) -> QpBasis:

@@ -19,13 +19,14 @@ summed face by face.
 The module also holds the random cut configurations that the property tests
 draw: grid offsets including zero, so that square edges lie on gridlines;
 perturbation amplitudes and phases; level-set contours, whose vertices lie on
-cell edges; and disks on grids shifted by a fraction of a cell.
+cell edges; star polygons with coordinates within a few ulp of gridlines;
+and disks on grids shifted by a fraction of a cell.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from cutpoisson import (
@@ -386,7 +387,9 @@ def strip_trapezoids_one_box(box, start, end, poly, h: float) -> np.ndarray:
     dy = q[k, 1] - p[k, 1]
     ya = np.clip(p[k, 1] + (xl[s] - p[k, 0]) / dx * dy, y0, y1)
     yb = np.clip(p[k, 1] + (xr[s] - p[k, 0]) / dx * dy, y0, y1)
-    order = np.lexsort((ya + yb, s))
+    d = end[k] - start[k]
+    yc = start[k, 1] + (0.5 * (xl[s] + xr[s]) - start[k, 0]) / d[:, 0] * d[:, 1]
+    order = np.lexsort((yc, s))
     s, enters = s[order], dx[order] > 0.0
     ys = np.column_stack((ya, yb))[order]
     first = np.diff(s, prepend=-1) != 0
@@ -839,6 +842,27 @@ def levelset_meshes(draw):
 
 
 meshes = st.one_of(square_meshes(), levelset_meshes())
+
+
+@st.composite
+def near_gridline_star_meshes(draw):
+    """Star polygons around (0.5, 0.5) with 5 to 13 vertices on 8, 12 or 16
+    cell grids over [-0.25, 1.25]^2, about half of their coordinates moved
+    onto the nearest gridline and then up to 4 steps of 2e-16 off it; only
+    polygons that stay simple and counterclockwise are kept."""
+    n = draw(st.sampled_from([8, 12, 16]))
+    h = 1.5 / n
+    m = draw(st.integers(5, 13))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=m, max_size=m)))
+    radii = np.array(draw(st.lists(st.floats(0.1, 0.5), min_size=m, max_size=m)))
+    v = 0.5 + radii[:, None] * np.column_stack((np.cos(angles), np.sin(angles)))
+    snap = np.array(draw(st.lists(st.booleans(), min_size=2 * m, max_size=2 * m)))
+    ulps = np.array(draw(st.lists(st.integers(-4, 4), min_size=2 * m, max_size=2 * m)))
+    gridline = -0.25 + np.round((v + 0.25) / h) * h + 2e-16 * ulps.reshape(m, 2)
+    v = np.where(snap.reshape(m, 2), gridline, v)
+    distinct = np.all(np.any(v != np.roll(v, -1, axis=0), axis=1))
+    assume(distinct and is_simple_polygon(v) and _shoelace(v) > 0.0)
+    return classify_elements(BackgroundGrid((-0.25, -0.25), h, n, n), BoundaryPolygon(v))
 
 
 @st.composite

@@ -16,6 +16,7 @@ from cutpoisson import (
     Disk,
     assemble_system,
     extract_levelset_boundary,
+    QuadratureError,
     penalty_parameters,
     qp_basis,
     solve_spd,
@@ -33,6 +34,7 @@ from oracles import (
     greens_monomial_integral,
     mark_cut_cells_loop,
     meshes,
+    near_gridline_star_meshes,
     perturbed_square,
     point_in_polygon_scalar,
     shoelace,
@@ -113,13 +115,51 @@ SLIVER_B = classify_elements(
         ]
     ),
 )
+# Simple in exact arithmetic: segment 8 runs left just below y = 0.5 into
+# vertex 0, and segment 0 runs right along y = 0.5, enclosing an outside
+# notch. In cell 37 both pieces are clamped onto the bottom face and tie in
+# height; only their unclamped heights order them.
+CLAMPED_TIE = classify_elements(
+    BackgroundGrid((-0.25, -0.25), 0.1875, 8, 8),
+    BoundaryPolygon(
+        [
+            [0.6874999999999999, 0.5],
+            [0.8532020763141357, 0.5],
+            [0.6551556668754444, 0.6875],
+            [0.12499999999999996, 0.42071198443462443],
+            [0.191980361978431, 0.31250000000000006],
+            [0.30450764315218426, 0.31249999999999983],
+            [0.3125000000000002, 0.12499999999999999],
+            [0.6874999999999996, 0.1250000000000001],
+            [0.750582255268285, 0.49999999999999983],
+        ]
+    ),
+)
+# A needle: vertices 3 and 5 lie 8e-16 apart, so the pieces beside them
+# nearly coincide and rounding misorders them in cell 71's strips.
+NEEDLE = classify_elements(
+    BackgroundGrid((-0.25, -0.25), 0.09375, 16, 16),
+    BoundaryPolygon(
+        [
+            [0.7812500000000002, 0.5154220670399451],
+            [0.9357869093866964, 0.6398236706341749],
+            [0.27418408610246275, 0.44719508581249295],
+            [0.4999999999999992, 0.21874999999999956],
+            [0.4512370052551451, 0.20658019433500113],
+            [0.5, 0.21874999999999975],
+            [0.6345623236001965, 0.3124999999999997],
+            [0.7602720720040277, 0.21404916449705896],
+        ]
+    ),
+)
 
 # The oracle moment check is the slowest, so it gets fewer examples.
 ORACLE = settings(PROPERTY, max_examples=5)
 
 
 @PROPERTY
-@given(meshes)
+@given(meshes | near_gridline_star_meshes())
+@example(CLAMPED_TIE)
 def test_volume_weights_sum_to_polygon_area(am):
     rules = build_volume_rules(am, 4)
     weights = [cell_volume_rule(rules, am.grid, int(e)).weights for e in am.active]
@@ -261,6 +301,19 @@ def test_pieces_share_end_points_on_gridlines(am):
     vertex = np.any(np.all(geo.end[:, None, :] == am.poly.vertices, axis=2), axis=1)
     ends = geo.end[~vertex]
     assert np.all(np.any(ends == origin + np.rint((ends - origin) / h) * h, axis=1))
+
+
+def test_pieces_clamped_onto_one_face_are_ordered_by_unclamped_height():
+    rules = build_volume_rules(CLAMPED_TIE, 2)
+    for eid, rule in rules.cut.items():
+        box = CLAMPED_TIE.grid.cell_box(eid)
+        area = sum(shoelace(p) for p in clip_polygon_to_box(CLAMPED_TIE.poly, box))
+        assert np.sum(rule.weights) == pytest.approx(area, rel=1e-12, abs=1e-15), eid
+
+
+def test_needle_misordered_by_rounding_raises():
+    with pytest.raises(QuadratureError, match="polygon area"):
+        build_volume_rules(NEEDLE, 2)
 
 
 @pytest.mark.parametrize("p", [1, 2])
