@@ -5,7 +5,9 @@ Nitsche boundary terms with penalty beta/h, and the ghost-penalty face
 stabilization with derivative jumps up to order p. Cut-cell and boundary
 terms are Gram products B^T B of sparse point operators B; inside cells and
 ghost faces scatter one shared local matrix. Every sum runs in a fixed
-order, so assembly is deterministic and its matrices exactly symmetric.
+order, so assembly is deterministic. Its matrices are exactly symmetric:
+the inside cells' local matrix and the assembled ghost matrix are
+symmetrized as (K + K^T) / 2, which rounds k_ij and k_ji alike.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ class DofMap:
 
     ``element_dofs[row]`` are the (p+1)^2 global dofs of the active element in
     local lattice order; ``row_of_cell`` maps a grid cell id to its row (-1
-    for inactive cells). Dof ids are dense in [0, n_dofs).
+    for inactive cells). Dof ids are dense in [0, n_dofs) and are the
+    elimination order of the factor: :func:`build_dofmap` numbers the nodes
+    in nested-dissection postorder.
     """
 
     element_dofs: np.ndarray
@@ -73,33 +77,111 @@ class DofMap:
     dof_coords: np.ndarray
 
 
+def _bisection(n: int, p: int, n_levels: int, offset: int):
+    """Recursive bisection of the n cells of one axis into one-cell leaves.
+
+    Returns the cut level of each gridline 0..n (``n_levels`` for gridlines
+    that no box cuts) and, for each node coordinate 0..p n, its side bits:
+    the bit of level L, 1 << (2 (n_levels - 1 - L) + offset), is set when the
+    node lies above the level-L cut of its box.
+    """
+    cut_level = np.full(n + 2, n_levels)  # one pad entry past gridline n
+    side = np.zeros(p * n + 1, dtype=np.int64)
+    boxes = [(0, n)]
+    for level in range(n_levels):
+        bit = 1 << (2 * (n_levels - 1 - level) + offset)
+        halves = []
+        for lo, hi in boxes:
+            if hi - lo > 1:
+                mid = (lo + hi) // 2
+                cut_level[mid] = level
+                side[p * mid + 1 : p * hi + 1] |= bit
+                halves += [(lo, mid), (mid, hi)]
+        boxes = halves
+    return cut_level, side
+
+
+def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The nodes' nested-dissection postorder, as a permutation of the nodes.
+
+    The tree bisects the grid's cells alternately in x and y, at depth 2L
+    and 2L + 1 for level L, down to one-cell leaves. ``nodes`` and
+    ``reach`` are (2, m) lattice coordinates: a node couples to no node
+    above its reach in either axis. A box cut at gridline G keeps as its
+    separator the nodes with c <= G < reach, so the nodes below (reach <= G)
+    and above (c > G) share no entry. A node's box is the first cut on its
+    path that holds it. Its key is its path's side bits with every bit from
+    its depth on set, so sorting by key, deeper boxes first on ties, lists
+    every separator after both of its subtrees.
+    """
+    m = nodes.shape[1]
+    n_levels = max(grid.nx - 1, grid.ny - 1, 0).bit_length()
+    depth = np.full(m, 2 * n_levels)
+    key = np.zeros(m, dtype=np.int64)
+    for axis, (n, c, r) in enumerate(zip((grid.nx, grid.ny), nodes, reach // p)):
+        cut_level, side = _bisection(n, p, n_levels, 1 - axis)
+        # The reach is at most the second gridline above c, so [c, reach)
+        # holds at most two gridlines: the first at or above c, and the next.
+        first = -(-c // p)
+        stop = np.minimum(
+            np.where(first < r, cut_level[first], n_levels),
+            np.where(first + 1 < r, cut_level[first + 1], n_levels),
+        )
+        depth = np.minimum(depth, 2 * stop + axis)
+        key |= side[c]
+    key |= (1 << (2 * n_levels - depth)) - 1
+    # One sort by key, then deeper boxes first, then node, packed into one
+    # int64; the node index makes every value distinct and is read back.
+    # The three fit in 63 bits for grids of up to 8192 cells per axis.
+    depth_bits, node_bits = (2 * n_levels).bit_length(), m.bit_length()
+    packed = ((key << depth_bits | 2 * n_levels - depth) << node_bits) | np.arange(m)
+    return np.sort(packed) & ((1 << node_bits) - 1)
+
+
 def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
+    """Number the active nodes in nested-dissection postorder.
+
+    The order is the elimination order of ``solve_spd``'s factor, which keeps
+    the numbering, so it sets the fill. A node's reach is the high edge of its
+    cells, and for a node of the low cell of a ghost face, the high edge of
+    the face's high cell: the ghost penalty couples the two.
+    """
     grid = am.grid
     gnx = p * grid.nx + 1
-    nloc = (p + 1) ** 2
-    ex = am.active % grid.nx
-    ey = am.active // grid.nx
-    ixl = np.arange(nloc) % (p + 1)
-    iyl = np.arange(nloc) // (p + 1)
-    gx = p * ex[:, None] + ixl[None, :]
-    gy = p * ey[:, None] + iyl[None, :]
-    raw = gy * gnx + gx
-    unique, inverse = np.unique(raw, return_inverse=True)
-    element_dofs = inverse.reshape(raw.shape).astype(np.int64)
+    ex, ey = grid.cell_coords(am.active)
+    local = (np.arange(p + 1) + gnx * np.arange(p + 1)[:, None]).reshape(-1)
+    raw = (p * (ey * gnx + ex))[:, None] + local
+    is_node = np.zeros(gnx * (p * grid.ny + 1), dtype=bool)
+    is_node[raw] = True
+    unique = np.flatnonzero(is_node)
+    nodes = np.vstack((unique % gnx, unique // gnx))
+
+    # Per axis, each cell's reach in cells, on the grid padded by one
+    # inactive cell (reach 0) on every side. A node's reach is the maximum
+    # over the up to four cells it lies in: per axis, the cells below and
+    # above it, at padded index (c - 1) // p + 1 and c // p + 1.
+    pad = grid.nx + 2
+    below, above = (nodes - 1) // p + 1, nodes // p + 1
+    cells_of_node = [y * pad + x for x in (below[0], above[0]) for y in (below[1], above[1])]
+    faces = am.ghost_faces_arr
+    reach = np.empty_like(nodes)
+    for axis, e in enumerate((ex, ey)):
+        cell_reach = np.zeros(pad * (grid.ny + 2), dtype=np.int64)
+        cell_reach[(ey + 1) * pad + ex + 1] = e + 1
+        low_x, low_y = grid.cell_coords(faces[faces[:, 2] == axis, 0])
+        cell_reach[(low_y + 1) * pad + low_x + 1] += 1
+        reach[axis] = p * np.maximum.reduce([cell_reach[cells] for cells in cells_of_node])
+    order = _dissection_order(grid, p, nodes, reach)
+    dof_of_node = np.empty(len(is_node), dtype=np.int64)
+    dof_of_node[unique[order]] = np.arange(len(order))
+
     row_of_cell = np.full(grid.n_cells, -1, dtype=np.int64)
     row_of_cell[am.active] = np.arange(len(am.active))
-    node_spacing = grid.h / p
-    coords = np.column_stack(
-        (
-            grid.origin[0] + (unique % gnx) * node_spacing,
-            grid.origin[1] + (unique // gnx) * node_spacing,
-        )
-    )
     return DofMap(
-        element_dofs=element_dofs,
+        element_dofs=dof_of_node[raw],
         row_of_cell=row_of_cell,
         n_dofs=len(unique),
-        dof_coords=coords,
+        dof_coords=np.asarray(grid.origin) + nodes[:, order].T * (grid.h / p),
     )
 
 
@@ -178,6 +260,7 @@ def assemble_bulk(
         w = rules.inside_ref_weights * h * h
         vals, grads = eval_basis(basis, ref_pts, h)
         k_loc = np.einsum("q,qid,qjd->ij", w, grads, grads)
+        k_loc = 0.5 * (k_loc + k_loc.T)  # the einsum rounds k_ij and k_ji apart
         dofs_in = dofmap.element_dofs[dofmap.row_of_cell[inside]]
         matrix += _scatter(dofs_in, k_loc, n)
         origins = grid.cell_origin(inside)
@@ -255,7 +338,10 @@ def assemble_ghost_penalty(
     matrix = sp.csr_matrix((n, n))
     for dofs, jump in _face_jumps(am, basis, params, dofmap):
         matrix += _scatter(dofs, jump.T @ jump, n)
-    return matrix
+    # An entry sums the terms of several faces, and twice those of the nodes
+    # a face shares, in the order of scipy's unstable sort of duplicates:
+    # only the sum can be made exactly symmetric.
+    return 0.5 * (matrix + matrix.T)
 
 
 def ghost_penalty_form(

@@ -43,11 +43,12 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-12
 
-# SuperLU arguments of the factor in solve_spd: a minimum-degree ordering of
-# A + A^T, applied to rows and columns alike, with diagonal pivots only, so
-# that the factor P A P^T = L U keeps the symmetric ordering's fill.
+# SuperLU arguments of the factor in solve_spd: the caller's numbering as
+# the elimination order, with diagonal pivots only, so the factor A = L U
+# keeps that numbering and its fill depends on it. build_dofmap numbers the
+# dofs in nested-dissection order for this.
 FACTOR_OPTIONS = {
-    "permc_spec": "MMD_AT_PLUS_A",
+    "permc_spec": "NATURAL",
     "options": {"SymmetricMode": True, "DiagPivotThresh": 0.0},
 }
 
@@ -55,12 +56,14 @@ FACTOR_OPTIONS = {
 def solve_spd(system: SparseSystem) -> np.ndarray:
     """Direct sparse solve with a relative residual contract of 1e-12.
 
-    The factor is P A P^T = L U with the diagonal pivots of a symmetric
-    minimum-degree ordering (FACTOR_OPTIONS), which an SPD matrix always
-    admits. SuperLU swaps rows only where a diagonal pivot is exactly zero;
-    the factor then has perm_r != perm_c, and SolverError is raised before
-    the solve. An exactly singular factor, and a residual of the returned x
-    above the tolerance after iterative refinement, raise SolverError too.
+    The factor is A = L U with diagonal pivots in the matrix's own numbering
+    (FACTOR_OPTIONS), which an SPD matrix always admits. The fill therefore
+    depends on the numbering: ``build_dofmap`` numbers the dofs in
+    nested-dissection order. SuperLU swaps rows only where a diagonal pivot
+    is exactly zero; the factor then has perm_r != perm_c, and SolverError
+    is raised before the solve. An exactly singular factor, and a residual
+    of the returned x above the tolerance after iterative refinement, raise
+    SolverError too.
 
     No check detects an indefinite matrix with nonzero pivots: it is
     solved to roundoff without error (so is [[1, 2], [2, 1]], and so is the

@@ -14,7 +14,9 @@ for bit. ``cut_volume_rule`` integrates over one given box: it clips the
 polygon to the box and runs the library's strip walk on a batch of that one
 box. The ghost penalty is checked against local matrices built from
 hand-broadcast face tensor products, one derivative order at a time, and
-summed face by face.
+summed face by face. The dof numbering is checked against a recursion over
+boxes of cells that filters lists of nodes, with each node's reach taken
+from the set of cells it shares entries with.
 
 The module also holds the random cut configurations that the property tests
 draw: grid offsets including zero, so that square edges lie on gridlines;
@@ -771,6 +773,62 @@ def per_face_ghost_penalty(am, basis, params, dofmap):
         )
         blocks.append((dofs, local[axis]))
     return _blocks_to_csr(blocks, dofmap.n_dofs)
+
+
+def nested_dissection_loop(am, p: int):
+    """Lattice nodes of the active cells in nested-dissection postorder, by recursion.
+
+    A node's reach, per axis, is the largest lattice coordinate of the cells
+    whose nodes share an entry with it: its own cells and, across a ghost
+    face, the face's other cell. A box of cells with two or more cells along
+    the axis of its depth (x at even depths, y at odd ones) is cut at its
+    middle gridline g; the nodes with reach <= p g go to the low box, those
+    above p g to the high box, and the rest form the separator. A box one
+    cell wide along that axis passes its nodes on to depth + 1 as its low
+    box, and a box one cell wide in both axes is a leaf. The nodes are
+    listed low box, high box, separator, each part in row-major order.
+
+    Returns the nodes as (m, 2) lattice coordinates, and each node's box as
+    the tuple of the sides (0 low, 1 high) on its path from the root.
+    """
+    nx = am.grid.nx
+    neighbors = {int(cell): {int(cell)} for cell in am.active}
+    for lo, hi, _ in am.ghost_faces_arr:
+        neighbors[int(lo)].add(int(hi))
+        neighbors[int(hi)].add(int(lo))
+    reach = {}
+    for cell, near in neighbors.items():
+        far = (p * (max(c % nx for c in near) + 1), p * (max(c // nx for c in near) + 1))
+        for iy in range(p + 1):
+            for ix in range(p + 1):
+                node = (p * (cell % nx) + ix, p * (cell // nx) + iy)
+                old = reach.get(node, (0, 0))
+                reach[node] = (max(old[0], far[0]), max(old[1], far[1]))
+
+    order, boxes = [], {}
+
+    def split(nodes, box, depth, path):
+        lo, hi = box[depth % 2]
+        if not nodes:
+            return
+        if all(b - a < 2 for a, b in box):
+            order.extend(nodes)
+            boxes.update((node, path) for node in nodes)
+            return
+        if hi - lo < 2:
+            split(nodes, box, depth + 1, path + (0,))
+            return
+        axis, mid = depth % 2, (lo + hi) // 2
+        low_box, high_box = list(box), list(box)
+        low_box[axis], high_box[axis] = (lo, mid), (mid, hi)
+        split([n for n in nodes if reach[n][axis] <= p * mid], low_box, depth + 1, path + (0,))
+        split([n for n in nodes if n[axis] > p * mid], high_box, depth + 1, path + (1,))
+        separator = [n for n in nodes if n[axis] <= p * mid < reach[n][axis]]
+        order.extend(separator)
+        boxes.update((node, path) for node in separator)
+
+    split(sorted(reach, key=lambda n: (n[1], n[0])), [(0, nx), (0, am.grid.ny)], 0, ())
+    return np.array(order), [boxes[node] for node in order]
 
 
 def lowest_active_cell(am, row_of_cell, x: float, y: float):

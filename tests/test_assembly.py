@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cutpoisson import (
     BoundaryPolygon,
@@ -28,9 +30,15 @@ from cutpoisson.mesh import (
     classify_elements,
 )
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
-from cutpoisson.studies import SQUARE_SIDE, _grid, _square_origin
+from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _square_origin
 
-from oracles import per_cell_bulk_nitsche, per_face_ghost_penalty
+from oracles import (
+    PROPERTY,
+    meshes,
+    nested_dissection_loop,
+    per_cell_bulk_nitsche,
+    per_face_ghost_penalty,
+)
 
 
 def ones(x, y):
@@ -75,6 +83,40 @@ class TestDofMap:
                 d0 = dm.element_dofs[dm.row_of_cell[e0]].reshape(p + 1, p + 1)
                 d1 = dm.element_dofs[dm.row_of_cell[right]].reshape(p + 1, p + 1)
                 assert np.array_equal(d0[:, -1], d1[:, 0])
+
+
+# A circle on a rectangular grid: the tree has more x levels than y levels.
+_ANGLES = np.arange(96) * np.pi / 48
+RECTANGLE = classify_elements(
+    BackgroundGrid(origin=(-1.0, -0.7), h=0.1, nx=20, ny=14),
+    BoundaryPolygon(0.6 * np.column_stack((np.cos(_ANGLES), np.sin(_ANGLES)))),
+)
+
+
+@PROPERTY
+@given(meshes, st.sampled_from([1, 2, 3]))
+@example(RECTANGLE, 2)
+def test_dofs_are_numbered_in_dissection_order(am, p):
+    # Every entry of A joins two dofs whose boxes are ancestor-related, so
+    # eliminating in this order fills no entry between sibling subtrees.
+    system, dm = assemble_system(am, qp_basis(p), penalty_parameters(p), ones)
+    nodes, boxes = nested_dissection_loop(am, p)
+    spacing = am.grid.h / p
+    lattice = np.rint((dm.dof_coords - am.grid.origin) / spacing).astype(int)
+    assert np.array_equal(lattice, nodes)
+    ex, ey = am.grid.cell_coords(am.active)
+    ix, iy = np.arange((p + 1) ** 2) % (p + 1), np.arange((p + 1) ** 2) // (p + 1)
+    cell_nodes = np.stack((p * ex[:, None] + ix, p * ey[:, None] + iy), axis=-1)
+    assert np.array_equal(lattice[dm.element_dofs], cell_nodes)
+
+    box_ids = {box: k for k, box in enumerate(dict.fromkeys(boxes))}
+    dof_box = np.array([box_ids[box] for box in boxes])
+    a = system.matrix.tocoo()
+    pairs = np.unique(np.column_stack((dof_box[a.row], dof_box[a.col])), axis=0)
+    by_id = list(box_ids)
+    for i, j in pairs:
+        short, long = sorted((by_id[i], by_id[j]), key=len)
+        assert long[: len(short)] == short, (short, long)
 
 
 class TestBulk:
@@ -200,7 +242,7 @@ class TestGhostPenalty:
         basis = qp_basis(2)
         dm = build_dofmap(am, 2)
         ghost = assemble_ghost_penalty(am, basis, penalty_parameters(2), dm)
-        assert symmetry_error(ghost) < 1e-12
+        assert symmetry_error(ghost) == 0.0
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = rng.normal(size=dm.n_dofs)
@@ -251,6 +293,13 @@ class TestAssembleSystem:
         assert symmetry_error(system.matrix) <= 1e-12
         dense = system.matrix.toarray()
         scipy.linalg.cholesky(dense)  # raises LinAlgError if not SPD
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_exactly_symmetric(self, p):
+        grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 1)
+        am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
+        system, _ = assemble_system(am, qp_basis(p), penalty_parameters(p), ones)
+        assert symmetry_error(system.matrix) == 0.0
 
     def test_dof_count(self):
         poly = perturb_square_boundary(0.0, 16)

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from cutpoisson import (
     BoundaryPolygon,
     DiscreteSolution,
+    Disk,
     EvaluationError,
     ReferenceSolution,
     SolverError,
@@ -21,6 +22,7 @@ from cutpoisson import (
     disk_solution,
     eval_basis,
     eval_discrete,
+    extract_levelset_boundary,
     galerkin_residual,
     penalty_parameters,
     perturb_square_boundary,
@@ -33,7 +35,7 @@ from cutpoisson import quadrature, solver
 from cutpoisson.assembly import SparseSystem
 from cutpoisson.mesh import INSIDE, ActiveMesh, BackgroundGrid, classify_elements
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules, rule_batches
-from cutpoisson.studies import SQUARE_SIDE, _grid, _square_origin
+from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _square_origin
 
 from oracles import (
     PROPERTY,
@@ -194,6 +196,21 @@ def test_factor_pivots_count_negative_eigenvalues(am, p):
         expected = np.linalg.solve(dense, system.rhs)
         x = solve_spd(system)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_factor_fill_is_no_larger_than_minimum_degree():
+    # The level-set disk at level 3, p = 2 (19,481 dofs). The factor keeps
+    # build_dofmap's nested-dissection numbering; minimum degree orders the
+    # same matrix numbered row by row over the lattice.
+    grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 3)
+    am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
+    system, dm = assemble_system(am, qp_basis(2), penalty_parameters(2), lambda x, y: np.ones_like(x))
+    assert dm.n_dofs == 19481
+    a = system.matrix.tocsc()
+    row_major = np.lexsort((dm.dof_coords[:, 0], dm.dof_coords[:, 1]))
+    minimum_degree = dict(solver.FACTOR_OPTIONS, permc_spec="MMD_AT_PLUS_A")
+    fill = spla.splu(a, **solver.FACTOR_OPTIONS).nnz
+    assert fill <= spla.splu(a[row_major][:, row_major], **minimum_degree).nnz
 
 
 class TestSeriesSolution:
