@@ -2,15 +2,21 @@
 
 Classification splits all polygon segments at the gridlines, once per mesh.
 The points of that split, the polygon vertices and the gridline crossings,
-are the end points of the boundary pieces for every later use. An element
-is Cut if its closed box holds one of the points, or if it owns a boundary
-piece; Inside if it lies strictly within the polygon; excluded otherwise. A
-cell the polygon touches only at a corner is Cut but owns no piece. The
-ghost-penalty face set consists of the interior faces of the active mesh
-touching at least one Cut element; it is computed on first use. The cut
-geometry, computed once per active mesh for every quadrature order, reuses
-the split and walks all Cut elements in strips, in one pass of array
-operations.
+are the end points of the boundary pieces for every later use, and no piece
+straddles a gridline. An element is Cut if its closed box holds one of the
+points, or if it owns a boundary piece; Inside if it lies strictly within
+the polygon; excluded otherwise. A cell the polygon touches only at a corner
+is Cut but owns no piece. Every inside/outside question has one even-odd
+answer: just below a gridline, a ray running left along it meets exactly the
+pieces that end on the gridline from below (:func:`inside_below`). It gives
+each run of uncut cells in a grid row its class, and each strip of the cut
+cells its bottom state. The ghost-penalty face set consists of the interior
+faces of the active mesh touching at least one Cut element; it is computed
+on first use. The cut geometry, computed once per active mesh for every
+quadrature order, reuses the split and walks all Cut elements in vertical
+strips, in one pass of array operations: going up a strip, the intervals
+between its bounds (the box bottom, the pieces, the box top) alternate
+between inside and outside.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ __all__ = [
     "CutGeometry",
     "classify_elements",
     "ghost_faces",
-    "point_in_polygon",
+    "inside_below",
     "strip_trapezoids",
 ]
 
@@ -128,33 +134,37 @@ class ActiveMesh:
 def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     """Split every polygon segment at the gridlines, all segments in one batch.
 
-    Returns (seg, start, end, owner, other, cut). The points are each
-    segment's start vertex and its gridline crossings, in polygon order; a
-    crossing's gridline coordinate is origin[k] + j*h, the arithmetic of the
-    cell box edges. Piece i runs on segment seg[i] from one point to the
-    next, so end[i] is start[i + 1] and end[-1] is start[0], bit for bit;
-    only pieces whose two end points are equal are dropped. Piece i is owned
-    by cell owner[i], which holds mid - 1e-9*h*normal (the inner side of the
-    boundary), and other[i] holds mid + 1e-9*h*normal. ``cut`` marks the
-    cells that own a piece or whose closed box, lo = origin + c*h to lo + h
-    on each axis, holds a point.
+    Returns (seg, start, end, owner, cut). The points are each segment's
+    start vertex and its crossings with the gridlines strictly between its
+    end coordinates, in polygon order. A gridline's coordinate is
+    origin[k] + j*h, the arithmetic of the cell box edges; a crossing takes
+    it exactly. Its parameter t along the segment stays in [0, 1], since
+    rounding is monotone, and a t that rounds to 0 or 1 is kept.
+    Piece i runs on segment seg[i] from one point to the next, so end[i] is
+    start[i + 1] and end[-1] is start[0], bit for bit; only pieces whose two
+    end points are equal are dropped. Piece i is owned by cell owner[i],
+    which holds mid - 1e-9*h*normal (the inner side of the boundary).
+    ``cut`` marks the cells that own a piece or whose closed box, lo =
+    origin + c*h to lo + h on each axis, holds a point.
     """
     origin, h = np.array(grid.origin), grid.h
     a, b = poly.segments()
     d = b - a
     n = len(a)
 
-    # Every segment's start vertex (t = 0) and its gridline crossings 0 < t < 1.
+    # Every segment's start vertex (t = 0) and its crossings with the
+    # gridlines g, min < g < max.
     seg, t, points = [np.arange(n)], [np.zeros(n)], [a]
     for k, o in enumerate(origin):
-        lo = np.floor((np.minimum(a[:, k], b[:, k]) - o) / h).astype(int) + 1
-        hi = np.floor((np.maximum(a[:, k], b[:, k]) - o) / h).astype(int)
-        s, j = _ranges(lo, hi - lo + 1)
-        ts = (o + j * h - a[s, k]) / d[s, k]
-        crossing = (ts > 0.0) & (ts < 1.0)
-        s, j, ts = s[crossing], j[crossing], ts[crossing]
+        lo, hi = np.minimum(a[:, k], b[:, k]), np.maximum(a[:, k], b[:, k])
+        first = _cell_index(lo, o, h) + 1
+        s, j = _ranges(first, _cell_index(hi, o, h) - first + 1)
+        g = o + j * h
+        below = g < hi[s]
+        s, g = s[below], g[below]
+        ts = (g - a[s, k]) / d[s, k]
         x = a[s] + ts[:, None] * d[s]
-        x[:, k] = o + j * h
+        x[:, k] = g
         seg.append(s)
         t.append(ts)
         points.append(x)
@@ -167,15 +177,10 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     piece = np.any(points != following, axis=1)
     seg, start, end = seg[piece], points[piece], following[piece]
 
-    mid = 0.5 * (start + end)
-    step = 1e-9 * h * poly.segment_normals()[seg]
+    mid = 0.5 * (start + end) - 1e-9 * h * poly.segment_normals()[seg]
     shape = np.array([grid.nx, grid.ny])
-
-    def cell_of(x):
-        ix, iy = np.clip(np.floor((x - origin) / h).astype(int), 0, shape - 1).T
-        return iy * grid.nx + ix
-
-    owner, other = cell_of(mid - step), cell_of(mid + step)
+    ix, iy = np.clip(np.floor((mid - origin) / h).astype(int), 0, shape - 1).T
+    owner = iy * grid.nx + ix
 
     # The closed boxes holding each point: per axis, the floor cell and its
     # two neighbours are the candidates (a point within rounding of a
@@ -189,7 +194,14 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     cut = np.zeros(grid.n_cells, dtype=bool)
     cut[cell[p, 1, j] * grid.nx + cell[p, 0, i]] = True
     cut[owner] = True
-    return seg, start, end, owner, other, cut
+    return seg, start, end, owner, cut
+
+
+def _cell_index(x, o, h):
+    """The largest c with o + c*h <= x, in the arithmetic of the cell box edges."""
+    c = np.floor((x - o) / h).astype(int)
+    c -= o + c * h > x
+    return c + (o + (c + 1) * h <= x)
 
 
 def _ranges(first, count) -> tuple[np.ndarray, np.ndarray]:
@@ -199,56 +211,41 @@ def _ranges(first, count) -> tuple[np.ndarray, np.ndarray]:
     return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + first[i]
 
 
-def point_in_polygon(poly: BoundaryPolygon, points, h: float) -> np.ndarray:
-    """Even-odd test of each point with the ray direction (1, 1e-9*h) to dodge vertex hits.
+def inside_below(start, end, x, y) -> np.ndarray:
+    """Whether the polygon holds the points just below each (x, y) on a gridline.
 
-    ``points`` is (m, 2) or one point. The points are grouped by y, and each
-    group is tested only against the segments whose y-range comes within
-    twice the ray's largest rise over the x-extent of the points and vertices.
+    ``start``/``end`` are the pieces of the polygon's gridline split. No
+    piece straddles a gridline, so the ray running left just below (x, y)
+    meets exactly the pieces whose upper end lies on the gridline y left of
+    x and whose lower end lies below it; an odd count is inside.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    eps = 1e-9 * h
-    a, b = poly.segments()
-    reach = 2.0 * eps * np.ptp(np.concatenate((a[:, 0], pts[:, 0])))
-    rows, row = np.unique(pts[:, 1], return_inverse=True)
-    first_row = np.searchsorted(rows, np.minimum(a[:, 1], b[:, 1]) - reach)
-    end_row = np.searchsorted(rows, np.maximum(a[:, 1], b[:, 1]) + reach, side="right")
-    k, r = _ranges(first_row, end_row - first_row)
-    # Expand each (segment, row) pair to the row's points.
-    per_row = np.bincount(row, minlength=len(rows))
-    pair, at = _ranges((np.cumsum(per_row) - per_row)[r], per_row[r])
-    k, i = k[pair], np.argsort(row, kind="stable")[at]
-    px, py = pts[i, 0], pts[i, 1]
-    va = (a[k, 1] - py) - eps * (a[k, 0] - px)
-    vb = (b[k, 1] - py) - eps * (b[k, 0] - px)
-    straddle = (va > 0.0) != (vb > 0.0)
-    k, i, va, vb = k[straddle], i[straddle], va[straddle], vb[straddle]
-    t = va / (va - vb)
-    xs = a[k] + t[:, None] * (b[k] - a[k])
-    forward = (xs[:, 0] - pts[i, 0]) + eps * (xs[:, 1] - pts[i, 1]) > 0.0
-    return np.bincount(i[forward], minlength=len(pts)) % 2 == 1
+    rising = start[:, 1] != end[:, 1]
+    top = np.where((end[:, 1] > start[:, 1])[:, None], end, start)[rising]
+    # Complex numbers sort by real part, then by imaginary part: the upper
+    # ends by gridline, then by x.
+    key = np.sort(top[:, 1] + 1j * top[:, 0])
+    met = np.searchsorted(key, y + 1j * x) - np.searchsorted(key.real, y)
+    return met % 2 == 1
 
 
-def strip_trapezoids(boxes, start, end, piece_box, poly: BoundaryPolygon, h: float):
+def strip_trapezoids(boxes, start, end, piece, piece_box, h: float):
     """Decompose each box ∩ polygon into trapezoids over vertical strips.
 
-    ``boxes`` rows are (x0, y0, x1, y1). ``start``/``end`` are the boundary
-    pieces inside the closed box ``boxes[piece_box]``, oriented like the CCW
-    polygon; they are clamped onto that box. The strips of a box run between
-    consecutive abscissae of the box and its pieces; an abscissa within
-    1e-14*h of the next lower one joins its edge, since the two ends of a
-    piece at a grid vertex can differ in their last bits. Going up a strip,
-    a piece running in +x enters the domain and one running in -x leaves it
-    (pieces go up by unclamped height at the strip centre); a strip no piece
-    crosses is inside when its centre is. Returns rows (xl, xr, lo_l, lo_r,
-    hl, hr) and the box of each row, grouped by box: x in [xl, xr], y from
-    lo_l + (lo_r - lo_l) u upwards by hl + (hr - hl) u with
-    u = (x - xl)/(xr - xl), and hl, hr >= 0.
+    ``boxes`` rows are (x0, y0, x1, y1). ``start``/``end`` are the pieces of
+    the polygon's gridline split, in either direction; the pieces ``piece``
+    lie in the closed boxes ``boxes[piece_box]``. The strips of a
+    box run between consecutive abscissae of the box and its pieces; an
+    abscissa within 1e-14*h of the next lower one joins its edge. Going up a
+    strip, the intervals between its bounds (the box bottom, the pieces by
+    height, the box top) alternate between inside and outside, starting
+    from :func:`inside_below` at the strip's lower right corner. Returns rows
+    (xl, xr, lo_l, lo_r, hl, hr) and the box of each row, grouped by box: x
+    in [xl, xr], y from lo_l + (lo_r - lo_l) u upwards by hl + (hr - hl) u
+    with u = (x - xl)/(xr - xl), and hl, hr >= 0.
     """
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     nb = len(boxes)
-    p = np.clip(start, boxes[piece_box, :2], boxes[piece_box, 2:])
-    q = np.clip(end, boxes[piece_box, :2], boxes[piece_box, 2:])
+    p, q = start[piece], end[piece]
     # Strip edges: the abscissae of each box, sorted by (box, x) and merged.
     cand_box = np.concatenate((np.arange(nb), np.arange(nb), piece_box, piece_box))
     cand_x = np.concatenate((boxes[:, 0], boxes[:, 2], p[:, 0], q[:, 0]))
@@ -270,35 +267,23 @@ def strip_trapezoids(boxes, start, end, piece_box, poly: BoundaryPolygon, h: flo
     dy = q[k, 1] - p[k, 1]
     ya = np.clip(p[k, 1] + (xl[s] - p[k, 0]) / dx * dy, y0[s], y1[s])
     yb = np.clip(p[k, 1] + (xr[s] - p[k, 0]) / dx * dy, y0[s], y1[s])
-    # Unclamped heights order pieces that clamping onto one face made tie.
-    d = end[k] - start[k]
-    yc = start[k, 1] + (0.5 * (xl[s] + xr[s]) - start[k, 0]) / d[:, 0] * d[:, 1]
-    order = np.lexsort((yc, s))
-    s, enters = s[order], dx[order] > 0.0
-    ys = np.column_stack((ya, yb))[order]
-    first = np.diff(s, prepend=-1) != 0
-    last = np.diff(s, append=len(xl)) != 0
-    if np.any(~first[1:] & (enters[1:] == enters[:-1])):
-        raise QuadratureError("boundary pieces do not alternate in a strip; polygon not simple")
 
-    # Inside intervals: below each leaving piece down to the previous piece or
-    # the box bottom, above a topmost entering piece up to the box top, and
-    # whole strips that no piece crosses.
-    leaves = ~enters
-    top = enters & last
-    below = np.where(first[:, None], y0[s, None], np.roll(ys, 1, axis=0))
-    free = np.setdiff1d(np.arange(len(xl)), s)
-    centres = np.column_stack((0.5 * (xl[free] + xr[free]), 0.5 * (y0[free] + y1[free])))
-    free = free[point_in_polygon(poly, centres, h)]
-    strip = np.concatenate((s[leaves], s[top], free))
-    lo = np.concatenate((below[leaves], ys[top], np.repeat(y0[free, None], 2, axis=1)))
-    hi = np.concatenate((ys[leaves], np.repeat(y1[strip[leaves.sum() :], None], 2, axis=1)))
+    # The bounds of every strip from the bottom up: the box bottom, the
+    # pieces by height, the box top. Interval i of a strip, from its bound i
+    # to bound i + 1, is inside when the strip's bottom is inside xor i is odd.
+    m = len(xl)
+    strip = np.concatenate((np.arange(m), s, np.arange(m)))
+    order = np.lexsort((np.concatenate((np.full(m, -np.inf), ya + yb, np.full(m, np.inf))), strip))
+    bound = np.column_stack((np.concatenate((y0, ya, y1)), np.concatenate((y0, yb, y1))))[order]
+    strip = strip[order]
+    i = np.arange(len(strip)) - np.searchsorted(strip, strip)
+    bottom = inside_below(start, end, xr, y0)
+    inside = (strip[1:] == strip[:-1]) & (bottom[strip[:-1]] != (i[:-1] % 2 == 1))
+    strip, lo, hi = strip[:-1][inside], bound[:-1][inside], bound[1:][inside]
     height = np.maximum(hi - lo, 0.0)
     keep = height.max(axis=1) > 0.0
     rows = np.column_stack((xl[strip], xr[strip], lo, height))[keep]
-    row_box = strip_box[strip][keep]
-    by_box = np.argsort(row_box, kind="stable")
-    return rows[by_box], row_box[by_box]
+    return rows, strip_box[strip][keep]
 
 
 @dataclass(frozen=True)
@@ -308,11 +293,13 @@ class CutGeometry:
     The polygon segments are split at the gridlines into pieces ``start`` to
     ``end`` on segments ``seg``, in polygon order: consecutive pieces share
     their end points, and a piece end that is not a polygon vertex lies
-    exactly on a gridline, origin[k] + j*h. ``owned[eid]`` indexes the
-    pieces whose boundary integrals belong to cell eid, in polygon order,
-    with the cells in order of their first piece. ``trapezoids`` rows
-    decompose the cut cells ∩ polygon as returned by :func:`strip_trapezoids`;
-    ``trapezoid_cells`` holds the cell of each row, ascending.
+    exactly on a gridline, origin[k] + j*h, so no piece straddles a
+    gridline. ``owned[eid]`` indexes the pieces whose boundary integrals
+    belong to cell eid, in polygon order, with the cells in order of their
+    first piece. ``trapezoids`` rows decompose the cut cells ∩ polygon as
+    returned by :func:`strip_trapezoids`, whose even-odd walk takes each
+    piece in the cell holding its lower-left corner; ``trapezoid_cells``
+    holds the cell of each row, ascending.
     """
 
     seg: np.ndarray
@@ -326,12 +313,14 @@ class CutGeometry:
 def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     """Walk the strips of all cut cells through the pieces of the gridline split.
 
-    A piece on, or within 1e-9*h of, a face is listed for the walk of the
-    cells on both sides of the face. QuadratureError is raised when the
-    trapezoids and inside cells miss the polygon's area.
+    Each piece lies in one closed cell box and is walked in the cell holding
+    its lower-left corner, the largest c with origin + c*h <= x on each
+    axis; a piece along a face thus lies on the box's left or bottom edge.
+    QuadratureError is raised when the trapezoids and inside cells miss the
+    polygon's area.
     """
     grid = am.grid
-    seg, start, end, owner, other, _ = am._split
+    seg, start, end, owner, _ = am._split
     cells, first, counts = np.unique(owner, return_index=True, return_counts=True)
     groups = np.split(np.argsort(owner, kind="stable"), np.cumsum(counts)[:-1])
     owned = {int(cells[i]): groups[i].tolist() for i in np.argsort(first)}
@@ -339,19 +328,18 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     ids = am.cut_ids
     box_of = np.full(grid.n_cells, -1)
     box_of[ids] = np.arange(len(ids))
-    across = np.nonzero(other != owner)[0]
-    piece = np.concatenate((np.arange(len(seg)), across))
-    box = box_of[np.concatenate((owner, other[across]))]
-    piece, box = piece[box >= 0], box[box >= 0]
-    order = np.lexsort((piece, box))
-    (ox, oy), h = grid.origin, grid.h
-    ix, iy = grid.cell_coords(ids)
+    origin, h = np.array(grid.origin), grid.h
+    # A piece on the grid's top or right edge, as in a mesh fitted to the
+    # grid, goes to the last row or column.
+    c = np.minimum(_cell_index(np.minimum(start, end), origin, h), (grid.nx - 1, grid.ny - 1))
+    box = box_of[c[:, 1] * grid.nx + c[:, 0]]
+    piece = np.nonzero(box >= 0)[0]
+    piece = piece[np.argsort(box[piece], kind="stable")]
+    (ox, oy), (ix, iy) = grid.origin, grid.cell_coords(ids)
     boxes = np.column_stack((ox + ix * h, oy + iy * h, ox + (ix + 1) * h, oy + (iy + 1) * h))
-    traps, row_box = strip_trapezoids(
-        boxes, start[piece[order]], end[piece[order]], box[order], am.poly, h
-    )
+    traps, row_box = strip_trapezoids(boxes, start, end, piece, box[piece], h)
     # 1e-9 of the area lies far above roundoff (under 1e-14 on the study meshes) and far below
-    # the miss of pieces that rounding misordered, as in a needle (5e-3 of the area and more).
+    # the miss of a polygon that is not simple (1e-2 of the area for a figure-eight loop).
     xl, xr, _, _, hl, hr = traps.T
     missed = 0.5 * np.sum((xr - xl) * (hl + hr)) + len(am.inside_ids) * h * h - am.poly.signed_area
     if abs(missed) > 1e-9 * am.poly.signed_area:
@@ -365,9 +353,10 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
     The Cut cells come from one gridline split of all segments, which the
     mesh keeps for its cut geometry. Each run of adjacent uncut cells in a
     grid row is inside or outside as a whole (the boundary cannot pass
-    between two uncut neighbors), and one ray cast per run, all in one
-    batch, decides which. The ghost faces and the cut geometry are left to
-    the first access of ``ghost_faces_arr`` and ``cut_geometry``.
+    between two uncut neighbors), and :func:`inside_below` at the lower-left
+    corner of its first cell, all runs in one batch, decides which. The
+    ghost faces and the cut geometry are left to the first access of
+    ``ghost_faces_arr`` and ``cut_geometry``.
     """
     ext = grid.extent
     v = poly.vertices
@@ -380,13 +369,12 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
         raise MeshError("polygon must lie strictly inside the grid extent")
 
     split = _split_at_gridlines(grid, poly)
-    uncut = ~split[-1]
+    _, start, end, _, cut = split
+    uncut = ~cut
     classification = np.where(uncut, OUTSIDE, CUT).astype(np.int8)
     starts = uncut & ((np.arange(grid.n_cells) % grid.nx == 0) | ~np.roll(uncut, 1))
-    ix, iy = grid.cell_coords(np.nonzero(starts)[0])
-    h = grid.h
-    centres = np.column_stack((grid.origin[0] + (ix + 0.5) * h, grid.origin[1] + (iy + 0.5) * h))
-    inside = np.concatenate(([False], point_in_polygon(poly, centres, h)))
+    corner = grid.cell_origin(np.nonzero(starts)[0])
+    inside = np.concatenate(([False], inside_below(start, end, corner[:, 0], corner[:, 1])))
     classification[uncut & inside[np.cumsum(starts)]] = INSIDE
 
     active = np.nonzero(classification != OUTSIDE)[0]

@@ -6,8 +6,11 @@ gridlines into pieces that share their end points, so the boundary rules and
 the volume rules start from the same points. Each piece belongs to the
 element on the inner side of the boundary, so a piece lying exactly on a
 shared face is counted once. The cut elements are walked together in
-vertical strips between the pieces' abscissae, and the inside intervals of
-each strip are trapezoids, stored as flat rows with the cell of each row.
+vertical strips between the pieces' abscissae. Going up a strip, the
+intervals between the box bottom, the pieces and the box top alternate
+between inside and outside, starting from the even-odd state just below the
+strip. The inside intervals are trapezoids, stored as flat rows with the
+cell of each row.
 Boundary rules map 1D Gauss points onto the pieces' end points, volume rules
 map tensor Gauss rules onto the trapezoids in one batch: all weights are
 positive and all points lie in element ∩ domain.

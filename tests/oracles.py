@@ -6,17 +6,18 @@ Sutherland-Hodgman half-planes rather than walked in strips, distances come
 from closed forms, and the series reference is cross-checked against a finite
 difference solve and against a direct evaluation of every term. The cut
 geometry is checked against a loop that splits one segment and walks one cell
-at a time, with a one-point even-odd test. The level-set contour is checked
+at a time, with each strip's bottom state from a vertical ray where the
+library's runs along the gridline. The level-set contour is checked
 against a loop over one triangle at a time that chains the crossings through
 dicts, and the Cut mask against a loop that clips one segment against one
 candidate cell at a time with ``segment_box_interval``; both must agree bit
 for bit. ``cut_volume_rule`` integrates over one given box: it clips the
-polygon to the box and runs the library's strip walk on a batch of that one
-box. The ghost penalty is checked against local matrices built from
-hand-broadcast face tensor products, one derivative order at a time, and
-summed face by face. The dof numbering is checked against a recursion over
-boxes of cells that filters lists of nodes, with each node's reach taken
-from the set of cells it shares entries with.
+polygon to the box and runs that loop's walk of one box. The ghost penalty
+is checked against local matrices built from hand-broadcast face tensor
+products, one derivative order at a time, and summed face by face. The dof
+numbering is checked against a recursion over boxes of cells that filters
+lists of nodes, with each node's reach taken from the set of cells it shares
+entries with.
 
 The module also holds the random cut configurations that the property tests
 draw: grid offsets including zero, so that square edges lie on gridlines;
@@ -40,7 +41,7 @@ from cutpoisson import (
     extract_levelset_boundary,
 )
 from cutpoisson.geometry import _shoelace
-from cutpoisson.mesh import BackgroundGrid, classify_elements, strip_trapezoids
+from cutpoisson.mesh import BackgroundGrid, classify_elements
 from cutpoisson.quadrature import CutVolumeRule, _trapezoids_rule
 
 # Derandomized so that tier-1 runs the same examples every time.
@@ -366,50 +367,53 @@ def point_in_polygon_scalar(poly, point, h: float) -> bool:
     return bool(np.count_nonzero(forward) % 2 == 1)
 
 
-def strip_trapezoids_one_box(box, start, end, poly, h: float) -> np.ndarray:
-    """Strip walk of one box with a one-point test per free strip; same rows
-    as ``mesh.strip_trapezoids`` gives for that box.
+def inside_below_scalar(a, b, x: float, y: float) -> bool:
+    """Even-odd test of the point just below (x, y), with the ray running
+    straight down from it, against the segments a -> b.
+
+    The ray stands for x + 0: a segment counts when x lies in [min x, max x)
+    of its end points, its lower end lies below y, and its upper end lies at
+    or below y or its height at x does. A segment that does not straddle y
+    thus counts without any arithmetic.
+    """
+    span = (np.minimum(a[:, 0], b[:, 0]) <= x) & (x < np.maximum(a[:, 0], b[:, 0]))
+    a, b = a[span], b[span]
+    height = a[:, 1] + (x - a[:, 0]) / (b[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+    lower, upper = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
+    return bool(np.count_nonzero((lower < y) & ((upper <= y) | (height < y))) % 2)
+
+
+def strip_trapezoids_one_box(box, start, end, ring, h: float) -> np.ndarray:
+    """Strip walk of one box, one strip at a time; the same rows as
+    ``mesh.strip_trapezoids`` gives for that box.
 
     The strip edges are the distinct abscissae of the box and the pieces,
     less each one within 1e-14*h of the one below it; an abscissa belongs to
-    the nearest edge at or below it.
+    the nearest edge at or below it. Each strip's bottom state is
+    ``inside_below_scalar`` at its bottom centre against the segments
+    ``ring`` = (a, b): a vertical ray, where the library runs along the
+    gridline. Its bounds, the bottom, its pieces by height and the top,
+    alternate from there.
     """
     x0, y0, x1, y1 = box
-    p = np.clip(start, (x0, y0), (x1, y1))
-    q = np.clip(end, (x0, y0), (x1, y1))
-    xs = np.unique(np.concatenate(([x0, x1], p[:, 0], q[:, 0])))
+    xs = np.unique(np.concatenate(([x0, x1], start[:, 0], end[:, 0])))
     xs = xs[np.diff(xs, prepend=-np.inf) > 1e-14 * h]
-    xl, xr = xs[:-1], xs[1:]
-    ep = np.searchsorted(xs, p[:, 0], side="right") - 1
-    eq = np.searchsorted(xs, q[:, 0], side="right") - 1
-    strips = np.arange(len(xl))[:, None]
-    s, k = np.nonzero((np.minimum(ep, eq) <= strips) & (strips < np.maximum(ep, eq)))
-
-    dx = q[k, 0] - p[k, 0]
-    dy = q[k, 1] - p[k, 1]
-    ya = np.clip(p[k, 1] + (xl[s] - p[k, 0]) / dx * dy, y0, y1)
-    yb = np.clip(p[k, 1] + (xr[s] - p[k, 0]) / dx * dy, y0, y1)
-    d = end[k] - start[k]
-    yc = start[k, 1] + (0.5 * (xl[s] + xr[s]) - start[k, 0]) / d[:, 0] * d[:, 1]
-    order = np.lexsort((yc, s))
-    s, enters = s[order], dx[order] > 0.0
-    ys = np.column_stack((ya, yb))[order]
-    first = np.diff(s, prepend=-1) != 0
-    last = np.diff(s, append=len(xl)) != 0
-    if np.any(~first[1:] & (enters[1:] == enters[:-1])):
-        raise QuadratureError("boundary pieces do not alternate in a strip; polygon not simple")
-    leaves = ~enters
-    top = enters & last
-    below = np.where(first[:, None], y0, np.roll(ys, 1, axis=0))
-    free = np.setdiff1d(np.arange(len(xl)), s)
-    yc = 0.5 * (y0 + y1)
-    free = free[[point_in_polygon_scalar(poly, (0.5 * (xl[i] + xr[i]), yc), h) for i in free]]
-    strip = np.concatenate((s[leaves], s[top], free))
-    lo = np.concatenate((below[leaves], ys[top], np.full((len(free), 2), y0)))
-    hi = np.concatenate((ys[leaves], np.full((top.sum() + len(free), 2), y1)))
-    height = np.maximum(hi - lo, 0.0)
-    keep = height.max(axis=1) > 0.0
-    return np.column_stack((xl[strip], xr[strip], lo, height))[keep]
+    ep = np.searchsorted(xs, start[:, 0], side="right") - 1
+    eq = np.searchsorted(xs, end[:, 0], side="right") - 1
+    rows = []
+    for i, (xl, xr) in enumerate(zip(xs[:-1], xs[1:])):
+        k = np.nonzero((np.minimum(ep, eq) <= i) & (i < np.maximum(ep, eq)))[0]
+        p, d = start[k], end[k] - start[k]
+        ya = np.clip(p[:, 1] + (xl - p[:, 0]) / d[:, 0] * d[:, 1], y0, y1)
+        yb = np.clip(p[:, 1] + (xr - p[:, 0]) / d[:, 0] * d[:, 1], y0, y1)
+        bounds = [(y0, y0), *sorted(zip(ya, yb), key=sum), (y1, y1)]
+        inside = inside_below_scalar(*ring, 0.5 * (xl + xr), y0)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            height = np.maximum(np.subtract(hi, lo), 0.0)
+            if inside and height.max() > 0.0:
+                rows.append((xl, xr, *lo, *height))
+            inside = not inside
+    return np.array(rows).reshape(-1, 6)
 
 
 def cut_geometry_loop(am):
@@ -417,12 +421,14 @@ def cut_geometry_loop(am):
 
     Returns (seg, start, end, owned, trapezoids): the pieces, the owned piece
     lists per cell in order of first appearance, and each cut cell's
-    trapezoid rows. A segment's points are its start vertex and its gridline
-    crossings, each with its gridline coordinate set to origin + j*h, in
-    order along the segment; its pieces join each point to the next and the
-    last to the segment's end vertex, and a piece is dropped only when its
-    two end points are equal. ``mesh._build_cut_geometry`` must give the
-    same arrays bit for bit.
+    trapezoid rows. A segment's points are its start vertex and its
+    crossings with each gridline g = origin + j*h with min < g < max of its
+    end coordinates, each with that coordinate set to g, in order along the
+    segment; its pieces join each point to the next and the last to the
+    segment's end vertex, and a piece is dropped only when its two end
+    points are equal. Each piece is walked in the cell holding its
+    lower-left corner. ``mesh._build_cut_geometry`` must give the same
+    arrays bit for bit.
     """
     grid = am.grid
     poly = am.poly
@@ -437,6 +443,17 @@ def cut_geometry_loop(am):
         iy = min(max(int(np.floor((y - oy) / h)), 0), grid.ny - 1)
         return grid.cell_id(ix, iy)
 
+    def lower_left_cell(p, q) -> int:
+        index = []
+        for x, o in zip(np.minimum(p, q), (ox, oy)):
+            c = int(np.floor((x - o) / h))
+            while o + c * h > x:
+                c -= 1
+            while o + (c + 1) * h <= x:
+                c += 1
+            index.append(c)
+        return grid.cell_id(*index)
+
     pieces = []
     owned: dict[int, list[int]] = {}
     listed: dict[int, list[int]] = {}
@@ -445,15 +462,15 @@ def cut_geometry_loop(am):
         d = b - a
         points = [(0.0, a)]
         for k, o in ((0, ox), (1, oy)):
-            if d[k] != 0.0:
-                lo = int(np.floor((min(a[k], b[k]) - o) / h)) + 1
-                hi = int(np.floor((max(a[k], b[k]) - o) / h))
-                for j in range(lo, hi + 1):
-                    t = (o + j * h - a[k]) / d[k]
-                    if 0.0 < t < 1.0:
-                        x = a + t * d
-                        x[k] = o + j * h
-                        points.append((t, x))
+            lo, hi = min(a[k], b[k]), max(a[k], b[k])
+            for j in range(int(np.floor((lo - o) / h)) - 1, int(np.floor((hi - o) / h)) + 2):
+                g = o + j * h
+                if lo < g < hi:
+                    t = (g - a[k]) / d[k]
+                    assert 0.0 <= t <= 1.0
+                    x = a + t * d
+                    x[k] = g
+                    points.append((t, x))
         # A stable sort: at equal t the x-gridline crossing stays first.
         ends = [x for _, x in sorted(points, key=lambda point: point[0])] + [b]
         nrm = normals[s]
@@ -462,11 +479,8 @@ def cut_geometry_loop(am):
                 continue
             mid = 0.5 * (p + q)
             eid = cell_of(mid[0] - eps * nrm[0], mid[1] - eps * nrm[1])
-            other = cell_of(mid[0] + eps * nrm[0], mid[1] + eps * nrm[1])
             owned.setdefault(eid, []).append(len(pieces))
-            listed.setdefault(eid, []).append(len(pieces))
-            if other != eid:
-                listed.setdefault(other, []).append(len(pieces))
+            listed.setdefault(lower_left_cell(p, q), []).append(len(pieces))
             pieces.append((s, p, q))
 
     seg = np.array([s for s, _, _ in pieces])
@@ -475,7 +489,8 @@ def cut_geometry_loop(am):
     trapezoids = {}
     for eid in map(int, am.cut_ids):
         ix = listed.get(eid, [])
-        trapezoids[eid] = strip_trapezoids_one_box(grid.cell_box(eid), start[ix], end[ix], poly, h)
+        box = grid.cell_box(eid)
+        trapezoids[eid] = strip_trapezoids_one_box(box, start[ix], end[ix], (start, end), h)
     return seg, start, end, owned, trapezoids
 
 
@@ -662,8 +677,8 @@ def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
     """Quadrature for box ∩ polygon exact to the given polynomial degree.
 
     The polygon segments are clipped to the box one at a time, and the
-    intersection goes through the strip walk as a batch of one box. The rule
-    is empty when the intersection is.
+    clipped pieces go through ``strip_trapezoids_one_box`` with the polygon
+    segments for the ray. The rule is empty when the intersection is.
     """
     p = poly if isinstance(poly, BoundaryPolygon) else BoundaryPolygon(poly)
     a_all, b_all = p.segments()
@@ -677,7 +692,8 @@ def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:
             t1.append(iv[1])
     seg = np.array(seg, dtype=int)
     start, end = _piece_endpoints(a_all, b_all, seg, np.array(t0), np.array(t1))
-    traps, _ = strip_trapezoids([box], start, end, np.zeros(len(seg), dtype=int), p, h)
+    start, end = np.clip(start, box[:2], box[2:]), np.clip(end, box[:2], box[2:])
+    traps = strip_trapezoids_one_box(box, start, end, (a_all, b_all), h)
     return _trapezoids_rule(traps, order)
 
 

@@ -16,13 +16,12 @@ from cutpoisson import (
     Disk,
     assemble_system,
     extract_levelset_boundary,
-    QuadratureError,
     penalty_parameters,
     qp_basis,
     solve_spd,
 )
 from cutpoisson import mesh
-from cutpoisson.mesh import CUT, BackgroundGrid, classify_elements, point_in_polygon
+from cutpoisson.mesh import CUT, INSIDE, BackgroundGrid, classify_elements
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 
 from oracles import (
@@ -117,8 +116,10 @@ SLIVER_B = classify_elements(
 )
 # Simple in exact arithmetic: segment 8 runs left just below y = 0.5 into
 # vertex 0, and segment 0 runs right along y = 0.5, enclosing an outside
-# notch. In cell 37 both pieces are clamped onto the bottom face and tie in
-# height; only their unclamped heights order them.
+# notch; their pieces beside the notch are walked in cells 29 and 37, below
+# and above y = 0.5. Segment 6 runs from y = 0.12499999999999999 to
+# 0.1250000000000001 and so crosses the gridline y = 0.125, although
+# (y - origin)/h of its lower end rounds onto that gridline.
 CLAMPED_TIE = classify_elements(
     BackgroundGrid((-0.25, -0.25), 0.1875, 8, 8),
     BoundaryPolygon(
@@ -136,7 +137,8 @@ CLAMPED_TIE = classify_elements(
     ),
 )
 # A needle: vertices 3 and 5 lie 8e-16 apart, so the pieces beside them
-# nearly coincide and rounding misorders them in cell 71's strips.
+# nearly coincide, and rounding can order them either way in cell 71's
+# strips; the even-odd walk does not depend on their order.
 NEEDLE = classify_elements(
     BackgroundGrid((-0.25, -0.25), 0.09375, 16, 16),
     BoundaryPolygon(
@@ -152,6 +154,48 @@ NEEDLE = classify_elements(
         ]
     ),
 )
+# Segment 2 crosses y = 0.6875 at x = 0.3125 - 2.3e-15 and ends 8e-16 below
+# that gridline at the grid vertex's x, so cell 42 has a strip 2.3e-15 wide
+# beside the vertex.
+GRID_VERTEX = classify_elements(
+    BackgroundGrid((-0.25, -0.25), 0.1875, 8, 8),
+    BoundaryPolygon(
+        [
+            [0.4999999999999992, 0.7831849001533696],
+            [0.5000000000000006, 0.8749999999999992],
+            [0.125, 0.750544556331469],
+            [0.3125, 0.6874999999999992],
+            [0.09996176893638303, 0.6874999999999992],
+            [0.5000000000000002, 0.3605662665237366],
+            [0.5000000000000004, 0.3124999999999992],
+            [0.7053988611890222, 0.5000000000000004],
+        ]
+    ),
+)
+FIXTURES = [
+    UNSHIFTED_SQUARE,
+    NEAR_GRIDLINES,
+    CONTOUR,
+    ACUTE_VERTEX,
+    PENTAGON,
+    SLIVER_A,
+    SLIVER_B,
+    CLAMPED_TIE,
+    NEEDLE,
+    GRID_VERTEX,
+]
+
+
+def examples(fixtures):
+    """Decorator adding each fixture as an ``@example`` of a property test."""
+
+    def decorate(test):
+        for am in reversed(fixtures):
+            test = example(am)(test)
+        return test
+
+    return decorate
+
 
 # The oracle moment check is the slowest, so it gets fewer examples.
 ORACLE = settings(PROPERTY, max_examples=5)
@@ -189,7 +233,9 @@ def assert_moments_match_oracle(rule, box, poly, degree=6):
 
 
 @ORACLE
-@given(meshes)
+@given(meshes | near_gridline_star_meshes())
+@example(NEEDLE)
+@example(GRID_VERTEX)
 def test_cut_cell_moments_match_clipping_oracle(am):
     rules = build_volume_rules(am, 6)
     for eid, rule in rules.cut.items():
@@ -311,9 +357,26 @@ def test_pieces_clamped_onto_one_face_are_ordered_by_unclamped_height():
         assert np.sum(rule.weights) == pytest.approx(area, rel=1e-12, abs=1e-15), eid
 
 
-def test_needle_misordered_by_rounding_raises():
-    with pytest.raises(QuadratureError, match="polygon area"):
-        build_volume_rules(NEEDLE, 2)
+@PROPERTY
+@given(meshes | near_gridline_star_meshes())
+@examples(FIXTURES)
+def test_every_piece_lies_in_one_closed_cell_box(am):
+    # No gridline lies strictly between the two ends of a piece.
+    geo = am.cut_geometry
+    for k, o in enumerate(am.grid.origin):
+        gridlines = o + np.arange((am.grid.nx, am.grid.ny)[k] + 1) * am.grid.h
+        lo = np.minimum(geo.start[:, k], geo.end[:, k])
+        hi = np.maximum(geo.start[:, k], geo.end[:, k])
+        assert np.all(np.searchsorted(gridlines, hi) <= np.searchsorted(gridlines, lo, "right"))
+
+
+@pytest.mark.parametrize(
+    "am", [pytest.param(NEEDLE, id="needle"), pytest.param(GRID_VERTEX, id="grid_vertex")]
+)
+def test_pieces_within_rounding_match_clipping_oracle(am):
+    rules = build_volume_rules(am, 6)
+    for eid, rule in rules.cut.items():
+        assert_moments_match_oracle(rule, am.grid.cell_box(eid), am.poly)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -336,6 +399,8 @@ def test_acute_vertex_next_to_a_grid_vertex_solves(p):
         pytest.param(PENTAGON, id="pentagon"),
         pytest.param(SLIVER_A, id="sliver_a"),
         pytest.param(SLIVER_B, id="sliver_b"),
+        pytest.param(NEEDLE, id="needle"),
+        pytest.param(GRID_VERTEX, id="grid_vertex"),
     ],
 )
 def test_vertex_within_ulps_of_a_gridline_solves(am, p):
@@ -348,23 +413,14 @@ def test_vertex_within_ulps_of_a_gridline_solves(am, p):
 
 
 @PROPERTY
-@given(meshes)
-@example(UNSHIFTED_SQUARE)
-def test_batched_point_in_polygon_matches_scalar(am):
-    grid, poly, h = am.grid, am.poly, am.grid.h
-    v = poly.vertices
-    # Cell centres, the vertices themselves, and points at vertex heights.
-    points = np.concatenate(
-        (
-            grid.cell_origin(np.arange(grid.n_cells)) + 0.5 * h,
-            v,
-            v - (0.5 * h, 0.0),
-            v + (0.5 * h, 0.0),
-            np.column_stack((np.full(len(v), grid.extent[0] + 0.5 * h), v[:, 1])),
-        )
-    )
-    expected = [point_in_polygon_scalar(poly, x, h) for x in points]
-    assert point_in_polygon(poly, points, h).tolist() == expected
+@given(meshes | near_gridline_star_meshes())
+@examples(FIXTURES)
+def test_uncut_cells_match_point_in_polygon_at_their_centres(am):
+    grid = am.grid
+    uncut = np.nonzero(am.classification != CUT)[0]
+    centres = grid.cell_origin(uncut) + 0.5 * grid.h
+    expected = [point_in_polygon_scalar(am.poly, x, grid.h) for x in centres]
+    assert (am.classification[uncut] == INSIDE).tolist() == expected
 
 
 def test_corner_touch_cell_is_cut_with_empty_rule():

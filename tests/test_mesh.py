@@ -20,7 +20,6 @@ from cutpoisson.mesh import (
     BackgroundGrid,
     classify_elements,
     ghost_faces,
-    point_in_polygon,
 )
 from cutpoisson.quadrature import build_volume_rules
 
@@ -96,21 +95,6 @@ class TestClassification:
         total = sum(float(np.sum(cell_volume_rule(rules, grid, int(e)).weights)) for e in am.active)
         area = shoelace(poly.vertices)
         assert abs(total - area) <= 1e-10 * area
-
-
-class TestPointInPolygon:
-    def test_basic(self):
-        poly = BoundaryPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-        assert point_in_polygon(poly, (0.5, 0.5), 1.0)
-        assert not point_in_polygon(poly, (1.5, 0.5), 1.0)
-        assert not point_in_polygon(poly, (-0.5, 0.5), 1.0)
-
-    def test_nonconvex(self):
-        poly = BoundaryPolygon(
-            [[0, 0], [4, 0], [4, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]]
-        )
-        assert not point_in_polygon(poly, (1.5, 2.0), 1.0)  # inside the notch
-        assert point_in_polygon(poly, (3.0, 2.0), 1.0)
 
 
 def synthetic_mesh(classes, nx, ny):
