@@ -2,12 +2,13 @@
 
 The bilinear form combines the bulk stiffness on the cut domain, symmetric
 Nitsche boundary terms with penalty beta/h, and the ghost-penalty face
-stabilization with derivative jumps up to order p. Cut-cell and boundary
-terms are Gram products B^T B of sparse point operators B; inside cells and
-ghost faces scatter one shared local matrix. Every sum runs in a fixed
-order, so assembly is deterministic. Its matrices are exactly symmetric:
-the inside cells' local matrix and the assembled ghost matrix are
-symmetrized as (K + K^T) / 2, which rounds k_ij and k_ji alike.
+stabilization with derivative jumps up to order p. Every term is a Gram
+product B^T B: of sparse point operators B on the cut cells and the
+boundary, of the ghost faces' jump operators, which list each of a face
+patch's (p+1)(2p+1) nodes once, and for the inside cells of one dense
+reference operator, whose Gram matrix is scattered over them. Every sum
+runs in a fixed order, so assembly is deterministic, and the matrices are
+exactly symmetric by construction: nothing is symmetrized afterwards.
 """
 
 from __future__ import annotations
@@ -237,9 +238,9 @@ def assemble_bulk(
 ) -> SparseSystem:
     """Stiffness (grad u, grad v) and load (f, v) over element ∩ domain.
 
-    ``f`` must accept coordinate arrays (x, y) and return an array. Inside
-    elements share one precomputed local stiffness; cut elements add G^T G,
-    with G stacking both gradient components of each point times sqrt(w).
+    ``f`` must accept coordinate arrays (x, y) and return an array. Each
+    element adds G^T G, with G stacking both gradient components of each
+    point times sqrt(w); the inside elements share the reference G.
     Each load is a bincount of w f v over the points' dofs.
     """
     grid = am.grid
@@ -259,14 +260,11 @@ def assemble_bulk(
         ref_pts = rules.inside_ref_points
         w = rules.inside_ref_weights * h * h
         vals, grads = eval_basis(basis, ref_pts, h)
-        k_loc = np.einsum("q,qid,qjd->ij", w, grads, grads)
-        k_loc = 0.5 * (k_loc + k_loc.T)  # the einsum rounds k_ij and k_ji apart
+        g = (np.sqrt(w)[:, None, None] * grads.transpose(0, 2, 1)).reshape(-1, basis.n_local)
         dofs_in = dofmap.element_dofs[dofmap.row_of_cell[inside]]
-        matrix += _scatter(dofs_in, k_loc, n)
-        origins = grid.cell_origin(inside)
-        pts = origins[:, None, :] + h * ref_pts[None, :, :]
-        fv = f(pts[:, :, 0], pts[:, :, 1])
-        loc_rhs = np.einsum("eq,q,qi->ei", fv, w, vals)
+        matrix += _scatter(dofs_in, g.T @ g, n)
+        pts = grid.cell_origin(inside)[:, None, :] + h * ref_pts
+        loc_rhs = np.einsum("eq,q,qi->ei", f(pts[:, :, 0], pts[:, :, 1]), w, vals)
         rhs += np.bincount(dofs_in.reshape(-1), loc_rhs.reshape(-1), minlength=n)
 
     return SparseSystem(matrix=matrix, rhs=rhs)
@@ -300,30 +298,35 @@ def assemble_nitsche_boundary(
 def _face_jumps(am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofmap: DofMap):
     """Weighted jump operator of the ghost faces, one face orientation at a time.
 
-    Yields (dofs, jump) for the x-normal, then the y-normal faces: ``dofs``
-    (m, 2k) holds each face's low element's dofs, then its high element's;
-    row (j, l) of ``jump`` (p(p+1), 2k) is sqrt(gamma_j h^(2j-1) w_l) times
-    the jump of the j-th normal derivative at face Gauss point l. The uniform
-    grid makes ``jump`` the same for every face of one orientation, so
-    s_h(v, v) is the sum over orientations of ||v[dofs] jump^T||^2.
+    Yields (dofs, jump) for the x-normal, then the y-normal faces. ``dofs``
+    (m, (p+1)(2p+1)) lists each face patch's nodes once: the low element's
+    dofs, then the high element's dofs off the face, whose face column is
+    the low element's. Row (j, l) of ``jump`` is sqrt(gamma_j h^(2j-1) w_l)
+    times the jump of the j-th normal derivative at face Gauss point l. The
+    uniform grid makes ``jump`` the same for every face of one orientation,
+    so s_h(v, v) is the sum over orientations of ||v[dofs] jump^T||^2.
     """
-    h = am.grid.h
-    rule = gauss_legendre_1d(basis.p + 1)
+    h, p = am.grid.h, basis.p
+    rule = gauss_legendre_1d(p + 1)
     t = 0.5 * (rule.points + 1.0)
-    orders = range(1, basis.p + 1)
+    orders = range(1, p + 1)
     penalty = [params.gamma[j - 1] * h ** (2 * j - 1) for j in orders]
     scale = np.sqrt(np.outer(penalty, 0.5 * h * rule.weights)).reshape(-1, 1)
     faces = am.ghost_faces_arr
-    for axis in (0, 1):
+    lattice = np.arange(basis.n_local).reshape(p + 1, p + 1)  # [iy, ix]
+    for axis, normal in enumerate((lattice.T, lattice)):
+        # The face is x = 1 of the low and x = 0 of the high element (y for
+        # axis 1); normal[c] are the local dofs at normal coordinate c / p.
+        off = normal[1:].reshape(-1)
         sel = faces[faces[:, 2] == axis]
-        dofs = dofmap.element_dofs[dofmap.row_of_cell[sel[:, :2]]].reshape(-1, 2 * basis.n_local)
-        # The face is x = 1 of the low and x = 0 of the high element (y for axis 1).
+        dofs_lo, dofs_hi = (dofmap.element_dofs[dofmap.row_of_cell[sel[:, i]]] for i in (0, 1))
         lo, hi = (np.column_stack((np.full_like(t, x), t))[:, :: 1 - 2 * axis] for x in (1.0, 0.0))
         d_lo, d_hi = (
             np.vstack([eval_axis_derivative(basis, pts, axis, j, h) for j in orders])
             for pts in (lo, hi)
         )
-        yield dofs, scale * np.hstack((d_lo, -d_hi))
+        d_lo[:, normal[p]] -= d_hi[:, normal[0]]
+        yield np.hstack((dofs_lo, dofs_hi[:, off])), scale * np.hstack((d_lo, -d_hi[:, off]))
 
 
 def assemble_ghost_penalty(
@@ -331,17 +334,15 @@ def assemble_ghost_penalty(
 ) -> sp.csr_matrix:
     """Ghost-penalty stabilization over the faces touching cut elements.
 
-    Each face adds J^T J of its orientation's weighted jump operator J: the
-    jumps of the j-th normal derivatives, j = 1..p, with weight gamma_j h^(2j-1).
+    The Gram product J^T J of the stacked face-patch jump operators J of
+    :func:`_face_jumps`: the jumps of the j-th normal derivatives, j = 1..p,
+    with weight gamma_j h^(2j-1).
     """
     n = dofmap.n_dofs
     matrix = sp.csr_matrix((n, n))
     for dofs, jump in _face_jumps(am, basis, params, dofmap):
-        matrix += _scatter(dofs, jump.T @ jump, n)
-    # An entry sums the terms of several faces, and twice those of the nodes
-    # a face shares, in the order of scipy's unstable sort of duplicates:
-    # only the sum can be made exactly symmetric.
-    return 0.5 * (matrix + matrix.T)
+        matrix += _gram(np.tile(jump, (len(dofs), 1)), np.repeat(dofs, len(jump), axis=0), n)
+    return matrix
 
 
 def ghost_penalty_form(
@@ -368,9 +369,12 @@ def assemble_system(
 ) -> tuple[SparseSystem, DofMap]:
     """Assemble the full stabilized Nitsche system A u = l.
 
-    Quadrature of order 2p, which is not exact on cut cells. Against higher
-    orders, the p=2 cut-cell stiffness is off by up to 9.6e-10 of the largest
-    entry and the p=1 Nitsche matrix by up to 4.0e-7. Returns (system, dofmap).
+    Quadrature of order 2p, which is not exact on cut cells. Against order
+    2p + 6 at level 4, relative to each term's largest entry: on the
+    level-set disk the p=2 cut-cell stiffness is off by 4.8e-3, the p=2
+    Nitsche matrix by 4.2e-2 and the p=1 Nitsche matrix by 6.7e-3; on the
+    perturbed square and circle every gap is at most 1.5e-9. Returns
+    (system, dofmap).
     """
     p = basis.p
     dofmap = build_dofmap(am, p)

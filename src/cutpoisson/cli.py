@@ -107,10 +107,9 @@ def main(argv=None) -> int:
     options = vars(args)
     study_name, runner, _ = _RUNNERS[options.pop("command")]
     out_path = options.pop("out") or f"{study_name}.csv"
-    cfg = StudyConfig(study=study_name, **options)
 
     try:
-        records = runner(cfg)
+        records = runner(StudyConfig(**options))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

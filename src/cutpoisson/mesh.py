@@ -9,14 +9,14 @@ the polygon; excluded otherwise. A cell the polygon touches only at a corner
 is Cut but owns no piece. Every inside/outside question has one even-odd
 answer: just below a gridline, a ray running left along it meets exactly the
 pieces that end on the gridline from below (:func:`inside_below`). It gives
-each run of uncut cells in a grid row its class, and each strip of the cut
-cells its bottom state. The ghost-penalty face set consists of the interior
-faces of the active mesh touching at least one Cut element; it is computed
-on first use. The cut geometry, computed once per active mesh for every
-quadrature order, reuses the split and walks all Cut elements in vertical
-strips, in one pass of array operations: going up a strip, the intervals
-between its bounds (the box bottom, the pieces, the box top) alternate
-between inside and outside.
+each uncut cell its class, and each strip of the cut cells its bottom state.
+The ghost-penalty face set consists of the interior faces of the active
+mesh touching at least one Cut element; it is computed on first use. The
+cut geometry, computed once per active mesh for every quadrature order,
+reuses the split and walks all Cut elements in vertical strips, in one pass
+of array operations: going up a strip, the intervals between its bounds
+(the box bottom, the pieces, the box top) alternate between inside and
+outside.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class ActiveMesh:
 def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     """Split every polygon segment at the gridlines, all segments in one batch.
 
-    Returns (seg, start, end, owner, cut). The points are each segment's
+    Returns (seg, start, end, owner, cut, key). The points are each segment's
     start vertex and its crossings with the gridlines strictly between its
     end coordinates, in polygon order. A gridline's coordinate is
     origin[k] + j*h, the arithmetic of the cell box edges; a crossing takes
@@ -145,7 +145,8 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     end points are equal are dropped. Piece i is owned by cell owner[i],
     which holds mid - 1e-9*h*normal (the inner side of the boundary).
     ``cut`` marks the cells that own a piece or whose closed box, lo =
-    origin + c*h to lo + h on each axis, holds a point.
+    origin + c*h to lo + h on each axis, holds a point. ``key`` holds the
+    pieces' sorted upper ends for :func:`inside_below`.
     """
     origin, h = np.array(grid.origin), grid.h
     a, b = poly.segments()
@@ -194,7 +195,11 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     cut = np.zeros(grid.n_cells, dtype=bool)
     cut[cell[p, 1, j] * grid.nx + cell[p, 0, i]] = True
     cut[owner] = True
-    return seg, start, end, owner, cut
+    # The upper ends y + ix of the pieces that are not horizontal. Complex
+    # numbers sort by real part, then imaginary part: by gridline, then by x.
+    rising = start[:, 1] != end[:, 1]
+    top = np.where((end[:, 1] > start[:, 1])[:, None], end, start)[rising]
+    return seg, start, end, owner, cut, np.sort(top[:, 1] + 1j * top[:, 0])
 
 
 def _cell_index(x, o, h):
@@ -211,34 +216,31 @@ def _ranges(first, count) -> tuple[np.ndarray, np.ndarray]:
     return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + first[i]
 
 
-def inside_below(start, end, x, y) -> np.ndarray:
+def inside_below(key, x, y) -> np.ndarray:
     """Whether the polygon holds the points just below each (x, y) on a gridline.
 
-    ``start``/``end`` are the pieces of the polygon's gridline split. No
-    piece straddles a gridline, so the ray running left just below (x, y)
-    meets exactly the pieces whose upper end lies on the gridline y left of
-    x and whose lower end lies below it; an odd count is inside.
+    ``key`` is the sorted upper ends of the pieces of the polygon's gridline
+    split, as :func:`_split_at_gridlines` returns it. No piece straddles a
+    gridline, so the ray running left just below (x, y) meets exactly the
+    pieces whose upper end lies on the gridline y left of x and whose lower
+    end lies below it; an odd count is inside.
     """
-    rising = start[:, 1] != end[:, 1]
-    top = np.where((end[:, 1] > start[:, 1])[:, None], end, start)[rising]
-    # Complex numbers sort by real part, then by imaginary part: the upper
-    # ends by gridline, then by x.
-    key = np.sort(top[:, 1] + 1j * top[:, 0])
     met = np.searchsorted(key, y + 1j * x) - np.searchsorted(key.real, y)
     return met % 2 == 1
 
 
-def strip_trapezoids(boxes, start, end, piece, piece_box, h: float):
+def strip_trapezoids(boxes, start, end, key, piece, piece_box, h: float):
     """Decompose each box ∩ polygon into trapezoids over vertical strips.
 
     ``boxes`` rows are (x0, y0, x1, y1). ``start``/``end`` are the pieces of
-    the polygon's gridline split, in either direction; the pieces ``piece``
-    lie in the closed boxes ``boxes[piece_box]``. The strips of a
-    box run between consecutive abscissae of the box and its pieces; an
-    abscissa within 1e-14*h of the next lower one joins its edge. Going up a
-    strip, the intervals between its bounds (the box bottom, the pieces by
-    height, the box top) alternate between inside and outside, starting
-    from :func:`inside_below` at the strip's lower right corner. Returns rows
+    the polygon's gridline split, in either direction, and ``key`` their
+    sorted upper ends; the pieces ``piece`` lie in the closed boxes
+    ``boxes[piece_box]``. The strips of a box run between consecutive
+    abscissae of the box and its pieces; an abscissa within 1e-14*h of the
+    next lower one joins its edge. Going up a strip, the intervals between
+    its bounds (the box bottom, the pieces by height, the box top) alternate
+    between inside and outside, starting from :func:`inside_below` at the
+    strip's lower right corner. Returns rows
     (xl, xr, lo_l, lo_r, hl, hr) and the box of each row, grouped by box: x
     in [xl, xr], y from lo_l + (lo_r - lo_l) u upwards by hl + (hr - hl) u
     with u = (x - xl)/(xr - xl), and hl, hr >= 0.
@@ -277,7 +279,7 @@ def strip_trapezoids(boxes, start, end, piece, piece_box, h: float):
     bound = np.column_stack((np.concatenate((y0, ya, y1)), np.concatenate((y0, yb, y1))))[order]
     strip = strip[order]
     i = np.arange(len(strip)) - np.searchsorted(strip, strip)
-    bottom = inside_below(start, end, xr, y0)
+    bottom = inside_below(key, xr, y0)
     inside = (strip[1:] == strip[:-1]) & (bottom[strip[:-1]] != (i[:-1] % 2 == 1))
     strip, lo, hi = strip[:-1][inside], bound[:-1][inside], bound[1:][inside]
     height = np.maximum(hi - lo, 0.0)
@@ -320,7 +322,7 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     polygon's area.
     """
     grid = am.grid
-    seg, start, end, owner, _ = am._split
+    seg, start, end, owner, _, key = am._split
     cells, first, counts = np.unique(owner, return_index=True, return_counts=True)
     groups = np.split(np.argsort(owner, kind="stable"), np.cumsum(counts)[:-1])
     owned = {int(cells[i]): groups[i].tolist() for i in np.argsort(first)}
@@ -337,7 +339,7 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     piece = piece[np.argsort(box[piece], kind="stable")]
     (ox, oy), (ix, iy) = grid.origin, grid.cell_coords(ids)
     boxes = np.column_stack((ox + ix * h, oy + iy * h, ox + (ix + 1) * h, oy + (iy + 1) * h))
-    traps, row_box = strip_trapezoids(boxes, start, end, piece, box[piece], h)
+    traps, row_box = strip_trapezoids(boxes, start, end, key, piece, box[piece], h)
     # 1e-9 of the area lies far above roundoff (under 1e-14 on the study meshes) and far below
     # the miss of a polygon that is not simple (1e-2 of the area for a figure-eight loop).
     xl, xr, _, _, hl, hr = traps.T
@@ -351,12 +353,11 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
     """Classify all grid cells against the polygon and collect the active mesh.
 
     The Cut cells come from one gridline split of all segments, which the
-    mesh keeps for its cut geometry. Each run of adjacent uncut cells in a
-    grid row is inside or outside as a whole (the boundary cannot pass
-    between two uncut neighbors), and :func:`inside_below` at the lower-left
-    corner of its first cell, all runs in one batch, decides which. The
-    ghost faces and the cut geometry are left to the first access of
-    ``ghost_faces_arr`` and ``cut_geometry``.
+    mesh keeps for its cut geometry. The boundary does not meet an uncut
+    cell's closed box, so :func:`inside_below` at its lower-left corner, all
+    uncut cells in one batch, gives its class. The ghost faces and the cut
+    geometry are left to the first access of ``ghost_faces_arr`` and
+    ``cut_geometry``.
     """
     ext = grid.extent
     v = poly.vertices
@@ -369,13 +370,10 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
         raise MeshError("polygon must lie strictly inside the grid extent")
 
     split = _split_at_gridlines(grid, poly)
-    _, start, end, _, cut = split
-    uncut = ~cut
-    classification = np.where(uncut, OUTSIDE, CUT).astype(np.int8)
-    starts = uncut & ((np.arange(grid.n_cells) % grid.nx == 0) | ~np.roll(uncut, 1))
-    corner = grid.cell_origin(np.nonzero(starts)[0])
-    inside = np.concatenate(([False], inside_below(start, end, corner[:, 0], corner[:, 1])))
-    classification[uncut & inside[np.cumsum(starts)]] = INSIDE
+    *_, cut, key = split
+    uncut = np.nonzero(~cut)[0]
+    classification = np.full(grid.n_cells, CUT, dtype=np.int8)
+    classification[uncut] = np.where(inside_below(key, *grid.cell_origin(uncut).T), INSIDE, OUTSIDE)
 
     active = np.nonzero(classification != OUTSIDE)[0]
     am = ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)

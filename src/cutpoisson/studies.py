@@ -81,7 +81,6 @@ _NORM_TARGETS = ("energy", "h1", "l2")
 class StudyConfig:
     """Parameters of one study run; unset fields fall back to defaults."""
 
-    study: str
     p: int = 1
     levels: int | None = None
     h0: float | None = None

@@ -55,7 +55,7 @@ def check(failures, ok, message):
 @pytest.fixture(scope="module")
 def delta_p1():
     return {
-        a: run_delta_study(StudyConfig(study="delta", p=1, alpha=a, levels=5))
+        a: run_delta_study(StudyConfig(p=1, alpha=a, levels=5))
         for a in (1.5, 1.0, 2.0)
     }
 
@@ -63,7 +63,7 @@ def delta_p1():
 @pytest.fixture(scope="module")
 def delta_p2():
     return {
-        a: run_delta_study(StudyConfig(study="delta", p=2, alpha=a, levels=5))
+        a: run_delta_study(StudyConfig(p=2, alpha=a, levels=5))
         for a in (2.5, 2.0, 3.0)
     }
 
@@ -71,7 +71,7 @@ def delta_p2():
 @pytest.fixture(scope="module")
 def delta_p3():
     return {
-        a: run_delta_study(StudyConfig(study="delta", p=3, alpha=a, levels=4))
+        a: run_delta_study(StudyConfig(p=3, alpha=a, levels=4))
         for a in (3.5, 3.0, 4.0)
     }
 
@@ -82,7 +82,7 @@ def normal_runs():
     for norm, alphas in (("energy", (0.0, 0.5, 1.0)), ("l2", (0.0, 0.5, 1.0)), ("h1", (0.0, 1.0))):
         for an in alphas:
             runs[(norm, an)] = run_normal_study(
-                StudyConfig(study="normal", p=2, alpha_n=an, norm_target=norm, levels=5)
+                StudyConfig(p=2, alpha_n=an, norm_target=norm, levels=5)
             )
     return runs
 
@@ -90,7 +90,7 @@ def normal_runs():
 @pytest.fixture(scope="module")
 def levelset_runs():
     return {
-        p: run_levelset_study(StudyConfig(study="levelset", p=p, levels=5))
+        p: run_levelset_study(StudyConfig(p=p, levels=5))
         for p in (1, 2)
     }
 

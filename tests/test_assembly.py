@@ -35,6 +35,7 @@ from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _
 from oracles import (
     PROPERTY,
     meshes,
+    near_gridline_star_meshes,
     nested_dissection_loop,
     per_cell_bulk_nitsche,
     per_face_ghost_penalty,
@@ -274,6 +275,20 @@ class TestGhostPenalty:
         want = assemble_ghost_penalty(am, basis, params, build_dofmap(am, 2))
         assert len(direct.ghost_faces_arr) > 0
         assert abs(got - want).max() == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@PROPERTY
+@given(am=meshes | near_gridline_star_meshes())
+def test_every_term_is_exactly_symmetric(p, am):
+    # Every term is a Gram product, so a_ij and a_ji are the same sum.
+    basis, params, dm = qp_basis(p), penalty_parameters(p), build_dofmap(am, p)
+    bulk = assemble_bulk(am, basis, ones, build_volume_rules(am, 2 * p), dm)
+    nitsche = assemble_nitsche_boundary(am, basis, params, build_boundary_rules(am, 2 * p), dm)
+    ghost = assemble_ghost_penalty(am, basis, params, dm)
+    system, _ = assemble_system(am, basis, params, ones)
+    for matrix in (bulk.matrix, nitsche, ghost, system.matrix):
+        assert symmetry_error(matrix) == 0.0
 
 
 class TestAssembleSystem:

@@ -10,7 +10,12 @@ from cutpoisson import (
     perturb_circle_boundary,
     perturb_square_boundary,
 )
-from cutpoisson.mesh import BackgroundGrid, classify_elements, strip_trapezoids
+from cutpoisson.mesh import (
+    BackgroundGrid,
+    _split_at_gridlines,
+    classify_elements,
+    strip_trapezoids,
+)
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 
 from oracles import (
@@ -150,10 +155,11 @@ class TestClip:
 
 
 def _walk(vertices, box):
-    poly = BoundaryPolygon(vertices)
-    a, b = poly.segments()
+    # On one cell that is the box, the split keeps the polygon's segments.
+    grid = BackgroundGrid(box[:2], box[2] - box[0], 1, 1)
+    _, a, b, _, _, key = _split_at_gridlines(grid, BoundaryPolygon(vertices))
     piece = np.arange(len(a))
-    traps, _ = strip_trapezoids([box], a, b, piece, np.zeros(len(a), dtype=int), box[2] - box[0])
+    traps, _ = strip_trapezoids([box], a, b, key, piece, np.zeros(len(a), dtype=int), grid.h)
     return traps
 
 

@@ -136,7 +136,7 @@ class TestCsv:
 class TestStudyRunners:
     def test_delta_study_structure(self):
         recs = run_delta_study(
-            StudyConfig(study="delta", p=1, alpha=2.0, levels=3, h0=0.25)
+            StudyConfig(p=1, alpha=2.0, levels=3, h0=0.25)
         )
         assert len(recs) == 3
         for a, b in zip(recs, recs[1:]):
@@ -148,7 +148,7 @@ class TestStudyRunners:
         import cutpoisson as cp
         from cutpoisson.studies import SQUARE_SIDE, _grid, _square_origin
 
-        cfg = StudyConfig(study="delta", p=1, alpha=1.5, levels=2, h0=0.25)
+        cfg = StudyConfig(p=1, alpha=1.5, levels=2, h0=0.25)
         recs = run_delta_study(cfg)
         grid = _grid(_square_origin(0.25), SQUARE_SIDE, 0.25, 1)
         poly = cp.perturb_square_boundary(
@@ -159,29 +159,29 @@ class TestStudyRunners:
         assert recs[1].delta_n == geo.delta_n
 
     def test_single_solve_matches_fitted_run(self):
-        a = run_single(StudyConfig(study="single", p=1, h0=0.25))
-        b = run_single(StudyConfig(study="single", p=1, h0=0.25))
+        a = run_single(StudyConfig(p=1, h0=0.25))
+        b = run_single(StudyConfig(p=1, h0=0.25))
         assert len(a) == 1
         assert a[0].err_energy == b[0].err_energy  # deterministic
 
     def test_normal_study_requires_p2(self):
         with pytest.raises(ValueError):
-            run_normal_study(StudyConfig(study="normal", p=1, alpha_n=0.0))
+            run_normal_study(StudyConfig(p=1, alpha_n=0.0))
 
     def test_normal_study_requires_alpha_n(self):
         with pytest.raises(ValueError):
-            run_normal_study(StudyConfig(study="normal", p=2))
+            run_normal_study(StudyConfig(p=2))
 
     def test_levelset_rejects_p3(self):
         with pytest.raises(ValueError):
-            run_levelset_study(StudyConfig(study="levelset", p=3))
+            run_levelset_study(StudyConfig(p=3))
 
     def test_delta_requires_alpha(self):
         with pytest.raises(ValueError):
-            run_delta_study(StudyConfig(study="delta", p=1))
+            run_delta_study(StudyConfig(p=1))
 
     def test_levelset_smoke(self):
-        recs = run_levelset_study(StudyConfig(study="levelset", p=1, levels=3))
+        recs = run_levelset_study(StudyConfig(p=1, levels=3))
         assert len(recs) == 3
         assert all(r.delta > 0 and r.delta_n > 0 for r in recs)
         # measured boundary location error decreases at second order
@@ -189,7 +189,7 @@ class TestStudyRunners:
         assert rate == pytest.approx(2.0, abs=0.4)
 
     def test_determinism_modulo_wall_time(self, tmp_path):
-        cfg = StudyConfig(study="delta", p=1, alpha=2.0, levels=2, h0=0.25)
+        cfg = StudyConfig(p=1, alpha=2.0, levels=2, h0=0.25)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(run_delta_study(cfg), p1)
         write_records_csv(run_delta_study(cfg), p2)
@@ -204,7 +204,7 @@ class TestStudyRunners:
 
     def test_wall_time_growth_bounded(self):
         # guards against accidental quadratic blowups in the geometry code
-        recs = run_delta_study(StudyConfig(study="delta", p=1, alpha=2.0, levels=4))
+        recs = run_delta_study(StudyConfig(p=1, alpha=2.0, levels=4))
         times = [r.wall_time for r in recs]
         if times[-2] >= 0.25:
             assert times[-1] / times[-2] <= 16.0
