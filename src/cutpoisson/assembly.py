@@ -65,15 +65,14 @@ def penalty_parameters(p: int) -> PenaltyParameters:
 class DofMap:
     """Continuous global numbering of the active elements' tensor nodes.
 
-    ``element_dofs[row]`` are the (p+1)^2 global dofs of the active element in
-    local lattice order; ``row_of_cell`` maps a grid cell id to its row (-1
-    for inactive cells). Dof ids are dense in [0, n_dofs) and are the
-    elimination order of the factor: :func:`build_dofmap` numbers the nodes
-    in nested-dissection postorder.
+    ``cell_dofs[cell]`` are the (p+1)^2 global dofs (int32) of grid cell
+    ``cell`` in local lattice order, and -1 in every row of an inactive
+    cell. Dof ids are dense in [0, n_dofs) and are the elimination order of
+    the factor: :func:`build_dofmap` numbers the nodes in nested-dissection
+    postorder. ``dof_coords[dof]`` is the physical position of the dof's node.
     """
 
-    element_dofs: np.ndarray
-    row_of_cell: np.ndarray
+    cell_dofs: np.ndarray
     n_dofs: int
     dof_coords: np.ndarray
 
@@ -143,9 +142,10 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
     """Number the active nodes in nested-dissection postorder.
 
     The order is the elimination order of ``solve_spd``'s factor, which keeps
-    the numbering, so it sets the fill. A node's reach is the high edge of its
-    cells, and for a node of the low cell of a ghost face, the high edge of
-    the face's high cell: the ghost penalty couples the two.
+    the numbering, so it sets the fill. Per axis, an element's reach is its
+    high edge, one cell higher when it is the low element of a ghost face on
+    that axis: the ghost penalty couples the two. A node's reach is the
+    maximum over its elements.
     """
     grid = am.grid
     gnx = p * grid.nx + 1
@@ -157,32 +157,26 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
     unique = np.flatnonzero(is_node)
     nodes = np.vstack((unique % gnx, unique // gnx))
 
-    # Per axis, each cell's reach in cells, on the grid padded by one
-    # inactive cell (reach 0) on every side. A node's reach is the maximum
-    # over the up to four cells it lies in: per axis, the cells below and
-    # above it, at padded index (c - 1) // p + 1 and c // p + 1.
-    pad = grid.nx + 2
-    below, above = (nodes - 1) // p + 1, nodes // p + 1
-    cells_of_node = [y * pad + x for x in (below[0], above[0]) for y in (below[1], above[1])]
     faces = am.ghost_faces_arr
-    reach = np.empty_like(nodes)
-    for axis, e in enumerate((ex, ey)):
-        cell_reach = np.zeros(pad * (grid.ny + 2), dtype=np.int64)
-        cell_reach[(ey + 1) * pad + ex + 1] = e + 1
-        low_x, low_y = grid.cell_coords(faces[faces[:, 2] == axis, 0])
-        cell_reach[(low_y + 1) * pad + low_x + 1] += 1
-        reach[axis] = p * np.maximum.reduce([cell_reach[cells] for cells in cells_of_node])
-    order = _dissection_order(grid, p, nodes, reach)
-    dof_of_node = np.empty(len(is_node), dtype=np.int64)
+    reach = np.zeros((2, len(is_node)), dtype=np.int32)
+    for axis, (node_reach, e) in enumerate(zip(reach, (ex, ey))):
+        is_low = np.zeros(grid.n_cells, dtype=bool)
+        is_low[faces[faces[:, 2] == axis, 0]] = True
+        elem_reach = e + 1 + is_low[am.active]
+        # The elements' nodes at one local position are distinct, so no
+        # index repeats within one fancy-indexed maximum.
+        for at in raw.T:
+            node_reach[at] = np.maximum(node_reach[at], elem_reach)
+    order = _dissection_order(grid, p, nodes, p * np.take(reach, unique, axis=1))
+    dof_of_node = np.empty(len(is_node), dtype=np.int32)
     dof_of_node[unique[order]] = np.arange(len(order))
 
-    row_of_cell = np.full(grid.n_cells, -1, dtype=np.int64)
-    row_of_cell[am.active] = np.arange(len(am.active))
+    cell_dofs = np.full((grid.n_cells, len(local)), -1, dtype=np.int32)
+    cell_dofs[am.active] = dof_of_node[raw]
     return DofMap(
-        element_dofs=dof_of_node[raw],
-        row_of_cell=row_of_cell,
+        cell_dofs=cell_dofs,
         n_dofs=len(unique),
-        dof_coords=np.asarray(grid.origin) + nodes[:, order].T * (grid.h / p),
+        dof_coords=np.asarray(grid.origin) + np.take(nodes, order, axis=1).T * (grid.h / p),
     )
 
 
@@ -215,14 +209,14 @@ def point_basis(basis: QpBasis, dofmap: DofMap, grid, points: np.ndarray, cells:
     """Basis at physical points, each evaluated in its owning cell.
 
     Returns the shape function values (q, k), physical gradients (q, k, 2) and
-    the owning elements' global dofs (q, k) as int32, from one ``eval_basis``
-    call over all points. An inactive owning cell raises MeshError.
+    the owning cells' global dofs (q, k) as int32, from one ``eval_basis``
+    call over all points. An inactive owning cell raises MeshError naming it.
     """
-    rows = dofmap.row_of_cell[cells]
-    if np.any(rows < 0):
-        raise MeshError(f"cell {cells[np.argmax(rows < 0)]} is not active")
+    dofs = dofmap.cell_dofs[cells]
+    if np.any(dofs[:, 0] < 0):
+        raise MeshError(f"cell {cells[np.argmax(dofs[:, 0] < 0)]} is not active")
     vals, grads = eval_basis(basis, (points - grid.cell_origin(cells)) / grid.h, grid.h)
-    return vals, grads, dofmap.element_dofs[rows].astype(np.int32)
+    return vals, grads, dofs
 
 
 def _gram(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.spmatrix:
@@ -261,7 +255,7 @@ def assemble_bulk(
         w = rules.inside_ref_weights * h * h
         vals, grads = eval_basis(basis, ref_pts, h)
         g = (np.sqrt(w)[:, None, None] * grads.transpose(0, 2, 1)).reshape(-1, basis.n_local)
-        dofs_in = dofmap.element_dofs[dofmap.row_of_cell[inside]]
+        dofs_in = dofmap.cell_dofs[inside]
         matrix += _scatter(dofs_in, g.T @ g, n)
         pts = grid.cell_origin(inside)[:, None, :] + h * ref_pts
         loc_rhs = np.einsum("eq,q,qi->ei", f(pts[:, :, 0], pts[:, :, 1]), w, vals)
@@ -319,7 +313,7 @@ def _face_jumps(am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofma
         # axis 1); normal[c] are the local dofs at normal coordinate c / p.
         off = normal[1:].reshape(-1)
         sel = faces[faces[:, 2] == axis]
-        dofs_lo, dofs_hi = (dofmap.element_dofs[dofmap.row_of_cell[sel[:, i]]] for i in (0, 1))
+        dofs_lo, dofs_hi = dofmap.cell_dofs[sel[:, 0]], dofmap.cell_dofs[sel[:, 1]]
         lo, hi = (np.column_stack((np.full_like(t, x), t))[:, :: 1 - 2 * axis] for x in (1.0, 0.0))
         d_lo, d_hi = (
             np.vstack([eval_axis_derivative(basis, pts, axis, j, h) for j in orders])

@@ -64,7 +64,7 @@ class BoundaryPolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise GeometryError(f"vertices must have shape (n, 2), got {v.shape}")
         if v.shape[0] < 3:

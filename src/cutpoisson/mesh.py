@@ -296,9 +296,9 @@ class CutGeometry:
     ``end`` on segments ``seg``, in polygon order: consecutive pieces share
     their end points, and a piece end that is not a polygon vertex lies
     exactly on a gridline, origin[k] + j*h, so no piece straddles a
-    gridline. ``owned[eid]`` indexes the pieces whose boundary integrals
-    belong to cell eid, in polygon order, with the cells in order of their
-    first piece. ``trapezoids`` rows decompose the cut cells ∩ polygon as
+    gridline. ``owner[i]`` is the cell whose boundary integrals piece i
+    belongs to, the split's owner on the inner side of the boundary.
+    ``trapezoids`` rows decompose the cut cells ∩ polygon as
     returned by :func:`strip_trapezoids`, whose even-odd walk takes each
     piece in the cell holding its lower-left corner; ``trapezoid_cells``
     holds the cell of each row, ascending.
@@ -307,7 +307,7 @@ class CutGeometry:
     seg: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    owned: dict[int, list[int]]
+    owner: np.ndarray
     trapezoids: np.ndarray
     trapezoid_cells: np.ndarray
 
@@ -323,10 +323,6 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     """
     grid = am.grid
     seg, start, end, owner, _, key = am._split
-    cells, first, counts = np.unique(owner, return_index=True, return_counts=True)
-    groups = np.split(np.argsort(owner, kind="stable"), np.cumsum(counts)[:-1])
-    owned = {int(cells[i]): groups[i].tolist() for i in np.argsort(first)}
-
     ids = am.cut_ids
     box_of = np.full(grid.n_cells, -1)
     box_of[ids] = np.arange(len(ids))
@@ -346,7 +342,7 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     missed = 0.5 * np.sum((xr - xl) * (hl + hr)) + len(am.inside_ids) * h * h - am.poly.signed_area
     if abs(missed) > 1e-9 * am.poly.signed_area:
         raise QuadratureError(f"cut and inside cells miss the polygon area by {missed:.3e}")
-    return CutGeometry(seg, start, end, owned, traps, ids[row_box])
+    return CutGeometry(seg, start, end, owner, traps, ids[row_box])
 
 
 def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh:

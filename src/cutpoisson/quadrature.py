@@ -1,19 +1,11 @@
 """Reference Gauss rules and cut-cell quadrature.
 
-The cut geometry is computed once per active mesh (``ActiveMesh.cut_geometry``)
-and shared by every quadrature order. The polygon segments are split at the
-gridlines into pieces that share their end points, so the boundary rules and
-the volume rules start from the same points. Each piece belongs to the
-element on the inner side of the boundary, so a piece lying exactly on a
-shared face is counted once. The cut elements are walked together in
-vertical strips between the pieces' abscissae. Going up a strip, the
-intervals between the box bottom, the pieces and the box top alternate
-between inside and outside, starting from the even-odd state just below the
-strip. The inside intervals are trapezoids, stored as flat rows with the
-cell of each row.
-Boundary rules map 1D Gauss points onto the pieces' end points, volume rules
-map tensor Gauss rules onto the trapezoids in one batch: all weights are
-positive and all points lie in element ∩ domain.
+The rules are built on the active mesh's cut geometry (``ActiveMesh.cut_geometry``;
+:mod:`cutpoisson.mesh` describes the split and the strip walk): its boundary
+pieces and cut-cell trapezoids, computed once per mesh for every quadrature
+order. Boundary rules map 1D Gauss points onto the pieces' end points,
+volume rules map tensor Gauss rules onto the trapezoids in one batch: all
+weights are positive and all points lie in element ∩ domain.
 """
 
 from __future__ import annotations
@@ -121,9 +113,9 @@ def _trapezoids_rule(traps: np.ndarray, order: int) -> CutVolumeRule:
 
 def _split_rule(rule, counts):
     """Split a rule into consecutive rules with the given numbers of points."""
-    bounds = np.cumsum(counts)[:-1]
-    parts = [np.split(getattr(rule, f.name), bounds) for f in fields(rule)]
-    return [type(rule)(*arrays) for arrays in zip(*parts)]
+    ends = np.cumsum(counts).tolist()
+    arrays = [getattr(rule, f.name) for f in fields(rule)]
+    return [type(rule)(*(a[i:j] for a in arrays)) for i, j in zip([0, *ends], ends)]
 
 
 # Largest number of points in one batch of rule_batches. One batch of all
@@ -187,12 +179,13 @@ def build_volume_rules(am: ActiveMesh, order: int) -> VolumeRuleSet:
 def build_boundary_rules(am: ActiveMesh, order: int) -> dict[int, CutBoundaryRule]:
     """Boundary rules per owning element for all polygon pieces.
 
-    The pieces are the mesh's shared split of the segments at the gridlines;
-    each belongs to the cell on the inner side of its midpoint, which handles
-    pieces lying exactly on shared element faces without double counting.
+    The pieces are the mesh's shared split of the segments at the gridlines,
+    each owned by the cell of ``CutGeometry.owner``. One stable sort groups
+    them by owner: the dict is in ascending cell order, and each cell's
+    pieces are in polygon order.
     """
     geo = am.cut_geometry
-    ix = np.concatenate(list(geo.owned.values()))
+    ix = np.argsort(geo.owner, kind="stable")
+    cells, counts = np.unique(geo.owner, return_counts=True)
     rule = _pieces_rule(geo.start[ix], geo.end[ix], am.poly.segment_normals()[geo.seg[ix]], order)
-    n1d = _points_for_degree(order)
-    return dict(zip(geo.owned, _split_rule(rule, [n1d * len(v) for v in geo.owned.values()])))
+    return dict(zip(cells.tolist(), _split_rule(rule, _points_for_degree(order) * counts)))

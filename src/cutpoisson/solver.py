@@ -281,7 +281,7 @@ def eval_discrete(sol: DiscreteSolution, x):
     cands = np.stack((base, np.where(on_line, k - 1, base), np.where(on_line, k, base)), axis=2)
     cands = np.clip(cands, 0, n_cells_axis[:, None] - 1).astype(np.intp)
     ids = (cands[:, 1, :, None] * grid.nx + cands[:, 0, None, :]).reshape(len(pts), -1)
-    eid = np.where(sol.dofmap.row_of_cell[ids] >= 0, ids, grid.n_cells).min(axis=1)
+    eid = np.where(sol.dofmap.cell_dofs[ids, 0] >= 0, ids, grid.n_cells).min(axis=1)
     outside = beyond | (eid == grid.n_cells)
     if np.any(outside):
         px, py = pts[np.argmax(outside)]
@@ -339,7 +339,7 @@ def compute_error_norms(
         ref_pts = vrules.inside_ref_points
         w = vrules.inside_ref_weights * h * h
         vals, grads = eval_basis(basis, ref_pts, h)
-        dofs_in = sol.dofmap.element_dofs[sol.dofmap.row_of_cell[inside]]
+        dofs_in = sol.dofmap.cell_dofs[inside]
         coeff = sol.coefficients[dofs_in]
         uh_val = coeff @ vals.T  # (nE, q)
         uh_grad = np.einsum("ei,qid->eqd", coeff, grads)

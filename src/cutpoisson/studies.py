@@ -66,6 +66,8 @@ BASE_CELLS = 12
 
 
 def _base_cells(side: float, h0: float | None) -> int:
+    if h0 is not None and not 0.0 < h0 < math.inf:
+        raise ValueError(f"h0 must be positive and finite, got {h0}")
     return BASE_CELLS if h0 is None else max(1, round(side / h0))
 
 

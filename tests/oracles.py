@@ -419,16 +419,15 @@ def strip_trapezoids_one_box(box, start, end, ring, h: float) -> np.ndarray:
 def cut_geometry_loop(am):
     """The cut geometry of an active mesh, one segment and one cell at a time.
 
-    Returns (seg, start, end, owned, trapezoids): the pieces, the owned piece
-    lists per cell in order of first appearance, and each cut cell's
-    trapezoid rows. A segment's points are its start vertex and its
-    crossings with each gridline g = origin + j*h with min < g < max of its
-    end coordinates, each with that coordinate set to g, in order along the
-    segment; its pieces join each point to the next and the last to the
-    segment's end vertex, and a piece is dropped only when its two end
-    points are equal. Each piece is walked in the cell holding its
-    lower-left corner. ``mesh._build_cut_geometry`` must give the same
-    arrays bit for bit.
+    Returns (seg, start, end, owner, trapezoids): the pieces, the cell owning
+    each piece, and each cut cell's trapezoid rows. A segment's points are
+    its start vertex and its crossings with each gridline g = origin + j*h
+    with min < g < max of its end coordinates, each with that coordinate set
+    to g, in order along the segment; its pieces join each point to the next
+    and the last to the segment's end vertex, and a piece is dropped only
+    when its two end points are equal. Each piece is walked in the cell
+    holding its lower-left corner. ``mesh._build_cut_geometry`` must give
+    the same arrays bit for bit.
     """
     grid = am.grid
     poly = am.poly
@@ -455,7 +454,7 @@ def cut_geometry_loop(am):
         return grid.cell_id(*index)
 
     pieces = []
-    owned: dict[int, list[int]] = {}
+    owner = []
     listed: dict[int, list[int]] = {}
     for s in range(len(a_all)):
         a, b = a_all[s], b_all[s]
@@ -479,7 +478,7 @@ def cut_geometry_loop(am):
                 continue
             mid = 0.5 * (p + q)
             eid = cell_of(mid[0] - eps * nrm[0], mid[1] - eps * nrm[1])
-            owned.setdefault(eid, []).append(len(pieces))
+            owner.append(eid)
             listed.setdefault(lower_left_cell(p, q), []).append(len(pieces))
             pieces.append((s, p, q))
 
@@ -491,7 +490,7 @@ def cut_geometry_loop(am):
         ix = listed.get(eid, [])
         box = grid.cell_box(eid)
         trapezoids[eid] = strip_trapezoids_one_box(box, start[ix], end[ix], (start, end), h)
-    return seg, start, end, owned, trapezoids
+    return seg, start, end, np.array(owner), trapezoids
 
 
 def levelset_boundary_loop(domain: Disk, grid) -> BoundaryPolygon:
@@ -719,7 +718,7 @@ def per_cell_bulk_nitsche(am, basis, params, f, vrules, brules, dofmap):
 
     def local(eid, rule):
         vals, grads = eval_basis(basis, (rule.points - grid.cell_origin(eid)) / h, h)
-        return vals, grads, dofmap.element_dofs[dofmap.row_of_cell[eid]]
+        return vals, grads, dofmap.cell_dofs[eid]
 
     bulk, nitsche, rhs = [], [], np.zeros(n)
     for eid in am.active:
@@ -784,10 +783,7 @@ def per_face_ghost_penalty(am, basis, params, dofmap):
     local = [ghost_face_matrix(basis, params, am.grid.h, axis) for axis in (0, 1)]
     blocks = []
     for lo, hi, axis in am.ghost_faces_arr:
-        dofs = np.concatenate(
-            [dofmap.element_dofs[dofmap.row_of_cell[cell]] for cell in (lo, hi)]
-        )
-        blocks.append((dofs, local[axis]))
+        blocks.append((np.concatenate(dofmap.cell_dofs[[lo, hi]]), local[axis]))
     return _blocks_to_csr(blocks, dofmap.n_dofs)
 
 
@@ -847,7 +843,7 @@ def nested_dissection_loop(am, p: int):
     return np.array(order), [boxes[node] for node in order]
 
 
-def lowest_active_cell(am, row_of_cell, x: float, y: float):
+def lowest_active_cell(am, cell_dofs, x: float, y: float):
     """Cell that evaluates the point (x, y), found one point at a time.
 
     Candidates per axis are the cell holding the coordinate, clamped to the
@@ -870,7 +866,7 @@ def lowest_active_cell(am, row_of_cell, x: float, y: float):
         for ix in axis_candidates(gx, grid.nx)
         for iy in axis_candidates(gy, grid.ny)
     )
-    return next((c for c in ids if row_of_cell[c] >= 0), None)
+    return next((c for c in ids if cell_dofs[c, 0] >= 0), None)
 
 
 def perturbed_square(amplitude: float, phase: float, per_side: int = 16) -> BoundaryPolygon:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cutpoisson import (
     BoundaryPolygon,
     Disk,
+    MeshError,
     assemble_bulk,
     assemble_ghost_penalty,
     assemble_nitsche_boundary,
@@ -22,7 +23,7 @@ from cutpoisson import (
     qp_basis,
 )
 from cutpoisson import quadrature
-from cutpoisson.assembly import PenaltyParameters, symmetry_error
+from cutpoisson.assembly import PenaltyParameters, point_basis, symmetry_error
 from cutpoisson.mesh import (
     CUT,
     ActiveMesh,
@@ -75,15 +76,28 @@ class TestDofMap:
         am = classify_elements(grid, poly)
         for p in (1, 2, 3):
             dm = build_dofmap(am, p)
-            assert dm.element_dofs.min() == 0
-            assert dm.element_dofs.max() == dm.n_dofs - 1
+            assert dm.cell_dofs.shape == (grid.n_cells, (p + 1) ** 2)
+            inactive = np.setdiff1d(np.arange(grid.n_cells), am.active)
+            assert len(inactive) and np.all(dm.cell_dofs[inactive] == -1)
+            # the active rows cover [0, n_dofs)
+            assert np.array_equal(np.unique(dm.cell_dofs[am.active]), np.arange(dm.n_dofs))
             # neighbors share the edge dofs
             e0 = am.active[0]
             right = e0 + 1
-            if dm.row_of_cell[right] >= 0:
-                d0 = dm.element_dofs[dm.row_of_cell[e0]].reshape(p + 1, p + 1)
-                d1 = dm.element_dofs[dm.row_of_cell[right]].reshape(p + 1, p + 1)
+            if dm.cell_dofs[right, 0] >= 0:
+                d0 = dm.cell_dofs[e0].reshape(p + 1, p + 1)
+                d1 = dm.cell_dofs[right].reshape(p + 1, p + 1)
                 assert np.array_equal(d0[:, -1], d1[:, 0])
+
+    def test_point_in_inactive_cell_raises(self):
+        poly = perturb_square_boundary(0.0, 16)
+        grid = BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12)
+        am = classify_elements(grid, poly)
+        dm = build_dofmap(am, 1)
+        cells = np.array([am.active[0], 0])  # cell 0 is outside the square
+        points = grid.cell_origin(cells) + 0.5 * grid.h
+        with pytest.raises(MeshError, match="cell 0 is not active"):
+            point_basis(qp_basis(1), dm, grid, points, cells)
 
 
 # A circle on a rectangular grid: the tree has more x levels than y levels.
@@ -108,7 +122,7 @@ def test_dofs_are_numbered_in_dissection_order(am, p):
     ex, ey = am.grid.cell_coords(am.active)
     ix, iy = np.arange((p + 1) ** 2) % (p + 1), np.arange((p + 1) ** 2) // (p + 1)
     cell_nodes = np.stack((p * ex[:, None] + ix, p * ey[:, None] + iy), axis=-1)
-    assert np.array_equal(lattice[dm.element_dofs], cell_nodes)
+    assert np.array_equal(lattice[dm.cell_dofs[am.active]], cell_nodes)
 
     box_ids = {box: k for k, box in enumerate(dict.fromkeys(boxes))}
     dof_box = np.array([box_ids[box] for box in boxes])

@@ -25,6 +25,20 @@ class TestExitCodes:
     def test_bad_flag_value(self):
         assert main(["delta-study", "--p", "one"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta-study", "--alpha", "2", "--h0", "0"],
+            ["normal-study", "--alpha-n", "1", "--h0", "-0.25"],
+            ["levelset-study", "--p", "1", "--h0", "nan"],
+        ],
+    )
+    def test_bad_h0_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--levels", "1", "--out", str(out)]) == 2
+        assert "h0 must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_p_is_usage_error(self, tmp_path):
         out = tmp_path / "r.csv"
         code = main(
@@ -146,6 +160,14 @@ class TestConfigFile:
         out = tmp_path / "out.csv"
         argv = ["solve", "--config", str(cfg), "--p", "1", "--h0", "0.25", "--out", str(out)]
         assert main(argv) == 2
+        assert not out.exists()
+
+    def test_config_bad_h0_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("h0 = inf\np = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "h0 must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_before_subcommand(self, tmp_path):

@@ -10,6 +10,7 @@ mask against loops over one segment and one cell at a time, bit for bit.
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutpoisson import (
     BoundaryPolygon,
@@ -22,7 +23,7 @@ from cutpoisson import (
 )
 from cutpoisson import mesh
 from cutpoisson.mesh import CUT, INSIDE, BackgroundGrid, classify_elements
-from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
+from cutpoisson.quadrature import _points_for_degree, build_boundary_rules, build_volume_rules
 
 from oracles import (
     PROPERTY,
@@ -292,12 +293,11 @@ def test_strip_walk_runs_once_per_mesh(monkeypatch):
 @example(SLIVER_B)
 def test_cut_geometry_matches_loop_bit_for_bit(am):
     geo = am.cut_geometry
-    seg, start, end, owned, trapezoids = cut_geometry_loop(am)
+    seg, start, end, owner, trapezoids = cut_geometry_loop(am)
     assert np.array_equal(geo.seg, seg)
     assert np.array_equal(geo.start, start)
     assert np.array_equal(geo.end, end)
-    assert list(geo.owned) == list(owned)
-    assert all(geo.owned[eid] == pieces for eid, pieces in owned.items())
+    assert np.array_equal(geo.owner, owner)
     walked = [eid for eid, rows in trapezoids.items() if len(rows)]
     assert np.array_equal(np.unique(geo.trapezoid_cells), walked)
     for eid, rows in trapezoids.items():
@@ -326,7 +326,18 @@ def test_cut_mask_matches_loop(am):
 @example(SLIVER_A)
 @example(SLIVER_B)
 def test_every_piece_owner_is_cut(am):
-    assert np.all(am.classification[list(am.cut_geometry.owned)] == CUT)
+    assert np.all(am.classification[am.cut_geometry.owner] == CUT)
+
+
+@PROPERTY
+@given(meshes | near_gridline_star_meshes(), st.sampled_from([1, 2, 3]))
+def test_boundary_rules_group_pieces_by_owner(am, p):
+    rules = build_boundary_rules(am, 2 * p)
+    owner = am.cut_geometry.owner
+    assert list(rules) == np.unique(owner).tolist()
+    n1d = _points_for_degree(2 * p)
+    for eid, rule in rules.items():
+        assert rule.weights.shape == (n1d * np.count_nonzero(owner == eid),)
 
 
 @PROPERTY
@@ -389,7 +400,7 @@ def test_acute_vertex_next_to_a_grid_vertex_solves(p):
     assert u.shape == (dofmap.n_dofs,)
     assert np.all(np.isfinite(u))
     assert am.classification[35] == CUT
-    assert 35 in am.cut_geometry.owned
+    assert 35 in am.cut_geometry.owner
 
 
 @pytest.mark.parametrize("p", [1, 2])

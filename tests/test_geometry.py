@@ -27,6 +27,13 @@ from oracles import (
 
 
 class TestBoundaryPolygon:
+    def test_caller_array_stays_writable(self):
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        poly = BoundaryPolygon(v)
+        v[0, 0] = 0.1
+        assert v.flags.writeable
+        assert poly.vertices[0, 0] == 0.0
+
     def test_validation(self):
         with pytest.raises(GeometryError):
             BoundaryPolygon([[0, 0], [1, 0]])

@@ -438,13 +438,13 @@ class TestEvalDiscrete:
                 rng.choice(lines, size=(200, 2)) + rng.choice([-1e-13, 1e-13, 1e-11], (200, 2)),
             )
         )
-        cells = [lowest_active_cell(sol.am, sol.dofmap.row_of_cell, x, y) for x, y in pts]
+        cells = [lowest_active_cell(sol.am, sol.dofmap.cell_dofs, x, y) for x, y in pts]
         found = np.array([c is not None for c in cells])
         assert 300 < np.count_nonzero(found) < len(pts)
         _, grads = eval_discrete(sol, pts[found])
         for x, eid, g in zip(pts[found], [c for c in cells if c is not None], grads):
             _, dphi = eval_basis(sol.basis, (x - grid.cell_origin(eid)) / grid.h, grid.h)
-            c = sol.coefficients[sol.dofmap.element_dofs[sol.dofmap.row_of_cell[eid]]]
+            c = sol.coefficients[sol.dofmap.cell_dofs[eid]]
             assert np.allclose(g, c @ dphi, rtol=1e-12, atol=1e-12)
         for x in pts[~found]:
             with pytest.raises(EvaluationError):
@@ -475,7 +475,7 @@ class TestEvalDiscrete:
         lines = np.concatenate(
             (np.column_stack((x0, y0 + t * grid.h)), np.column_stack((x0 + t * grid.h, y0)))
         )
-        right_inactive = (ix + 1 < grid.nx) & (sol.dofmap.row_of_cell[am.active + 1] < 0)
+        right_inactive = (ix + 1 < grid.nx) & (sol.dofmap.cell_dofs[am.active + 1, 0] < 0)
         faces = np.column_stack((x0 + grid.h, y0 + t * grid.h))[right_inactive]
         assert len(faces)
         for pts in (corners, lines, faces):
