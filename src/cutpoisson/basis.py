@@ -55,20 +55,13 @@ def qp_basis(p: int) -> QpBasis:
     return QpBasis(p=p, nodes_1d=nodes, _deriv_coeffs=tuple(coeffs))
 
 
-def _as_ref_points(ref_point) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(ref_point, dtype=float)
-    single = pts.ndim == 1
-    return np.atleast_2d(pts), single
-
-
 def eval_basis(basis: QpBasis, ref_point, h: float):
-    """Shape function values and physical gradients at reference point(s).
+    """Shape function values and physical gradients at reference points.
 
-    Accepts one point (2,) or a batch (n, 2) in [0,1]^2; returns values of
-    shape (n, n_local) and gradients (n, n_local, 2), squeezed for a single
-    point. Gradients are reference derivatives scaled by 1/h per axis.
+    Returns values (n, n_local) and gradients (n, n_local, 2) at n points of
+    [0,1]^2 (n = 1 for one (2,) point); gradients are reference ones over h.
     """
-    pts, single = _as_ref_points(ref_point)
+    pts = np.atleast_2d(np.asarray(ref_point, dtype=float))
     nx = basis.lagrange_1d(pts[:, 0])
     ny = basis.lagrange_1d(pts[:, 1])
     dx = basis.lagrange_1d(pts[:, 0], 1) / h
@@ -77,25 +70,18 @@ def eval_basis(basis: QpBasis, ref_point, h: float):
     grads = np.empty((len(pts), basis.n_local, 2))
     grads[:, :, 0] = (ny[:, :, None] * dx[:, None, :]).reshape(len(pts), -1)
     grads[:, :, 1] = (dy[:, :, None] * nx[:, None, :]).reshape(len(pts), -1)
-    if single:
-        return values[0], grads[0]
     return values, grads
 
 
-def eval_axis_derivative(basis: QpBasis, ref_point, axis, j: int, h: float):
+def eval_axis_derivative(basis: QpBasis, ref_point, axis: int, j: int, h: float):
     """Physical j-th partial derivative along one axis of all local functions.
 
-    ``axis`` is "x"/"y" or 0/1; 0 <= j <= p is required since higher
-    derivatives vanish identically and need not be requested.
+    ``axis`` is 0 (x) or 1 (y); the result is (n, n_local) as in ``eval_basis``.
+    0 <= j <= p is required since higher derivatives vanish identically.
     """
-    if isinstance(axis, str):
-        axis = {"x": 0, "y": 1}[axis]
     if not 0 <= j <= basis.p:
         raise ValueError(f"derivative order {j} outside 0..{basis.p}")
-    pts, single = _as_ref_points(ref_point)
+    pts = np.atleast_2d(np.asarray(ref_point, dtype=float))
     fx = basis.lagrange_1d(pts[:, 0], j if axis == 0 else 0)
     fy = basis.lagrange_1d(pts[:, 1], j if axis == 1 else 0)
-    out = (fy[:, :, None] * fx[:, None, :]).reshape(len(pts), -1) / h**j
-    if single:
-        return out[0]
-    return out
+    return (fy[:, :, None] * fx[:, None, :]).reshape(len(pts), -1) / h**j

@@ -63,7 +63,6 @@ def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, default=default_p, help="polynomial degree (1-3)")
         sp.add_argument("--levels", type=int, help="refinement levels")
         sp.add_argument("--h0", type=float, help="coarsest mesh size")
-        sp.add_argument("--terms", dest="n_terms", type=int, help="series truncation")
         sp.add_argument("--out", help="CSV output path (default <study>.csv)")
     subs["delta-study"].add_argument(
         "--alpha", type=float, required=True, help="delta = h^alpha"

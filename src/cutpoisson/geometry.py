@@ -57,8 +57,8 @@ class BoundaryPolygon:
     """Simple closed polygon, counterclockwise, implicitly closed.
 
     Vertices are stored as an (n, 2) float array. Validation covers the cheap
-    invariants (vertex count, distinct consecutive vertices, positive shoelace
-    area); simplicity is guaranteed by the constructors in this module.
+    invariants (vertex count, finite coordinates, distinct consecutive vertices,
+    positive shoelace area); simplicity is guaranteed by the module's constructors.
     """
 
     __slots__ = ("vertices",)
@@ -69,6 +69,8 @@ class BoundaryPolygon:
             raise GeometryError(f"vertices must have shape (n, 2), got {v.shape}")
         if v.shape[0] < 3:
             raise GeometryError("polygon needs at least 3 vertices")
+        if not np.all(np.isfinite(v)):
+            raise GeometryError("vertices must be finite")
         d = np.roll(v, -1, axis=0) - v
         if np.any((d[:, 0] == 0.0) & (d[:, 1] == 0.0)):
             raise GeometryError("consecutive vertices must be distinct")
@@ -127,12 +129,12 @@ _SQUARE_EDGE_NORMALS = np.array(
 
 
 def closest_point(domain: ExactDomain, x) -> tuple[np.ndarray, np.ndarray]:
-    """Project point(s) onto the exact boundary.
+    """Project points onto the exact boundary.
 
-    Returns (q, n) where q is the closest boundary point and n the outward
-    unit normal at q. Accepts a single point (2,) or a batch (m, 2); output
-    shapes match. Square corners tie-break to the first attaining edge in the
-    fixed order bottom, right, top, left.
+    Returns (q, n), each (m, 2) for m points: q the closest boundary point and
+    n the outward unit normal at q; a (2,) point gives arrays of length 1.
+    Square corners tie-break to the first attaining edge in the fixed order
+    bottom, right, top, left.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(domain, Disk):
@@ -162,8 +164,6 @@ def closest_point(domain: ExactDomain, x) -> tuple[np.ndarray, np.ndarray]:
         n = _SQUARE_EDGE_NORMALS[best]
     else:
         raise TypeError(f"unsupported domain type {type(domain).__name__}")
-    if np.asarray(x).ndim == 1:
-        return q[0], n[0]
     return q, n
 
 

@@ -130,8 +130,8 @@ def _series_terms(t: np.ndarray, n_terms: int):
 def series_solution(points, n_terms: int = 50):
     """Truncated series solution of -Laplace(u) = 1 on the unit square.
 
-    Sums the first ``n_terms`` odd-index terms. Returns (value, gradient)
-    with shapes (m,) and (m, 2) for a batch, squeezed for a single point.
+    Sums the first ``n_terms`` odd-index terms. Returns (value, gradient) of
+    shapes (m,) and (m, 2); a (2,) point gives arrays of length 1.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
@@ -145,10 +145,7 @@ def series_solution(points, n_terms: int = 50):
         val -= c * (s[1] * sin[0] + s[0] * sin[1])
         gx -= cn * (s[1] * cos[0] + ds[0] * sin[1])
         gy -= cn * (ds[1] * sin[0] + s[0] * cos[1])
-    grad = np.column_stack((gx, gy))
-    if np.asarray(points).ndim == 1:
-        return float(val[0]), grad[0]
-    return val, grad
+    return val, np.column_stack((gx, gy))
 
 
 def series_on_lattice(xs, ys, ix, iy, n_terms: int = 50):
@@ -169,13 +166,11 @@ def series_on_lattice(xs, ys, ix, iy, n_terms: int = 50):
 
 
 def disk_solution(points):
-    """u = (1 - x^2 - y^2)/4, the solution of -Laplace(u) = 1 on the unit disk."""
+    """u = (1 - x^2 - y^2)/4, solving -Laplace(u) = 1 on the unit disk, and its
+    gradient: (m,) and (m, 2), of length 1 for a (2,) point.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    val = 0.25 * (1.0 - pts[:, 0] ** 2 - pts[:, 1] ** 2)
-    grad = np.column_stack((-0.5 * pts[:, 0], -0.5 * pts[:, 1]))
-    if np.asarray(points).ndim == 1:
-        return float(val[0]), grad[0]
-    return val, grad
+    return 0.25 * (1.0 - pts[:, 0] ** 2 - pts[:, 1] ** 2), -0.5 * pts
 
 
 class ReferenceSolution:
@@ -260,11 +255,11 @@ def _discrete_at(sol: DiscreteSolution, points: np.ndarray, cells: np.ndarray):
 
 
 def eval_discrete(sol: DiscreteSolution, x):
-    """Evaluate the discrete solution and its gradient at point(s).
+    """Evaluate the discrete solution and its gradient at points.
 
-    Points on shared element edges resolve to the lowest active element id;
-    the value is identical from either side by continuity. Points outside the
-    active mesh raise EvaluationError.
+    Returns (m,) values and (m, 2) gradients, of length 1 for a (2,) point.
+    Points on shared edges resolve to the lowest active element id (u_h is
+    continuous there); points outside the active mesh raise EvaluationError.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     grid = sol.am.grid
@@ -286,10 +281,7 @@ def eval_discrete(sol: DiscreteSolution, x):
     if np.any(outside):
         px, py = pts[np.argmax(outside)]
         raise EvaluationError(f"point ({px}, {py}) is outside the active mesh")
-    vals, grads = _discrete_at(sol, pts, eid)
-    if np.asarray(x).ndim == 1:
-        return float(vals[0]), grads[0]
-    return vals, grads
+    return _discrete_at(sol, pts, eid)
 
 
 @dataclass(frozen=True)

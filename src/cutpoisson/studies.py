@@ -89,7 +89,6 @@ class StudyConfig:
     alpha: float | None = None
     alpha_n: float | None = None
     norm_target: str = "energy"
-    n_terms: int | None = None
 
 
 @dataclass
@@ -196,8 +195,9 @@ def _square_study(cfg: StudyConfig, study: str) -> list[ConvergenceRecord]:
     """Unit square perturbed by delta = h^alpha, or exact when alpha is unset."""
     if cfg.p not in (1, 2, 3):
         raise ValueError("p must be 1, 2 or 3")
-    n_terms = cfg.n_terms if cfg.n_terms is not None else _default_terms(cfg.p)
-    ref = ReferenceSolution.square_series(n_terms)
+    if cfg.alpha is not None and not math.isfinite(cfg.alpha):
+        raise ValueError(f"alpha must be finite, got {cfg.alpha}")
+    ref = ReferenceSolution.square_series(_default_terms(cfg.p))
     domain = UnitSquare()
 
     def build(level):
@@ -226,6 +226,8 @@ def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         raise ValueError("the normal approximation study uses p = 2")
     if cfg.alpha_n is None:
         raise ValueError("normal study requires alpha_n")
+    if not math.isfinite(cfg.alpha_n):
+        raise ValueError(f"alpha_n must be finite, got {cfg.alpha_n}")
     if cfg.norm_target not in _NORM_TARGETS:
         raise ValueError(f"norm_target must be one of {_NORM_TARGETS}")
     exponent = {"energy": cfg.p + 0.5, "h1": float(cfg.p), "l2": cfg.p + 1.0}[

@@ -209,10 +209,7 @@ def series_solution_direct(points, n_terms: int = 50):
         val -= c * (sy * sin_x + sx * sin_y)
         gx -= c * (sy * n * np.pi * cos_x + dsx * sin_y)
         gy -= c * (dsy * sin_x + sx * n * np.pi * cos_y)
-    grad = np.column_stack((gx, gy))
-    if np.asarray(points).ndim == 1:
-        return float(val[0]), grad[0]
-    return val, grad
+    return val, np.column_stack((gx, gy))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,23 @@ class TestExitCodes:
         assert "h0 must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["normal-study", "--alpha-n", "nan"], "alpha_n"),
+            (["delta-study", "--alpha", "nan"], "alpha"),
+            (["delta-study", "--alpha", "inf"], "alpha"),
+            (["delta-study", "--alpha=-inf"], "alpha"),
+            (["solve", "--alpha", "nan"], "alpha"),
+        ],
+        ids=["alpha-n-nan", "alpha-nan", "alpha-inf", "alpha-minus-inf", "solve-alpha-nan"],
+    )
+    def test_non_finite_alpha_is_usage_error(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--levels", "1", "--out", str(out)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_p_is_usage_error(self, tmp_path):
         out = tmp_path / "r.csv"
         code = main(

@@ -41,6 +41,9 @@ class TestBoundaryPolygon:
             BoundaryPolygon([[0, 0], [1, 0], [1, 0], [0, 1]])
         with pytest.raises(GeometryError):  # clockwise
             BoundaryPolygon([[0, 0], [0, 1], [1, 1], [1, 0]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(GeometryError, match="finite"):
+                BoundaryPolygon([[0, 0], [1, 0], [1, bad], [0, 1]])
 
     def test_area_perimeter(self):
         sq = BoundaryPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])

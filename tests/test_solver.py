@@ -276,16 +276,6 @@ def test_series_matches_direct_oracle(points, n_terms):
     assert np.max(np.abs(grad - grad0)) <= 1e-13
 
 
-@SERIES
-@given(near_square, near_square, terms)
-def test_series_single_point_is_squeezed(x, y, n_terms):
-    val, grad = series_solution(np.array([x, y]), n_terms)
-    val0, grad0 = series_solution_direct(np.array([x, y]), n_terms)
-    assert isinstance(val, float) and grad.shape == (2,)
-    assert abs(val - val0) <= 1e-13
-    assert np.max(np.abs(grad - grad0)) <= 1e-13
-
-
 @st.composite
 def lattices(draw):
     """Random lattice axes reaching 1% beyond the square, with one axis
