@@ -2,21 +2,24 @@
 
 The bilinear form combines the bulk stiffness on the cut domain, symmetric
 Nitsche boundary terms with penalty beta/h, and the ghost-penalty face
-stabilization with derivative jumps up to order p. Every term is a Gram
-product B^T B: of sparse point operators B on the cut cells and the
-boundary, of the ghost faces' jump operators, which list each of a face
-patch's (p+1)(2p+1) nodes once, and for the inside cells of one dense
-reference operator, whose Gram matrix is scattered over them. Every sum
-runs in a fixed order, so assembly is deterministic, and the matrices are
-exactly symmetric by construction: nothing is symmetrized afterwards.
+stabilization with derivative jumps up to order p. A cut cell's stiffness,
+load and Nitsche terms are its Legendre moments (rule weights times 1, f,
+n_x or n_y, against P_a(t_x) P_b(t_y), a, b <= 2p) times constant tables.
+The inside cells share one Gram matrix G^T G, the ghost penalty is a Gram
+product of face jump operators, and every sum runs in a fixed order. Each
+block is exactly symmetric, and two nodes share at most two cells, so an
+off-diagonal entry of a term's COO sum adds at most two values, in either
+order the same: the matrices are exactly symmetric by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 import scipy.sparse as sp
 
 from .basis import QpBasis, eval_axis_derivative, eval_basis
@@ -197,11 +200,11 @@ def symmetry_error(a: sp.spmatrix) -> float:
 
 
 def _scatter(dofs: np.ndarray, local: np.ndarray, n_dofs: int) -> sp.csr_matrix:
-    """Sum of one local matrix (k, k) placed at every dof row of dofs (m, k)."""
+    """Sum of local matrices, (k, k) shared or (m, k, k), at the dof rows of dofs (m, k)."""
     m, k = dofs.shape
     rows = np.repeat(dofs, k, axis=1).reshape(-1)
     cols = np.tile(dofs, (1, k)).reshape(-1)
-    data = np.tile(local.reshape(-1), m)
+    data = np.broadcast_to(local, (m, k, k)).reshape(-1)
     return sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
 
 
@@ -227,27 +230,70 @@ def _gram(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.spmatrix:
     return b.T @ b
 
 
+@functools.cache
+def _moment_tables(p: int):
+    """Tables from Legendre moments, row a (2p+1) + b for P_a(t_x) P_b(t_y), to local matrices.
+
+    The 1D Lagrange polynomials are in Legendre form (``legfit``) in t = 2 xi - 1,
+    so d/dx = (2/h) d/dt_x. Columns are the pairs I <= J, ``mirror`` (k, k) maps
+    each pair to one: ``stiffness`` of grad_t phi_I . grad_t phi_J, ``mass`` and
+    ``flux`` (d/dt_x, d/dt_y) of phi_I phi_J. ``load`` has a column per phi_I.
+    """
+    m, k = 2 * p + 1, (p + 1) ** 2
+    coef = leg.legfit(np.linspace(-1.0, 1.0, p + 1), np.eye(p + 1), p).T
+
+    def table(op):
+        return np.array([[np.pad(c := op(a, b), (0, m - len(c))) for b in coef] for a in coef])
+
+    val, dval = table(leg.legmul), table(lambda a, b: leg.legder(leg.legmul(a, b)))
+    grad = table(lambda a, b: leg.legmul(leg.legder(a), leg.legder(b)))
+    i, j = np.triu_indices(k)
+    mirror = np.empty((k, k), dtype=np.intp)
+    mirror[i, j] = mirror[j, i] = np.arange(len(i))
+    (iy, jy), (ix, jx) = np.divmod((i, j), p + 1)
+    low = np.pad(coef, ((0, 0), (0, m - p - 1)))
+    outer = lambda tx, ty: (tx[ix, jx][:, :, None] * ty[iy, jy][:, None, :]).reshape(len(i), -1).T
+    load = low[np.arange(k) % (p + 1), :, None] * low[np.arange(k) // (p + 1), None, :]
+    flux = np.stack((outer(dval, val), outer(val, dval)))
+    return mirror, outer(grad, val) + outer(val, grad), outer(val, val), flux, load.reshape(k, -1).T
+
+
+def _cell_moments(grid, dofmap: DofMap, p: int, rules: dict, n_values: int, extra):
+    """The rules' cells' dofs and Legendre moments (cells, n_values, (2p+1)^2).
+
+    Entry [c, v, a (2p+1) + b] sums w v P_a(t_x) P_b(t_y) over cell c's points,
+    t = 2 (x - cell origin) / h - 1, for v = 1 and the columns of extra(rule),
+    batch by batch of ``rule_batches`` (a cell's points may span two).
+    """
+    m, row = 2 * p + 1, {cell: r for r, cell in enumerate(rules)}
+    moments = np.zeros((len(row), n_values * m, m))
+    for at, rule in rule_batches(rules):
+        t = 2.0 * (rule.points - grid.cell_origin(at)) / grid.h - 1.0
+        px, py = leg.legvander(t, m - 1).transpose(1, 0, 2)
+        values = rule.weights[:, None] * np.column_stack((np.ones_like(rule.weights), extra(rule)))
+        vx = (values[:, :, None] * px[:, None, :]).reshape(len(at), -1)
+        bounds = [*np.flatnonzero(np.diff(at, prepend=-1)), len(at)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            moments[row[at[lo]]] += vx[lo:hi].T @ py[lo:hi]
+    return dofmap.cell_dofs[list(row)], moments.reshape(len(row), n_values, m * m)
+
+
 def assemble_bulk(
     am: ActiveMesh, basis: QpBasis, f, rules: VolumeRuleSet, dofmap: DofMap
 ) -> SparseSystem:
     """Stiffness (grad u, grad v) and load (f, v) over element ∩ domain.
 
-    ``f`` must accept coordinate arrays (x, y) and return an array. Each
-    element adds G^T G, with G stacking both gradient components of each
-    point times sqrt(w); the inside elements share the reference G.
-    Each load is a bincount of w f v over the points' dofs.
+    ``f`` must accept coordinate arrays (x, y) and return an array. A cut
+    element's stiffness and load are its moments of w and w f times the tables
+    of :func:`_moment_tables`; the inside elements share G^T G, with G stacking
+    both gradient components of each point times sqrt(w).
     """
-    grid = am.grid
-    h = grid.h
-    n = dofmap.n_dofs
-    matrix = sp.csr_matrix((n, n))
-    rhs = np.zeros(n)
-    for cells, rule in rule_batches(rules.cut):
-        vals, grads, dofs = point_basis(basis, dofmap, grid, rule.points, cells)
-        sqrt_w = np.sqrt(rule.weights)[:, None, None]
-        matrix += _gram(sqrt_w * grads.transpose(0, 2, 1), np.repeat(dofs, 2, axis=0), n)
-        wf = rule.weights * f(rule.points[:, 0], rule.points[:, 1])
-        rhs += np.bincount(dofs.reshape(-1), (wf[:, None] * vals).reshape(-1), minlength=n)
+    grid, h, n = am.grid, am.grid.h, dofmap.n_dofs
+    mirror, stiffness, _, _, load = _moment_tables(basis.p)
+    dofs, moments = _cell_moments(grid, dofmap, basis.p, rules.cut, 2, lambda r: f(*r.points.T))
+    matrix = _scatter(dofs, (4.0 / h**2 * moments[:, 0] @ stiffness)[:, mirror], n)
+    rhs = np.zeros(n)  # bincount of no dofs would be integer
+    rhs += np.bincount(dofs.reshape(-1), (moments[:, 1] @ load).reshape(-1), minlength=n)
 
     inside = am.inside_ids
     if len(inside):
@@ -274,19 +320,16 @@ def assemble_nitsche_boundary(
     """Symmetric Nitsche boundary terms on the polygonal boundary.
 
     Adds (beta/h)(u, v) - (grad_n u, v) - (u, grad_n v) over the boundary
-    pieces as P^T P - Q^T Q, with P = s V - Q and Q = D_n / s times sqrt(w)
-    for the values V, normal derivatives D_n and s = sqrt(beta/h): Q^T Q is
-    the system's only negative term. Homogeneous Dirichlet data, no load.
+    pieces: per cell, its moments of w times the mass table and of w n_x and
+    w n_y times the flux tables of :func:`_moment_tables`, since the two
+    flux terms add up to (n . grad(u v)). One COO sum of exactly symmetric
+    blocks. Homogeneous Dirichlet data, no load.
     """
-    n = dofmap.n_dofs
-    s = math.sqrt(params.beta / am.grid.h)
-    matrix = sp.csr_matrix((n, n))
-    for cells, rule in rule_batches(rules):
-        vals, grads, dofs = point_basis(basis, dofmap, am.grid, rule.points, cells)
-        sqrt_w = np.sqrt(rule.weights)[:, None]
-        q = sqrt_w * np.einsum("qd,qid->qi", rule.normals, grads) / s
-        matrix += _gram(s * sqrt_w * vals - q, dofs, n) - _gram(q, dofs, n)
-    return matrix
+    h = am.grid.h
+    mirror, _, mass, flux, _ = _moment_tables(basis.p)
+    dofs, moments = _cell_moments(am.grid, dofmap, basis.p, rules, 3, lambda r: r.normals)
+    pairs = params.beta / h * moments[:, 0] @ mass - 2.0 / h * np.tensordot(moments[:, 1:], flux, 2)
+    return _scatter(dofs, pairs[:, mirror], dofmap.n_dofs)
 
 
 def _face_jumps(am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofmap: DofMap):
@@ -363,6 +406,8 @@ def assemble_system(
 ) -> tuple[SparseSystem, DofMap]:
     """Assemble the full stabilized Nitsche system A u = l.
 
+    Cut-cell and Nitsche terms are per-cell moments of the rules times tables,
+    exactly symmetric COO sums of at most two values per off-diagonal entry.
     Quadrature of order 2p, which is not exact on cut cells. Against order
     2p + 6 at level 4, relative to each term's largest entry: on the
     level-set disk the p=2 cut-cell stiffness is off by 4.8e-3, the p=2

@@ -66,10 +66,10 @@ def eval_basis(basis: QpBasis, ref_point, h: float):
     ny = basis.lagrange_1d(pts[:, 1])
     dx = basis.lagrange_1d(pts[:, 0], 1) / h
     dy = basis.lagrange_1d(pts[:, 1], 1) / h
-    values = (ny[:, :, None] * nx[:, None, :]).reshape(len(pts), -1)
+    values = (ny[:, :, None] * nx[:, None, :]).reshape(len(pts), basis.n_local)
     grads = np.empty((len(pts), basis.n_local, 2))
-    grads[:, :, 0] = (ny[:, :, None] * dx[:, None, :]).reshape(len(pts), -1)
-    grads[:, :, 1] = (dy[:, :, None] * nx[:, None, :]).reshape(len(pts), -1)
+    grads[:, :, 0] = (ny[:, :, None] * dx[:, None, :]).reshape(len(pts), basis.n_local)
+    grads[:, :, 1] = (dy[:, :, None] * nx[:, None, :]).reshape(len(pts), basis.n_local)
     return values, grads
 
 
@@ -84,4 +84,4 @@ def eval_axis_derivative(basis: QpBasis, ref_point, axis: int, j: int, h: float)
     pts = np.atleast_2d(np.asarray(ref_point, dtype=float))
     fx = basis.lagrange_1d(pts[:, 0], j if axis == 0 else 0)
     fy = basis.lagrange_1d(pts[:, 1], j if axis == 1 else 0)
-    return (fy[:, :, None] * fx[:, None, :]).reshape(len(pts), -1) / h**j
+    return (fy[:, :, None] * fx[:, None, :]).reshape(len(pts), basis.n_local) / h**j

@@ -136,6 +136,13 @@ def _grid(origin, side, h0: float | None, level: int) -> BackgroundGrid:
     return BackgroundGrid(origin=origin, h=side / n, nx=n, ny=n)
 
 
+def _check_coarsest(h0, h: float, bound: str, value: float, limit: float, why: str) -> None:
+    """Reject, before level 0, an h0 whose coarsest mesh size h breaks the study's bound."""
+    if not value < limit:
+        msg = f"at the coarsest h = {h:.4g}, {bound} = {value:.4g} must be below {limit:g}"
+        raise ValueError(f"h0 = {h0} is too coarse: {msg} {why}")
+
+
 def _polygon_vertices(h: float) -> int:
     return 64 * math.ceil(1.0 / h)
 
@@ -197,8 +204,15 @@ def _square_study(cfg: StudyConfig, study: str) -> list[ConvergenceRecord]:
         raise ValueError("p must be 1, 2 or 3")
     if cfg.alpha is not None and not math.isfinite(cfg.alpha):
         raise ValueError(f"alpha must be finite, got {cfg.alpha}")
+    if cfg.alpha is not None and cfg.alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {cfg.alpha}: delta = h^alpha must shrink")
     ref = ReferenceSolution.square_series(_default_terms(cfg.p))
     domain = UnitSquare()
+
+    # The grid ends 0.25 - h/3 past the unit square, which moves out by at most delta.
+    h = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, 0).h
+    delta = h**cfg.alpha if cfg.alpha is not None else 0.0
+    _check_coarsest(cfg.h0, h, "h/3 + delta", h / 3 + delta, 0.25, "for the square to fit the grid")
 
     def build(level):
         grid = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, level)
@@ -236,6 +250,8 @@ def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     ref = ReferenceSolution.disk_quadratic()
     domain = Disk(center=(0.0, 0.0), radius=1.0)
     h_coarse = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, 0).h
+    why = "for the perturbed circle to fit the grid [-1.25, 1.25]^2"
+    _check_coarsest(cfg.h0, h_coarse, f"delta = h^{exponent:g}", h_coarse**exponent, 0.25, why)
 
     def build(level):
         grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, level)
@@ -258,6 +274,8 @@ def run_levelset_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         raise ValueError("the level-set study uses p = 1 or 2")
     ref = ReferenceSolution.disk_quadratic()
     domain = Disk(center=(0.0, 0.0), radius=1.0)
+    h = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, 0).h
+    _check_coarsest(cfg.h0, h, "4 h / radius", 4 * h / domain.radius, 1.0, "to resolve the disk")
 
     def build(level):
         grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, level)

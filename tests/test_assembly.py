@@ -26,11 +26,17 @@ from cutpoisson import quadrature
 from cutpoisson.assembly import PenaltyParameters, point_basis, symmetry_error
 from cutpoisson.mesh import (
     CUT,
+    INSIDE,
     ActiveMesh,
     BackgroundGrid,
     classify_elements,
 )
-from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
+from cutpoisson.quadrature import (
+    CutVolumeRule,
+    VolumeRuleSet,
+    build_boundary_rules,
+    build_volume_rules,
+)
 from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _square_origin
 
 from oracles import (
@@ -176,7 +182,7 @@ class TestNitsche:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_symmetric(self, p):
-        # P^T P - Q^T Q sums every entry and its transpose in the same order.
+        # Mirrored blocks, and at most two of them on an off-diagonal entry.
         poly = perturb_square_boundary(0.02, 32)
         grid = BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12)
         am = classify_elements(grid, poly)
@@ -225,6 +231,49 @@ class TestPointOperators:
         assert abs(bulk.matrix - k_ref).max() <= 1e-13 * abs(k_ref).max()
         assert np.max(np.abs(bulk.rhs - rhs_ref)) <= 1e-13 * np.max(np.abs(rhs_ref))
         assert abs(nit - nit_ref).max() <= 1e-13 * abs(nit_ref).max()
+
+
+def product(x, y):
+    return 1.0 + x * y
+
+
+@PROPERTY
+@given(meshes, st.sampled_from([1, 2, 3]))
+def test_moments_match_per_cell_oracle(am, p):
+    # Batches of 97 points, so most cut cells' points span two of them.
+    basis, params, dm = qp_basis(p), penalty_parameters(p), build_dofmap(am, p)
+    vrules = build_volume_rules(am, 2 * p)
+    brules = build_boundary_rules(am, 2 * p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "POINT_BATCH", 97)
+        bulk = assemble_bulk(am, basis, product, vrules, dm)
+        nit = assemble_nitsche_boundary(am, basis, params, brules, dm)
+    k_ref, rhs_ref, nit_ref = per_cell_bulk_nitsche(am, basis, params, product, vrules, brules, dm)
+    assert abs(bulk.matrix - k_ref).max() <= 1e-13 * abs(k_ref).max()
+    assert np.max(np.abs(bulk.rhs - rhs_ref)) <= 1e-13 * np.max(np.abs(rhs_ref))
+    assert abs(nit - nit_ref).max() <= 1e-13 * abs(nit_ref).max()
+    assert symmetry_error(bulk.matrix) == 0.0
+    assert symmetry_error(nit) == 0.0
+
+
+def test_whole_cell_as_cut_rule_gives_inside_matrix():
+    # p = 3: the moments of the order-6 tensor rule times the tables give the
+    # inside cells' Gram matrix, as a badly conditioned basis would not.
+    p, h = 3, 0.37
+    grid = BackgroundGrid(origin=(0.3, -0.2), h=h, nx=1, ny=1)
+    poly = BoundaryPolygon([[0.3, -0.2], [0.3 + h, -0.2], [0.3 + h, h - 0.2], [0.3, h - 0.2]])
+    basis = qp_basis(p)
+    ref = build_volume_rules(box_mesh(), 2 * p)
+    whole = CutVolumeRule(grid.origin + h * ref.inside_ref_points, h * h * ref.inside_ref_weights)
+    systems = []
+    for kind, cut in ((INSIDE, {}), (CUT, {0: whole})):
+        am = ActiveMesh(grid, poly, np.array([kind], dtype=np.int8), np.arange(1))
+        dm = build_dofmap(am, p)
+        rules = VolumeRuleSet(ref.inside_ref_points, ref.inside_ref_weights, cut)
+        systems.append(assemble_bulk(am, basis, product, rules, dm))
+    inside, cut = systems
+    assert abs(cut.matrix - inside.matrix).max() <= 1e-14 * abs(inside.matrix).max()
+    assert np.max(np.abs(cut.rhs - inside.rhs)) <= 1e-14 * np.max(np.abs(inside.rhs))
 
 
 class TestGhostPenalty:
@@ -295,7 +344,8 @@ class TestGhostPenalty:
 @PROPERTY
 @given(am=meshes | near_gridline_star_meshes())
 def test_every_term_is_exactly_symmetric(p, am):
-    # Every term is a Gram product, so a_ij and a_ji are the same sum.
+    # Every term sums mirrored blocks, at most two on an off-diagonal entry,
+    # or is a Gram product, so a_ij and a_ji are the same sum.
     basis, params, dm = qp_basis(p), penalty_parameters(p), build_dofmap(am, p)
     bulk = assemble_bulk(am, basis, ones, build_volume_rules(am, 2 * p), dm)
     nitsche = assemble_nitsche_boundary(am, basis, params, build_boundary_rules(am, 2 * p), dm)

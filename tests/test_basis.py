@@ -67,6 +67,12 @@ class TestSpecificValues:
         _, g2 = eval_basis(basis, np.array([0.3, 0.7]), 0.5)
         assert np.allclose(g2, 2.0 * g1, atol=1e-13)
 
+    def test_empty_batch(self):
+        basis = qp_basis(3)
+        vals, grads = eval_basis(basis, np.zeros((0, 2)), 0.5)
+        assert vals.shape == (0, 16) and grads.shape == (0, 16, 2)
+        assert eval_axis_derivative(basis, np.zeros((0, 2)), 1, 2, 0.5).shape == (0, 16)
+
 
 class TestAxisDerivative:
     def test_j_zero_matches_values(self):

@@ -56,6 +56,29 @@ class TestExitCodes:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    def test_non_positive_alpha_is_usage_error(self, alpha, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["delta-study", f"--alpha={alpha}", "--levels", "2", "--out", str(out)]) == 2
+        assert "alpha must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["solve", "--p", "1", "--h0", "100"], "h/3 + delta"),
+            (["solve", "--p", "1", "--h0", "0.75"], "h/3 + delta"),
+            (["levelset-study", "--p", "1", "--h0", "1"], "4 h / radius"),
+        ],
+        ids=["solve-h0-100", "solve-h0-0.75", "levelset-h0-1"],
+    )
+    def test_h0_too_coarse_for_domain_is_usage_error(self, argv, bound, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--levels", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is too coarse" in err and bound in err
+        assert not out.exists()
+
     def test_invalid_p_is_usage_error(self, tmp_path):
         out = tmp_path / "r.csv"
         code = main(
