@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .basis import QpBasis, eval_axis_derivative, eval_basis
 from .errors import MeshError
-from .mesh import ActiveMesh
+from .mesh import INSIDE, ActiveMesh
 from .quadrature import (
     CutBoundaryRule,
     VolumeRuleSet,
@@ -33,6 +33,8 @@ from .quadrature import (
     gauss_legendre_1d,
     rule_batches,
 )
+
+BOX = 6  # cells per side of a clean box; 3 factored slower and 12 took more memory
 
 __all__ = [
     "PenaltyParameters",
@@ -73,39 +75,49 @@ class DofMap:
     cell. Dof ids are dense in [0, n_dofs) and are the elimination order of
     the factor: :func:`build_dofmap` numbers the nodes in nested-dissection
     postorder. ``dof_coords[dof]`` is the physical position of the dof's node.
+
+    ``clean_boxes`` (boxes, (BOX p + 1)^2) int32 holds the dofs of the
+    bisection's boxes of BOX x BOX inside cells that are no ghost-face
+    element, in one local order: the interior nodes, then the perimeter.
+    All such boxes have the same matrix blocks (``solver.condense``).
     """
 
     cell_dofs: np.ndarray
     n_dofs: int
     dof_coords: np.ndarray
+    clean_boxes: np.ndarray
 
 
 def _bisection(n: int, p: int, n_levels: int, offset: int):
     """Recursive bisection of the n cells of one axis into one-cell leaves.
 
     Returns the cut level of each gridline 0..n (``n_levels`` for gridlines
-    that no box cuts) and, for each node coordinate 0..p n, its side bits:
-    the bit of level L, 1 << (2 (n_levels - 1 - L) + offset), is set when the
-    node lies above the level-L cut of its box.
+    that no box cuts), for each node coordinate 0..p n its side bits (the bit
+    of level L, 1 << (2 (n_levels - 1 - L) + offset), is set when the node
+    lies above the level-L cut of its box), and the low gridlines of the
+    boxes of BOX cells.
     """
     cut_level = np.full(n + 2, n_levels)  # one pad entry past gridline n
     side = np.zeros(p * n + 1, dtype=np.int64)
-    boxes = [(0, n)]
+    boxes, box_lows = [(0, n)], []
     for level in range(n_levels):
         bit = 1 << (2 * (n_levels - 1 - level) + offset)
         halves = []
         for lo, hi in boxes:
+            if hi - lo == BOX:
+                box_lows.append(lo)
             if hi - lo > 1:
                 mid = (lo + hi) // 2
                 cut_level[mid] = level
                 side[p * mid + 1 : p * hi + 1] |= bit
                 halves += [(lo, mid), (mid, hi)]
         boxes = halves
-    return cut_level, side
+    return cut_level, side, np.array(box_lows, dtype=np.intp)
 
 
-def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """The nodes' nested-dissection postorder, as a permutation of the nodes.
+def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray):
+    """The nodes' nested-dissection postorder, as a permutation of the nodes,
+    and per axis the low gridlines of the bisection's boxes of BOX cells.
 
     The tree bisects the grid's cells alternately in x and y, at depth 2L
     and 2L + 1 for level L, down to one-cell leaves. ``nodes`` and
@@ -121,8 +133,10 @@ def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray) -> np.
     n_levels = max(grid.nx - 1, grid.ny - 1, 0).bit_length()
     depth = np.full(m, 2 * n_levels)
     key = np.zeros(m, dtype=np.int64)
+    box_lows = []
     for axis, (n, c, r) in enumerate(zip((grid.nx, grid.ny), nodes, reach // p)):
-        cut_level, side = _bisection(n, p, n_levels, 1 - axis)
+        cut_level, side, lows = _bisection(n, p, n_levels, 1 - axis)
+        box_lows.append(lows)
         # The reach is at most the second gridline above c, so [c, reach)
         # holds at most two gridlines: the first at or above c, and the next.
         first = -(-c // p)
@@ -138,7 +152,7 @@ def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray) -> np.
     # The three fit in 63 bits for grids of up to 8192 cells per axis.
     depth_bits, node_bits = (2 * n_levels).bit_length(), m.bit_length()
     packed = ((key << depth_bits | 2 * n_levels - depth) << node_bits) | np.arange(m)
-    return np.sort(packed) & ((1 << node_bits) - 1)
+    return np.sort(packed) & ((1 << node_bits) - 1), box_lows
 
 
 def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
@@ -170,25 +184,40 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
         # index repeats within one fancy-indexed maximum.
         for at in raw.T:
             node_reach[at] = np.maximum(node_reach[at], elem_reach)
-    order = _dissection_order(grid, p, nodes, p * np.take(reach, unique, axis=1))
+    order, box_lows = _dissection_order(grid, p, nodes, p * np.take(reach, unique, axis=1))
     dof_of_node = np.empty(len(is_node), dtype=np.int32)
     dof_of_node[unique[order]] = np.arange(len(order))
 
     cell_dofs = np.full((grid.n_cells, len(local)), -1, dtype=np.int32)
     cell_dofs[am.active] = dof_of_node[raw]
+
+    clean = am.classification == INSIDE
+    clean[faces[:, :2]] = False
+    bx, by = np.meshgrid(*box_lows)
+    corner = (by * grid.nx + bx).ravel()
+    span = np.arange(BOX)
+    corner = corner[clean[corner[:, None] + (grid.nx * span[:, None] + span).ravel()].all(axis=1)]
+    cx, cy = grid.cell_coords(corner)
+    k = np.arange(BOX * p + 1)
+    on_edge = (k == 0) | (k == BOX * p)
+    on_perimeter = (on_edge[:, None] | on_edge).ravel()
+    box_local = (gnx * k[:, None] + k).ravel()[np.argsort(on_perimeter, kind="stable")]
     return DofMap(
         cell_dofs=cell_dofs,
         n_dofs=len(unique),
         dof_coords=np.asarray(grid.origin) + np.take(nodes, order, axis=1).T * (grid.h / p),
+        clean_boxes=dof_of_node[(p * (cy * gnx + cx))[:, None] + box_local],
     )
 
 
 @dataclass
 class SparseSystem:
-    """Symmetric sparse matrix and load vector over the active dofs."""
+    """Symmetric sparse matrix and load vector over the active dofs, and the
+    ``DofMap.clean_boxes`` that ``solve_spd`` condenses (none: factor all)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    clean_boxes: np.ndarray | None = None
 
 
 def symmetry_error(a: sp.spmatrix) -> float:
@@ -422,4 +451,4 @@ def assemble_system(
     bulk = assemble_bulk(am, basis, f, vrules, dofmap)
     matrix = bulk.matrix + assemble_nitsche_boundary(am, basis, params, brules, dofmap)
     matrix += assemble_ghost_penalty(am, basis, params, dofmap)
-    return SparseSystem(matrix=matrix.tocsr(), rhs=bulk.rhs), dofmap
+    return SparseSystem(matrix.tocsr(), bulk.rhs, dofmap.clean_boxes), dofmap

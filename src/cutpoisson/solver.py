@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
     DofMap,
     PenaltyParameters,
     SparseSystem,
+    _scatter,
     ghost_penalty_form,
     point_basis,
 )
@@ -53,51 +56,98 @@ FACTOR_OPTIONS = {
 }
 
 
+def condense(a: sp.csr_matrix, boxes: np.ndarray):
+    """Eliminate the interiors of ``boxes`` (``DofMap.clean_boxes``) from the CSR matrix a.
+
+    All boxes share the first's A_II = L L^T and A_IB; with Y = L^-1 A_IB, the
+    Schur complement onto a perimeter is C = Y^T Y, symmetrized. Returns
+    S = A[R, R] - the sum of the C blocks (exactly symmetric: a pair of
+    perimeter dofs lies in at most two boxes), the dofs R outside the
+    interiors, the ``cho_factor`` of A_II and X = A_II^-1 A_IB.
+    """
+    n_in = (int(np.sqrt(boxes.shape[1])) - 2) ** 2
+    a_i = a[boxes[0, :n_in]]
+    chol = scipy.linalg.cho_factor(a_i[:, boxes[0, :n_in]].toarray(), lower=True)
+    y = scipy.linalg.solve_triangular(chol[0], a_i[:, boxes[0, n_in:]].toarray(), lower=True)
+    c = y.T @ y
+    kept = np.ones(a.shape[0], dtype=bool)
+    kept[boxes[:, :n_in]] = False
+    rows = np.flatnonzero(kept)
+    # A[R, R] in one masked pass: a removed row keeps no entry, so a kept row
+    # starts at the count of kept entries before it.
+    mask = np.repeat(kept, np.diff(a.indptr)) & kept[a.indices]
+    indptr = np.concatenate(([0], np.cumsum(mask)))[a.indptr[np.append(rows, len(kept))]]
+    new = np.cumsum(kept, dtype=a.indices.dtype) - 1
+    a_rr = sp.csr_matrix((a.data[mask], new[a.indices[mask]], indptr), shape=(len(rows),) * 2)
+    s = a_rr - _scatter(new[boxes[:, n_in:]], 0.5 * (c + c.T), len(rows))
+    return s, rows, chol, scipy.linalg.solve_triangular(chol[0], y, lower=True, trans="T")
+
+
 def solve_spd(system: SparseSystem) -> np.ndarray:
     """Direct sparse solve with a relative residual contract of 1e-12.
 
-    The factor is A = L U with diagonal pivots in the matrix's own numbering
-    (FACTOR_OPTIONS), which an SPD matrix always admits. The fill therefore
-    depends on the numbering: ``build_dofmap`` numbers the dofs in
-    nested-dissection order. SuperLU swaps rows only where a diagonal pivot
-    is exactly zero; the factor then has perm_r != perm_c, and SolverError
-    is raised before the solve. An exactly singular factor, and a residual
-    of the returned x above the tolerance after iterative refinement, raise
-    SolverError too.
+    With ``system.clean_boxes`` the factor is that of :func:`condense`'s S,
+    and x_I = A_II^-1 b_I - X x_B recovers the interiors. SuperLU reads the
+    CSR arrays of S (or A) as CSC: the transpose, the same exactly symmetric
+    matrix, without a copy. The factor is L U with diagonal pivots in the
+    matrix's own numbering (FACTOR_OPTIONS), which an SPD matrix always
+    admits. The fill therefore depends on the numbering: ``build_dofmap``
+    numbers the dofs in nested-dissection order, which S keeps. SuperLU
+    swaps rows only where a diagonal pivot is exactly zero; the factor then
+    has perm_r != perm_c, and SolverError is raised before the solve. An
+    exactly singular factor, and a residual of the returned x on the full A
+    above the tolerance after iterative refinement, raise SolverError too.
 
     No check detects an indefinite matrix with nonzero pivots: it is
     solved to roundoff without error (so is [[1, 2], [2, 1]], and so is the
     square on an unshifted grid, whose system has negative eigenvalues).
     """
-    a = system.matrix.tocsc()
+    a = s = system.matrix.tocsr()
     b = system.rhs
     if not np.all(np.isfinite(b)):
         raise SolverError("load vector contains non-finite entries")
     if not np.any(b):
         return np.zeros_like(b)
+    boxes = system.clean_boxes
     try:
-        lu = spla.splu(a, **FACTOR_OPTIONS)
+        if boxes is not None and len(boxes):
+            s, kept, chol, x_ib = condense(a, boxes)
+        s_as_csc = sp.csc_matrix((s.data, s.indices, s.indptr), shape=s.shape)
+        lu = spla.splu(s_as_csc, **FACTOR_OPTIONS)
     except Exception as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError("sparse factorization needed an off-diagonal pivot (zero diagonal pivot)")
-    x = lu.solve(b)
-    # Iterative refinement with extended-precision residuals: on fine cut
-    # systems a double-precision residual alone sits near the contract. x is
-    # stored in double precision, which floors the residual: once a
-    # correction no longer halves it, the best x measured is returned.
-    a_ext = a.astype(np.longdouble)
+    solve = lu.solve
+    if s is not a:
+        inner, outer = boxes[:, : len(x_ib)].T, boxes[:, len(x_ib) :].T
+
+        def solve(rhs):
+            # S x_R = b_R - the sum of X^T b_I, as A_BI A_II^-1 = X^T.
+            g = rhs - np.bincount(outer.ravel(), (x_ib.T @ rhs[inner]).ravel(), len(rhs))
+            x = np.empty_like(rhs)
+            x[kept] = lu.solve(g[kept])
+            x[inner] = scipy.linalg.cho_solve(chol, rhs[inner]) - x_ib @ x[outer]
+            return x
+
+    x = solve(b)
+    # Iterative refinement with extended-precision residuals of the full A, by
+    # row blocks: on fine cut systems a double-precision residual alone sits
+    # near the contract. x is stored in double precision, which floors the
+    # residual: once a correction no longer halves it, the best x is returned.
     b_ext = b.astype(np.longdouble)
     norm_b_ext = np.sqrt(np.sum(b_ext * b_ext))
     best = (np.inf, x)
     for corrections in range(6):
-        r_ext = b_ext - a_ext @ x.astype(np.longdouble)
+        x_ext, r_ext = x.astype(np.longdouble), b_ext.copy()
+        for lo in range(0, len(b), 8192):
+            r_ext[lo : lo + 8192] -= a[lo : lo + 8192].astype(np.longdouble) @ x_ext
         residual = float(np.sqrt(np.sum(r_ext * r_ext)) / norm_b_ext)
         stalled = residual > 0.5 * best[0]
         best = min(best, (residual, x), key=lambda pair: pair[0])
         if stalled or residual <= 0.1 * _RESIDUAL_TOL or corrections == 5:
             break
-        x = x + lu.solve(np.asarray(r_ext, dtype=np.float64))
+        x = x + solve(np.asarray(r_ext, dtype=np.float64))
     residual, x = best
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise SolverError(f"relative residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}")

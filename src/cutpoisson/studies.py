@@ -143,8 +143,7 @@ def _check_coarsest(h0, h: float, bound: str, value: float, limit: float, why: s
         raise ValueError(f"h0 = {h0} is too coarse: {msg} {why}")
 
 
-def _polygon_vertices(h: float) -> int:
-    return 64 * math.ceil(1.0 / h)
+MAX_POLYGON_VERTICES = 1_000_000  # normal-l2 has 21k at its finest default level
 
 
 def _solve_on_polygon(grid, poly, p, ref, params):
@@ -253,16 +252,24 @@ def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     why = "for the perturbed circle to fit the grid [-1.25, 1.25]^2"
     _check_coarsest(cfg.h0, h_coarse, f"delta = h^{exponent:g}", h_coarse**exponent, 0.25, why)
 
-    def build(level):
-        grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, level)
-        delta = grid.h**exponent
-        freq = oscillation_frequency(cfg.alpha_n, grid.h, h_coarse)
+    def vertices(h: float) -> int:
         # Keep the polygon's own chord sag below 0.5% of the amplitude, so
         # the measured location error tracks the nominal delta; for small
         # delta = h^(p+1) the default 64/h vertices are not enough.
-        n_sag = math.ceil(2.0 * math.pi / math.sqrt(0.04 * delta)) if delta > 0 else 0
-        n_vertices = max(_polygon_vertices(grid.h), 16 * freq, n_sag)
-        poly = perturb_circle_boundary(delta, cfg.alpha_n, grid.h, h_coarse, n_vertices)
+        n_sag = math.ceil(2.0 * math.pi / math.sqrt(0.04 * h**exponent)) if h**exponent else 0
+        freq = oscillation_frequency(cfg.alpha_n, h, h_coarse)
+        return max(64 * math.ceil(1.0 / h), 16 * freq, n_sag)
+
+    finest = max(cfg.levels or _default_levels(cfg.p), 1) - 1
+    n_vertices = vertices(_grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, finest).h)
+    if n_vertices > MAX_POLYGON_VERTICES:
+        msg = f"{n_vertices:.3g} polygon vertices at level {finest}"
+        raise ValueError(f"alpha_n = {cfg.alpha_n} needs {msg}, more than {MAX_POLYGON_VERTICES:,}")
+
+    def build(level):
+        grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, level)
+        delta = grid.h**exponent
+        poly = perturb_circle_boundary(delta, cfg.alpha_n, grid.h, h_coarse, vertices(grid.h))
         return grid, poly, domain, ref
 
     return _run_levels(cfg, "normal", build)

@@ -140,6 +140,26 @@ def test_dofs_are_numbered_in_dissection_order(am, p):
         assert long[: len(short)] == short, (short, long)
 
 
+def test_clean_boxes_hold_no_cut_cell_or_ghost_face_element():
+    # The level-set disk at level 2, p = 2: each box is 6 x 6 inside cells,
+    # and the cells next to the cut band are elements of ghost faces.
+    grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 2)
+    am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
+    dm = build_dofmap(am, 2)
+    assert len(dm.clean_boxes) and dm.clean_boxes.shape[1] == 169
+    assert dm.clean_boxes.dtype == np.int32
+    coords = dm.dof_coords[dm.clean_boxes]
+    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    assert np.allclose(hi - lo, 6 * grid.h)
+    # Interior nodes first: none of them on the box's perimeter.
+    inner = coords[:, :121]
+    assert np.all((inner > lo[:, None]) & (inner < hi[:, None]))
+    excluded = np.union1d(am.cut_ids, am.ghost_faces_arr[:, :2])
+    centers = grid.cell_origin(excluded) + grid.h / 2
+    held = (centers > lo[:, None]) & (centers < hi[:, None])
+    assert not np.any(held.all(axis=2))
+
+
 class TestBulk:
     def test_row_sums_vanish(self):
         am = box_mesh(nx=3, ny=3)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from cutpoisson import studies
 from cutpoisson.cli import main
 from cutpoisson.studies import read_records_csv
 
@@ -86,6 +87,21 @@ class TestExitCodes:
              "--out", str(out)]
         )
         assert code == 2
+
+    # alpha_n 40 at 2 levels asks for 8.8e13 vertices, 5 at the default 5
+    # levels for 8.4e7: both are rejected before any polygon is built.
+    @pytest.mark.parametrize(
+        "argv", [["--alpha-n", "40", "--levels", "2"], ["--alpha-n", "5"]], ids=["40-at-2", "5"]
+    )
+    def test_too_many_polygon_vertices_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        def no_polygon(*args):
+            raise AssertionError("a polygon was built")
+
+        monkeypatch.setattr(studies, "perturb_circle_boundary", no_polygon)
+        out = tmp_path / "r.csv"
+        assert main(["normal-study", *argv, "--out", str(out)]) == 2
+        assert f"more than {studies.MAX_POLYGON_VERTICES:,}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRuns:

@@ -32,7 +32,7 @@ from cutpoisson import (
     solve_spd,
 )
 from cutpoisson import quadrature, solver
-from cutpoisson.assembly import SparseSystem
+from cutpoisson.assembly import SparseSystem, symmetry_error
 from cutpoisson.mesh import INSIDE, ActiveMesh, BackgroundGrid, classify_elements
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules, rule_batches
 from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _square_origin
@@ -211,6 +211,67 @@ def test_factor_fill_is_no_larger_than_minimum_degree():
     minimum_degree = dict(solver.FACTOR_OPTIONS, permc_spec="MMD_AT_PLUS_A")
     fill = spla.splu(a, **solver.FACTOR_OPTIONS).nnz
     assert fill <= spla.splu(a[row_major][:, row_major], **minimum_degree).nnz
+
+
+def unit_load_system(am, p):
+    return assemble_system(am, qp_basis(p), penalty_parameters(p), lambda x, y: np.ones_like(x))[0]
+
+
+def square_mesh(n):
+    """The unit square on an n x n grid over [-0.25, 1.25]^2: with n = 24 it
+    holds 4 clean boxes, with n = 18 none (18 cells bisect into no 6)."""
+    grid = BackgroundGrid(origin=(-0.25, -0.25), h=1.5 / n, nx=n, ny=n)
+    return classify_elements(grid, perturb_square_boundary(0.0, 32))
+
+
+@PROPERTY
+@given(meshes, st.sampled_from([1, 2, 3]))
+@example(square_mesh(24), 3)
+@example(square_mesh(18), 2)
+def test_condensed_solve_matches_full_factor(am, p):
+    system = unit_load_system(am, p)
+    expected = spla.splu(system.matrix.tocsc(), **solver.FACTOR_OPTIONS).solve(system.rhs)
+    x = solve_spd(system)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+    if len(system.clean_boxes):
+        assert symmetry_error(solver.condense(system.matrix, system.clean_boxes)[0]) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_clean_boxes_share_their_blocks(p):
+    # The level-set disk at level 2 has 16 clean boxes among cut cells.
+    grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 2)
+    am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
+    system = unit_load_system(am, p)
+    boxes, a = system.clean_boxes, system.matrix
+    assert boxes.shape == (16, (6 * p + 1) ** 2)
+    inner = boxes[:, : (6 * p - 1) ** 2]
+    blocks = np.array([a[i][:, box].toarray() for i, box in zip(inner, boxes)])
+    assert np.abs(blocks - blocks[0]).max() <= 1e-14 * np.abs(blocks).max()
+
+
+def test_factor_reads_the_matrix_without_a_copy():
+    factored, condensed = [], []
+    real_splu, real_condense = spla.splu, solver.condense
+
+    def splu(matrix, **options):
+        factored.append(matrix)
+        return real_splu(matrix, **options)
+
+    def condense(*args):
+        result = real_condense(*args)
+        condensed.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver.spla, "splu", splu)
+        patch.setattr(solver, "condense", condense)
+        for n in (18, 24):
+            system = unit_load_system(square_mesh(n), 2)
+            solve_spd(system)
+            data = condensed[-1].data if len(system.clean_boxes) else system.matrix.data
+            assert np.shares_memory(factored[-1].data, data)
+    assert len(factored) == 2 and len(condensed) == 1
 
 
 class TestSeriesSolution:
