@@ -76,10 +76,10 @@ class DofMap:
     the factor: :func:`build_dofmap` numbers the nodes in nested-dissection
     postorder. ``dof_coords[dof]`` is the physical position of the dof's node.
 
-    ``clean_boxes`` (boxes, (BOX p + 1)^2) int32 holds the dofs of the
-    bisection's boxes of BOX x BOX inside cells that are no ghost-face
-    element, in one local order: the interior nodes, then the perimeter.
-    All such boxes have the same matrix blocks (``solver.condense``).
+    ``clean_boxes`` (boxes, BOX p + 1, BOX p + 1) int32 holds the dofs of
+    the bisection's boxes of BOX x BOX inside cells that are no ghost-face
+    element, as node lattices indexed [iy, ix]. All such boxes have the same
+    matrix blocks (``solver.condense``).
     """
 
     cell_dofs: np.ndarray
@@ -199,14 +199,11 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
     corner = corner[clean[corner[:, None] + (grid.nx * span[:, None] + span).ravel()].all(axis=1)]
     cx, cy = grid.cell_coords(corner)
     k = np.arange(BOX * p + 1)
-    on_edge = (k == 0) | (k == BOX * p)
-    on_perimeter = (on_edge[:, None] | on_edge).ravel()
-    box_local = (gnx * k[:, None] + k).ravel()[np.argsort(on_perimeter, kind="stable")]
     return DofMap(
         cell_dofs=cell_dofs,
         n_dofs=len(unique),
         dof_coords=np.asarray(grid.origin) + np.take(nodes, order, axis=1).T * (grid.h / p),
-        clean_boxes=dof_of_node[(p * (cy * gnx + cx))[:, None] + box_local],
+        clean_boxes=dof_of_node[(p * (cy * gnx + cx))[:, None, None] + gnx * k[:, None] + k],
     )
 
 

@@ -55,8 +55,8 @@ class BackgroundGrid:
     ny: int
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise MeshError("grid spacing h must be positive")
+        if not (0.0 < self.h < np.inf and np.all(np.isfinite(self.origin))):
+            raise MeshError("grid spacing h must be positive, and h and origin finite")
         if self.nx < 1 or self.ny < 1:
             raise MeshError("grid needs at least one cell per direction")
 

@@ -59,19 +59,22 @@ FACTOR_OPTIONS = {
 def condense(a: sp.csr_matrix, boxes: np.ndarray):
     """Eliminate the interiors of ``boxes`` (``DofMap.clean_boxes``) from the CSR matrix a.
 
-    All boxes share the first's A_II = L L^T and A_IB; with Y = L^-1 A_IB, the
-    Schur complement onto a perimeter is C = Y^T Y, symmetrized. Returns
-    S = A[R, R] - the sum of the C blocks (exactly symmetric: a pair of
-    perimeter dofs lies in at most two boxes), the dofs R outside the
-    interiors, the ``cho_factor`` of A_II and X = A_II^-1 A_IB.
+    I is a box lattice's interior, B its outer ring. All boxes share the first's
+    A_II = L L^T and A_IB; with Y = L^-1 A_IB, the Schur complement onto B is
+    C = Y^T Y, symmetrized. Returns S = A[R, R] - the sum of the C blocks
+    (exactly symmetric: a pair of B dofs lies in at most two boxes), the dofs
+    R outside every I, the ``cho_factor`` of A_II, X = A_II^-1 A_IB, and the
+    I and B dofs as (|I|, boxes) and (|B|, boxes) tables, row-major per box.
     """
-    n_in = (int(np.sqrt(boxes.shape[1])) - 2) ** 2
-    a_i = a[boxes[0, :n_in]]
-    chol = scipy.linalg.cho_factor(a_i[:, boxes[0, :n_in]].toarray(), lower=True)
-    y = scipy.linalg.solve_triangular(chol[0], a_i[:, boxes[0, n_in:]].toarray(), lower=True)
+    ring = np.pad(np.zeros(np.subtract(boxes.shape[1:], 2), dtype=bool), 1, constant_values=True)
+    # Box-major (Fortran) tables: X^T b_I's BLAS path depends on rhs[inner]'s order.
+    inner, outer = (np.asfortranarray(boxes[:, m].T) for m in (~ring, ring))
+    a_i = a[inner[:, 0]]
+    chol = scipy.linalg.cho_factor(a_i[:, inner[:, 0]].toarray(), lower=True)
+    y = scipy.linalg.solve_triangular(chol[0], a_i[:, outer[:, 0]].toarray(), lower=True)
     c = y.T @ y
     kept = np.ones(a.shape[0], dtype=bool)
-    kept[boxes[:, :n_in]] = False
+    kept[inner] = False
     rows = np.flatnonzero(kept)
     # A[R, R] in one masked pass: a removed row keeps no entry, so a kept row
     # starts at the count of kept entries before it.
@@ -79,8 +82,9 @@ def condense(a: sp.csr_matrix, boxes: np.ndarray):
     indptr = np.concatenate(([0], np.cumsum(mask)))[a.indptr[np.append(rows, len(kept))]]
     new = np.cumsum(kept, dtype=a.indices.dtype) - 1
     a_rr = sp.csr_matrix((a.data[mask], new[a.indices[mask]], indptr), shape=(len(rows),) * 2)
-    s = a_rr - _scatter(new[boxes[:, n_in:]], 0.5 * (c + c.T), len(rows))
-    return s, rows, chol, scipy.linalg.solve_triangular(chol[0], y, lower=True, trans="T")
+    s = a_rr - _scatter(new[outer.T], 0.5 * (c + c.T), len(rows))
+    x_ib = scipy.linalg.solve_triangular(chol[0], y, lower=True, trans="T")
+    return s, rows, chol, x_ib, inner, outer
 
 
 def solve_spd(system: SparseSystem) -> np.ndarray:
@@ -108,10 +112,9 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
         raise SolverError("load vector contains non-finite entries")
     if not np.any(b):
         return np.zeros_like(b)
-    boxes = system.clean_boxes
     try:
-        if boxes is not None and len(boxes):
-            s, kept, chol, x_ib = condense(a, boxes)
+        if system.clean_boxes is not None and len(system.clean_boxes):
+            s, kept, chol, x_ib, inner, outer = condense(a, system.clean_boxes)
         s_as_csc = sp.csc_matrix((s.data, s.indices, s.indptr), shape=s.shape)
         lu = spla.splu(s_as_csc, **FACTOR_OPTIONS)
     except Exception as exc:
@@ -120,8 +123,6 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
         raise SolverError("sparse factorization needed an off-diagonal pivot (zero diagonal pivot)")
     solve = lu.solve
     if s is not a:
-        inner, outer = boxes[:, : len(x_ib)].T, boxes[:, len(x_ib) :].T
-
         def solve(rhs):
             # S x_R = b_R - the sum of X^T b_I, as A_BI A_II^-1 = X^T.
             g = rhs - np.bincount(outer.ravel(), (x_ib.T @ rhs[inner]).ravel(), len(rhs))
@@ -308,22 +309,21 @@ def eval_discrete(sol: DiscreteSolution, x):
     """Evaluate the discrete solution and its gradient at points.
 
     Returns (m,) values and (m, 2) gradients, of length 1 for a (2,) point.
-    Points on shared edges resolve to the lowest active element id (u_h is
-    continuous there); points outside the active mesh raise EvaluationError.
+    Points within 1e-12 of shared edges resolve to the lowest active cell (u_h
+    is continuous there); non-finite or outside points raise EvaluationError.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise EvaluationError("evaluation points must be finite")
     grid = sol.am.grid
     g = (pts - grid.origin) / grid.h
-    # Per axis: the cell holding g and, within 1e-12 (relative) of a
-    # gridline, both cells beside it, clamped to the grid. A point farther
-    # than that beyond the outer gridlines has no candidate.
-    k = np.round(g)
+    # Per axis: the cells holding g - tol and g + tol, tol 1e-12 relative,
+    # clamped to the grid; within tol of a gridline, both cells beside it.
+    # A point farther than tol beyond the outer gridlines has no candidate.
     tol = 1e-12 * np.maximum(1.0, np.abs(g).max(axis=1, keepdims=True))
-    on_line = np.abs(g - k) < tol
     n_cells_axis = np.array([grid.nx, grid.ny])
     beyond = np.any((g < -tol) | (g > n_cells_axis + tol), axis=1)
-    base = np.floor(g)
-    cands = np.stack((base, np.where(on_line, k - 1, base), np.where(on_line, k, base)), axis=2)
+    cands = np.floor(np.stack((g - tol, g + tol), axis=2))
     cands = np.clip(cands, 0, n_cells_axis[:, None] - 1).astype(np.intp)
     ids = (cands[:, 1, :, None] * grid.nx + cands[:, 0, None, :]).reshape(len(pts), -1)
     eid = np.where(sol.dofmap.cell_dofs[ids, 0] >= 0, ids, grid.n_cells).min(axis=1)
@@ -400,20 +400,19 @@ def compute_error_norms(
         val_sq += float(np.einsum("eq,q->", e_val**2, w))
         grad_sq += float(np.einsum("eqd,q->", e_grad**2, w))
 
-    for cells, rule in rule_batches(vrules.cut):
-        uh_val, uh_grad = _discrete_at(sol, rule.points, cells)
-        e_val = ref.value(rule.points) - uh_val
-        e_grad = ref.gradient(rule.points) - uh_grad
+    def errors_at(rules):  # (rule, e, grad e) per batch of the rules' points
+        for cells, rule in rule_batches(rules):
+            uh_val, uh_grad = _discrete_at(sol, rule.points, cells)
+            yield rule, ref.value(rule.points) - uh_val, ref.gradient(rule.points) - uh_grad
+
+    for rule, e_val, e_grad in errors_at(vrules.cut):
         val_sq += float(np.sum(rule.weights * e_val**2))
         grad_sq += float(np.sum(rule.weights * np.sum(e_grad**2, axis=1)))
 
     flux_sq = trace_sq = 0.0
-    for cells, rule in rule_batches(build_boundary_rules(am, order)):
-        uh_val, uh_grad = _discrete_at(sol, rule.points, cells)
-        e_val = ref.value(rule.points) - uh_val
-        e_flux = np.einsum("qd,qd->q", rule.normals, ref.gradient(rule.points) - uh_grad)
+    for rule, e_val, e_grad in errors_at(build_boundary_rules(am, order)):
         trace_sq += float(np.sum(rule.weights * e_val**2))
-        flux_sq += float(np.sum(rule.weights * e_flux**2))
+        flux_sq += float(np.sum(rule.weights * np.einsum("qd,qd->q", rule.normals, e_grad) ** 2))
 
     stab_sq = ghost_penalty_form(am, basis, params, sol.dofmap, sol.coefficients)
 

@@ -146,13 +146,16 @@ def test_clean_boxes_hold_no_cut_cell_or_ghost_face_element():
     grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 2)
     am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
     dm = build_dofmap(am, 2)
-    assert len(dm.clean_boxes) and dm.clean_boxes.shape[1] == 169
+    assert len(dm.clean_boxes) and dm.clean_boxes.shape[1:] == (13, 13)
     assert dm.clean_boxes.dtype == np.int32
     coords = dm.dof_coords[dm.clean_boxes]
-    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    lo, hi = coords.min(axis=(1, 2)), coords.max(axis=(1, 2))
     assert np.allclose(hi - lo, 6 * grid.h)
-    # Interior nodes first: none of them on the box's perimeter.
-    inner = coords[:, :121]
+    # Each box is its node lattice at spacing h / p, indexed [iy, ix].
+    k = np.arange(13) * grid.h / 2
+    assert np.allclose(coords - lo[:, None, None], np.stack(np.meshgrid(k, k), axis=-1))
+    # The lattice's interior holds none of the box's perimeter nodes.
+    inner = coords[:, 1:-1, 1:-1].reshape(len(coords), -1, 2)
     assert np.all((inner > lo[:, None]) & (inner < hi[:, None]))
     excluded = np.union1d(am.cut_ids, am.ghost_faces_arr[:, :2])
     centers = grid.cell_origin(excluded) + grid.h / 2

@@ -37,6 +37,15 @@ class TestBackgroundGrid:
         with pytest.raises(MeshError):
             BackgroundGrid(origin=(0, 0), h=0.5, nx=0, ny=2)
 
+    @pytest.mark.parametrize(
+        "origin, h",
+        [((0.0, 0.0), np.nan), ((0.0, 0.0), np.inf), ((0.0, 0.0), -np.inf),
+         ((np.nan, -0.25), 0.25), ((-0.25, np.inf), 0.25), ((-np.inf, -0.25), 0.25)],
+    )  # fmt: skip
+    def test_non_finite_spacing_or_origin_rejected(self, origin, h):
+        with pytest.raises(MeshError, match="finite"):
+            BackgroundGrid(origin=origin, h=h, nx=2, ny=2)
+
     def test_cell_box(self):
         g = small_grid()
         assert g.cell_box(0) == (-0.25, -0.25, 0.0, 0.0)

@@ -244,9 +244,9 @@ def test_clean_boxes_share_their_blocks(p):
     am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
     system = unit_load_system(am, p)
     boxes, a = system.clean_boxes, system.matrix
-    assert boxes.shape == (16, (6 * p + 1) ** 2)
-    inner = boxes[:, : (6 * p - 1) ** 2]
-    blocks = np.array([a[i][:, box].toarray() for i, box in zip(inner, boxes)])
+    assert boxes.shape == (16, 6 * p + 1, 6 * p + 1)
+    inner = boxes[:, 1:-1, 1:-1].reshape(16, -1)
+    blocks = np.array([a[i][:, box.ravel()].toarray() for i, box in zip(inner, boxes)])
     assert np.abs(blocks - blocks[0]).max() <= 1e-14 * np.abs(blocks).max()
 
 
@@ -445,6 +445,16 @@ class TestEvalDiscrete:
         pts = np.array([[0.4, 0.6], [0.5, 0.5], [-0.2, -0.2], [0.3, 0.3]])
         with pytest.raises(EvaluationError, match="outside"):
             eval_discrete(sol, pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_point_rejected(self, bad, axis):
+        sol = fitted_square_solution()
+        point = np.array([0.5, 0.5])
+        point[axis] = bad
+        for pts in (point, np.array([[0.4, 0.6], point])):
+            with pytest.raises(EvaluationError, match="finite"):
+                eval_discrete(sol, pts)
 
     @staticmethod
     def fully_active_unit_grid():
