@@ -241,11 +241,17 @@ def point_basis(basis: QpBasis, dofmap: DofMap, grid, points: np.ndarray, cells:
     the owning cells' global dofs (q, k) as int32, from one ``eval_basis``
     call over all points. An inactive owning cell raises MeshError naming it.
     """
+    dofs = _owning_dofs(dofmap, cells)
+    vals, grads = eval_basis(basis, (points - grid.cell_origin(cells)) / grid.h, grid.h)
+    return vals, grads, dofs
+
+
+def _owning_dofs(dofmap: DofMap, cells: np.ndarray) -> np.ndarray:
+    """The cells' dofs (q, k); an inactive cell raises MeshError naming it."""
     dofs = dofmap.cell_dofs[cells]
     if np.any(dofs[:, 0] < 0):
         raise MeshError(f"cell {cells[np.argmax(dofs[:, 0] < 0)]} is not active")
-    vals, grads = eval_basis(basis, (points - grid.cell_origin(cells)) / grid.h, grid.h)
-    return vals, grads, dofs
+    return dofs
 
 
 def _gram(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.spmatrix:
@@ -330,7 +336,7 @@ def assemble_bulk(
         dofs_in = dofmap.cell_dofs[inside]
         matrix += _scatter(dofs_in, g.T @ g, n)
         pts = grid.cell_origin(inside)[:, None, :] + h * ref_pts
-        loc_rhs = np.einsum("eq,q,qi->ei", f(pts[:, :, 0], pts[:, :, 1]), w, vals)
+        loc_rhs = (f(pts[:, :, 0], pts[:, :, 1]) * w) @ vals
         rhs += np.bincount(dofs_in.reshape(-1), loc_rhs.reshape(-1), minlength=n)
 
     return SparseSystem(matrix=matrix, rhs=rhs)

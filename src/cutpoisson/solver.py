@@ -4,7 +4,8 @@ The reference solutions are globally defined analytic expressions (a
 truncated double series for the unit square with f = 1, a quadratic for the
 unit disk), which also serve as the smooth extension when evaluating errors
 on the perturbed domain. A reference evaluates value and gradient together,
-once per point set; the series steps its terms by multiplication. The
+once per point set; the series sums each edge of the square as a complex
+power series by Horner's rule, without terms below SERIES_CUTOFF. The
 inside cells' points form a tensor lattice, on which the series factors
 into per-axis tables and matrix products.
 """
@@ -22,9 +23,9 @@ from .assembly import (
     DofMap,
     PenaltyParameters,
     SparseSystem,
+    _owning_dofs,
     _scatter,
     ghost_penalty_form,
-    point_basis,
 )
 from .basis import QpBasis, eval_basis
 from .errors import EvaluationError, SolverError
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+
+# series_solution drops a term once c_1 e^{-n pi t} < SERIES_CUTOFF. The term is
+# then below SERIES_CUTOFF (3.3 SERIES_CUTOFF in the gradient), and each later
+# one smaller by e^{-2 pi t} <= 0.62 for up to 100 terms, so a point's four
+# dropped tails add up to less than 1e-20.
+SERIES_CUTOFF = 1e-22
+SERIES_CHUNK = 4096  # points per Horner pass, to keep its arrays in cache
 
 # SuperLU arguments of the factor in solve_spd: the caller's numbering as
 # the elimination order, with diagonal pivots only, so the factor A = L U
@@ -135,18 +143,22 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     # Iterative refinement with extended-precision residuals of the full A, by
     # row blocks: on fine cut systems a double-precision residual alone sits
     # near the contract. x is stored in double precision, which floors the
-    # residual: once a correction no longer halves it, the best x is returned.
+    # residual near f = eps/2 || |A| |x| || / ||b||: it stops at f/2, and once a
+    # correction no longer halves the residual, the best x is returned.
     b_ext = b.astype(np.longdouble)
     norm_b_ext = np.sqrt(np.sum(b_ext * b_ext))
     best = (np.inf, x)
     for corrections in range(6):
-        x_ext, r_ext = x.astype(np.longdouble), b_ext.copy()
+        x_ext, r_ext, ax = x.astype(np.longdouble), b_ext.copy(), np.empty_like(b)
         for lo in range(0, len(b), 8192):
-            r_ext[lo : lo + 8192] -= a[lo : lo + 8192].astype(np.longdouble) @ x_ext
+            block = a[lo : lo + 8192]
+            r_ext[lo : lo + 8192] -= block.astype(np.longdouble) @ x_ext
+            ax[lo : lo + 8192] = abs(block) @ np.abs(x)
         residual = float(np.sqrt(np.sum(r_ext * r_ext)) / norm_b_ext)
+        floor = 0.5 * np.finfo(float).eps * np.linalg.norm(ax) / np.linalg.norm(b)
         stalled = residual > 0.5 * best[0]
         best = min(best, (residual, x), key=lambda pair: pair[0])
-        if stalled or residual <= 0.1 * _RESIDUAL_TOL or corrections == 5:
+        if stalled or residual <= max(0.1 * _RESIDUAL_TOL, 0.5 * floor) or corrections == 5:
             break
         x = x + solve(np.asarray(r_ext, dtype=np.float64))
     residual, x = best
@@ -155,27 +167,10 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     return x
 
 
-def _series_terms(t: np.ndarray, n_terms: int):
-    """Yield the coefficients and per-axis factors of the terms n = 1, 3, ...
-
-    Each item is (c, c n pi, S_n, S_n' / (n pi), sin(n pi t), cos(n pi t)),
-    the factors shaped like t, both S factors without the 1 + e^{-n pi} that c
-    holds. S_n(t) = (e^{-n pi t} + e^{-n pi (1-t)}) / (1 + e^{-n pi}). The two
-    exponentials and cos + i sin(n pi t) step from n to n + 2 by
-    multiplication, so the loop evaluates no transcendental. Outside [0, 1]
-    the e^{-n pi t} factor grows and is stepped like any other: exact to
-    roundoff for the studies' overshoot of <= 1%.
-    """
-    pit = np.pi * t
-    e_lo = np.exp(-pit)  # e^{-n pi t}
-    e_hi = np.exp(pit - np.pi)  # e^{-n pi (1-t)}
-    rot = np.exp(1j * pit)  # cos(n pi t) + i sin(n pi t)
-    step_lo, step_hi, step_rot = e_lo * e_lo, e_hi * e_hi, rot * rot
+def _series_coefficients(n_terms: int):
+    """The odd n <= 2 n_terms - 1 and c_n = 2 / (pi^3 n^3 (1 + e^{-n pi}))."""
     n = np.arange(1, 2 * n_terms, 2)
-    coef = 2.0 / (np.pi**3 * n**3 * (1.0 + np.exp(-np.pi * n)))
-    for c, cn in zip(coef, coef * n * np.pi):
-        yield c, cn, e_lo + e_hi, e_hi - e_lo, rot.imag, rot.real
-        e_lo, e_hi, rot = e_lo * step_lo, e_hi * step_hi, rot * step_rot
+    return n, 2.0 / (np.pi**3 * n**3 * (1.0 + np.exp(-np.pi * n)))
 
 
 def series_solution(points, n_terms: int = 50):
@@ -183,20 +178,45 @@ def series_solution(points, n_terms: int = 50):
 
     Sums the first ``n_terms`` odd-index terms. Returns (value, gradient) of
     shapes (m,) and (m, 2); a (2,) point gives arrays of length 1.
+
+    Per edge, A(z) = sum c_n z^n and B(z) = sum c_n n pi z^n at z = e^{pi (i x - y)},
+    e^{pi (i x - (1 - y))}, e^{pi (i y - x)} or e^{pi (i y - (1 - x))}, by Horner's
+    rule in z^2. A sum keeps term n while c_1 e^{-n pi t} >= SERIES_CUTOFF, with t
+    the distance to its edge (all terms for t <= 0). Sorted by kept count, the
+    (point, edge) pairs of one Horner step are a prefix, updated in place.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
     val = (x * (1.0 - x) + y * (1.0 - y)) / 4.0
-    gx = (1.0 - 2.0 * x) / 4.0
-    gy = (1.0 - 2.0 * y) / 4.0
-    for c, cn, s, ds, sin, cos in _series_terms(np.ascontiguousarray(pts.T), n_terms):
-        # Row 0 holds the x axis' factors, row 1 the y axis'.
-        val -= c * (s[1] * sin[0] + s[0] * sin[1])
-        gx -= cn * (s[1] * cos[0] + ds[0] * sin[1])
-        gy -= cn * (ds[1] * sin[0] + s[0] * cos[1])
-    return val, np.column_stack((gx, gy))
+    grad = np.column_stack(((1.0 - 2.0 * x) / 4.0, (1.0 - 2.0 * y) / 4.0))
+    n, coef = _series_coefficients(n_terms)
+    reach = np.log(coef[0] / SERIES_CUTOFF) / np.pi  # term n is kept while n t <= reach
+    for lo in range(0, len(pts), SERIES_CHUNK):
+        cx, cy = pts[lo : lo + SERIES_CHUNK].T  # m points of the chunk
+        t = np.concatenate((cy, 1.0 - cy, cx, 1.0 - cx))  # pair j: edge j // m, point j % m
+        kept = np.floor(0.5 * reach / np.fmax(t, reach / (2 * n_terms)) + 0.5)
+        kept = kept.astype(np.min_scalar_type(n_terms))
+        pairs = np.argsort(~kept, kind="stable")  # most kept terms first
+        rot = np.repeat(np.exp(1j * np.pi * np.stack((cx, cy))), 2, axis=0).ravel()
+        z = np.exp(-np.pi * t[pairs]) * rot[pairs]
+        s = z * z
+        above = len(t) - np.cumsum(np.bincount(kept, minlength=n_terms))  # pairs keeping > k
+        a, b = ab = np.zeros((2, len(t)), dtype=complex)
+        for k in range(n_terms - 1, -1, -1):
+            head = slice(above[k])
+            a[head] *= s[head]
+            a[head] += coef[k]
+            b[head] *= s[head]
+            b[head] += coef[k] * n[k] * np.pi
+        sa, sb = sums = np.empty_like(ab)
+        sa[pairs], sb[pairs] = a * z, b * z  # the pairs back in edge-major order
+        (a1, a2, a3, a4), (b1, b2, b3, b4) = sums.reshape(2, 4, len(cx))
+        val[lo : lo + SERIES_CHUNK] -= (a1 + a2 + a3 + a4).imag
+        grad[lo : lo + SERIES_CHUNK, 0] -= b1.real + b2.real - b3.imag + b4.imag
+        grad[lo : lo + SERIES_CHUNK, 1] -= b2.imag - b1.imag + b3.real + b4.real
+    return val, grad
 
 
 def series_on_lattice(xs, ys, ix, iy, n_terms: int = 50):
@@ -206,9 +226,12 @@ def series_on_lattice(xs, ys, ix, iy, n_terms: int = 50):
     shape. With the terms' per-axis factors as (n_terms, len(xs)) and
     (n_terms, len(ys)) tables, the whole lattice takes six matrix products.
     """
-    c, cn, s, ds, sin, cos = map(np.array, zip(*_series_terms(xs, n_terms)))
-    _, _, s_y, ds_y, sin_y, cos_y = map(np.array, zip(*_series_terms(ys, n_terms)))
-    c, cn = c[:, None], cn[:, None]
+    n, c = (v[:, None] for v in _series_coefficients(n_terms))
+    cn = c * n * np.pi
+    arg = np.pi * n * np.concatenate((xs, ys))  # the two axes side by side
+    e_lo, e_hi = np.exp(-arg), np.exp(arg - np.pi * n)  # e^{-n pi t}, e^{-n pi (1 - t)}
+    tables = e_lo + e_hi, e_hi - e_lo, np.sin(arg), np.cos(arg)
+    (s, s_y), (ds, ds_y), (sin, sin_y), (cos, cos_y) = (np.split(f, [len(xs)], 1) for f in tables)
     val = ((xs * (1.0 - xs))[:, None] + ys * (1.0 - ys)) / 4.0
     val -= (c * sin).T @ s_y + (c * s).T @ sin_y
     gx = ((1.0 - 2.0 * xs) / 4.0)[:, None] - (cn * cos).T @ s_y - (cn * ds).T @ sin_y
@@ -299,10 +322,15 @@ class DiscreteSolution:
 
 
 def _discrete_at(sol: DiscreteSolution, points: np.ndarray, cells: np.ndarray):
-    """Value (q,) and gradient (q, 2) of u_h at points in their owning cells."""
-    vals, grads, dofs = point_basis(sol.basis, sol.dofmap, sol.am.grid, points, cells)
-    c = sol.coefficients[dofs]
-    return np.einsum("qk,qk->q", vals, c), np.einsum("qk,qkd->qd", c, grads)
+    """Value (q,) and gradient (q, 2) of u_h at points in their owning cells: each
+    cell's coefficient lattice [iy, ix] times 1D Lagrange factors along x, then y."""
+    grid, basis, p = sol.am.grid, sol.basis, sol.basis.p
+    c = sol.coefficients[_owning_dofs(sol.dofmap, cells)].reshape(-1, p + 1, p + 1)
+    t = ((points - grid.cell_origin(cells)) / grid.h).T
+    (lx, ly), (dx, dy) = ([basis.lagrange_1d(ti, j) / grid.h**j for ti in t] for j in (0, 1))
+    cl, cd = np.einsum("qyx,qx->qy", c, lx), np.einsum("qyx,qx->qy", c, dx)
+    gx, gy = np.einsum("qy,qy->q", ly, cd), np.einsum("qy,qy->q", dy, cl)
+    return np.einsum("qy,qy->q", ly, cl), np.column_stack((gx, gy))
 
 
 def eval_discrete(sol: DiscreteSolution, x):
@@ -367,24 +395,19 @@ def compute_error_norms(
     solution has no derivative jumps across faces, so this equals the
     stabilization seminorm of the error.
     """
-    am = sol.am
-    basis = sol.basis
-    h = am.grid.h
+    am, basis, h = sol.am, sol.basis, sol.am.grid.h
     order = 2 * basis.p + 2
-
     vrules = build_volume_rules(am, order)
-    grad_sq = 0.0
-    val_sq = 0.0
+    grad_sq = val_sq = 0.0
 
     inside = am.inside_ids
     if len(inside):
         ref_pts = vrules.inside_ref_points
         w = vrules.inside_ref_weights * h * h
         vals, grads = eval_basis(basis, ref_pts, h)
-        dofs_in = sol.dofmap.cell_dofs[inside]
-        coeff = sol.coefficients[dofs_in]
+        coeff = sol.coefficients[sol.dofmap.cell_dofs[inside]]
         uh_val = coeff @ vals.T  # (nE, q)
-        uh_grad = np.einsum("ei,qid->eqd", coeff, grads)
+        uh_grad = np.moveaxis(coeff @ grads.T, 0, -1)  # (nE, q, 2)
         # The points form a tensor lattice. Per axis: the cell origins plus h
         # times the rule's distinct abscissae, and each point's index there.
         axes = []

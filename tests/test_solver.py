@@ -32,7 +32,8 @@ from cutpoisson import (
     solve_spd,
 )
 from cutpoisson import quadrature, solver
-from cutpoisson.assembly import SparseSystem, symmetry_error
+from cutpoisson.assembly import SparseSystem, point_basis, symmetry_error
+from cutpoisson.errors import MeshError
 from cutpoisson.mesh import INSIDE, ActiveMesh, BackgroundGrid, classify_elements
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules, rule_batches
 from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _square_origin
@@ -165,6 +166,32 @@ def test_refinement_stops_when_a_correction_does_not_halve(first, later, solves,
 def test_refinement_that_stalls_above_the_contract_raises():
     x, _, calls = off_factor_solve(3e-12, 0.9)
     assert isinstance(x, SolverError) and calls == 2
+
+
+def test_refinement_stops_at_the_rounding_floor():
+    # The delta study's p = 2 square at level 3. Its first solve leaves a
+    # residual above 1e-13; one correction brings it below f/2, where the
+    # rounding floor f = eps/2 || |A| |x| || / ||b|| is about 6e-13 and no
+    # later correction helps, so the loop stops after two solves, still
+    # above 0.1 of the contract.
+    grid = _grid(_square_origin(None), SQUARE_SIDE, None, 3)
+    am = classify_elements(grid, perturb_square_boundary(grid.h**2.5, 16 * math.ceil(1.0 / grid.h)))
+    system = unit_load_system(am, 2)
+    factors = []
+    real_splu = spla.splu
+
+    def splu(matrix, **options):
+        factors.append(_OffFactor(real_splu(matrix, **options), 0.0, 0.0))  # counts solves only
+        return factors[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver.spla, "splu", splu)
+        x = solve_spd(system)
+    a, b = system.matrix.astype(np.longdouble), system.rhs.astype(np.longdouble)
+    r = b - a @ x.astype(np.longdouble)
+    residual = float(np.sqrt(np.sum(r * r) / np.sum(b * b)))
+    assert factors[0].calls == 2
+    assert 1e-13 < residual <= 1e-12
 
 
 def delta_study_mesh(p: int, n: int, offset: float):
@@ -327,8 +354,17 @@ near_square = st.floats(-0.01, 1.01)
 terms = st.sampled_from([50, 100])
 
 
+# Points on each edge, the four corners, the centre, and 1% outside each edge.
+EDGE_POINTS = np.array(
+    [[0.3, 0.0], [0.0, 0.7], [1.0, 0.4], [0.6, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+     [1.0, 1.0], [0.5, 0.5], [0.5, -0.01], [0.5, 1.01], [-0.01, 0.5], [1.01, 0.5]]
+)
+
+
 @SERIES
 @given(hnp.arrays(float, st.tuples(st.integers(1, 64), st.just(2)), elements=near_square), terms)
+@example(EDGE_POINTS, 50)
+@example(EDGE_POINTS, 100)
 def test_series_matches_direct_oracle(points, n_terms):
     val, grad = series_solution(points, n_terms)
     val0, grad0 = series_solution_direct(points, n_terms)
@@ -407,6 +443,22 @@ class TestDiskSolution:
         pts = np.random.default_rng(2).normal(size=(10, 2))
         _, g = disk_solution(pts)
         assert np.allclose(g, -0.5 * pts, atol=1e-14)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_discrete_at_matches_point_basis(p):
+    sol = fitted_square_solution(p, lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y)
+    grid, rng = sol.am.grid, np.random.default_rng(p)
+    cells = rng.choice(sol.am.active, 200)
+    points = grid.cell_origin(cells) + grid.h * rng.uniform(0.0, 1.0, (200, 2))
+    vals, grads, dofs = point_basis(sol.basis, sol.dofmap, grid, points, cells)
+    c = sol.coefficients[dofs]
+    val, grad = solver._discrete_at(sol, points, cells)
+    assert np.max(np.abs(val - np.einsum("qk,qk->q", vals, c))) <= 1e-14
+    scale = max(1.0, np.abs(grad).max())
+    assert np.max(np.abs(grad - np.einsum("qk,qkd->qd", c, grads))) <= 1e-14 * scale
+    with pytest.raises(MeshError, match="cell 0 is not active"):
+        solver._discrete_at(sol, grid.cell_origin([0]) + 0.5 * grid.h, np.array([0]))
 
 
 class TestEvalDiscrete:
