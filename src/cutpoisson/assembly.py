@@ -5,11 +5,12 @@ Nitsche boundary terms with penalty beta/h, and the ghost-penalty face
 stabilization with derivative jumps up to order p. A cut cell's stiffness,
 load and Nitsche terms are its Legendre moments (rule weights times 1, f,
 n_x or n_y, against P_a(t_x) P_b(t_y), a, b <= 2p) times constant tables.
-The inside cells share one Gram matrix G^T G, the ghost penalty is a Gram
-product of face jump operators, and every sum runs in a fixed order. Each
-block is exactly symmetric, and two nodes share at most two cells, so an
-off-diagonal entry of a term's COO sum adds at most two values, in either
-order the same: the matrices are exactly symmetric by construction.
+The inside cells share the stiffness table's whole-cell row, the ghost
+penalty is a Gram product of face jump operators, and every sum runs in a
+fixed order. Each block is exactly symmetric, and two nodes share at most
+two cells, so an off-diagonal entry of a term's COO sum adds at most two
+values, in either order the same: the matrices are exactly symmetric by
+construction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import numpy.polynomial.legendre as leg
 import scipy.sparse as sp
 
-from .basis import QpBasis, eval_axis_derivative, eval_basis
+from .basis import QpBasis, eval_axis_derivative, eval_basis, qp_basis
 from .errors import MeshError
 from .mesh import INSIDE, ActiveMesh
 from .quadrature import (
@@ -266,13 +267,13 @@ def _gram(data: np.ndarray, dofs: np.ndarray, n_dofs: int) -> sp.spmatrix:
 def _moment_tables(p: int):
     """Tables from Legendre moments, row a (2p+1) + b for P_a(t_x) P_b(t_y), to local matrices.
 
-    The 1D Lagrange polynomials are in Legendre form (``legfit``) in t = 2 xi - 1,
+    The 1D Lagrange polynomials are ``qp_basis(p)``'s Legendre form in t = 2 xi - 1,
     so d/dx = (2/h) d/dt_x. Columns are the pairs I <= J, ``mirror`` (k, k) maps
     each pair to one: ``stiffness`` of grad_t phi_I . grad_t phi_J, ``mass`` and
     ``flux`` (d/dt_x, d/dt_y) of phi_I phi_J. ``load`` has a column per phi_I.
     """
     m, k = 2 * p + 1, (p + 1) ** 2
-    coef = leg.legfit(np.linspace(-1.0, 1.0, p + 1), np.eye(p + 1), p).T
+    coef = qp_basis(p).legendre[0]
 
     def table(op):
         return np.array([[np.pad(c := op(a, b), (0, m - len(c))) for b in coef] for a in coef])
@@ -317,8 +318,8 @@ def assemble_bulk(
 
     ``f`` must accept coordinate arrays (x, y) and return an array. A cut
     element's stiffness and load are its moments of w and w f times the tables
-    of :func:`_moment_tables`; the inside elements share G^T G, with G stacking
-    both gradient components of each point times sqrt(w).
+    of :func:`_moment_tables`. An inside element's moments of w are h^2 at
+    P_0 P_0 and zero elsewhere, so all share the stiffness 4 stiffness[0].
     """
     grid, h, n = am.grid, am.grid.h, dofmap.n_dofs
     mirror, stiffness, _, _, load = _moment_tables(basis.p)
@@ -329,14 +330,11 @@ def assemble_bulk(
 
     inside = am.inside_ids
     if len(inside):
-        ref_pts = rules.inside_ref_points
-        w = rules.inside_ref_weights * h * h
-        vals, grads = eval_basis(basis, ref_pts, h)
-        g = (np.sqrt(w)[:, None, None] * grads.transpose(0, 2, 1)).reshape(-1, basis.n_local)
         dofs_in = dofmap.cell_dofs[inside]
-        matrix += _scatter(dofs_in, g.T @ g, n)
+        matrix += _scatter(dofs_in, 4.0 * stiffness[0][mirror], n)
+        ref_pts, w = rules.inside_ref_points, rules.inside_ref_weights * h * h
         pts = grid.cell_origin(inside)[:, None, :] + h * ref_pts
-        loc_rhs = (f(pts[:, :, 0], pts[:, :, 1]) * w) @ vals
+        loc_rhs = (f(pts[:, :, 0], pts[:, :, 1]) * w) @ eval_basis(basis, ref_pts, h)[0]
         rhs += np.bincount(dofs_in.reshape(-1), loc_rhs.reshape(-1), minlength=n)
 
     return SparseSystem(matrix=matrix, rhs=rhs)

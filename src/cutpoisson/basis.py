@@ -10,19 +10,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 
 __all__ = ["QpBasis", "qp_basis", "eval_basis", "eval_axis_derivative"]
 
 
 @dataclass(frozen=True)
 class QpBasis:
-    """Lagrange basis of degree p with (p+1)^2 local functions."""
+    """Lagrange basis of degree p with (p+1)^2 local functions.
+
+    ``legendre[j][k]``: Legendre coefficients in t = 2 xi - 1 of the j-th
+    xi-derivative of the k-th 1D Lagrange polynomial, j = 0..p.
+    """
 
     p: int
     nodes_1d: np.ndarray
-    # coeffs[j][k, m]: coefficient of t^m in the j-th derivative of the k-th
-    # 1D Lagrange polynomial.
-    _deriv_coeffs: tuple[np.ndarray, ...] = field(repr=False, default=None)
+    legendre: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def n_local(self) -> int:
@@ -37,22 +40,17 @@ class QpBasis:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if j > self.p:
             return np.zeros((len(t), self.p + 1))
-        return np.polynomial.polynomial.polyval(t, self._deriv_coeffs[j].T).T
+        return leg.legval(2.0 * t - 1.0, self.legendre[j].T).T
 
 
 def qp_basis(p: int) -> QpBasis:
-    """Equispaced Lagrange basis of degree p in {1, 2, 3}."""
+    """Equispaced Lagrange basis of degree p in {1, 2, 3}: the one fit of the 1D
+    Lagrange polynomials, which ``assembly``'s moment tables also read."""
     if p not in (1, 2, 3):
         raise ValueError(f"unsupported polynomial degree {p}; use 1, 2 or 3")
     nodes = np.arange(p + 1) / p
-    # Monomial coefficients from the inverse Vandermonde; fine for p <= 3.
-    vander = np.vander(nodes, p + 1, increasing=True)
-    coeffs = [np.linalg.inv(vander).T]
-    for j in range(1, p + 1):
-        prev = coeffs[-1]
-        der = prev[:, 1:] * np.arange(1, prev.shape[1])[None, :]
-        coeffs.append(der)
-    return QpBasis(p=p, nodes_1d=nodes, _deriv_coeffs=tuple(coeffs))
+    coef = leg.legfit(2.0 * nodes - 1.0, np.eye(p + 1), p).T
+    return QpBasis(p, nodes, tuple(leg.legder(coef, j, scl=2.0, axis=1) for j in range(p + 1)))
 
 
 def eval_basis(basis: QpBasis, ref_point, h: float):
@@ -61,16 +59,8 @@ def eval_basis(basis: QpBasis, ref_point, h: float):
     Returns values (n, n_local) and gradients (n, n_local, 2) at n points of
     [0,1]^2 (n = 1 for one (2,) point); gradients are reference ones over h.
     """
-    pts = np.atleast_2d(np.asarray(ref_point, dtype=float))
-    nx = basis.lagrange_1d(pts[:, 0])
-    ny = basis.lagrange_1d(pts[:, 1])
-    dx = basis.lagrange_1d(pts[:, 0], 1) / h
-    dy = basis.lagrange_1d(pts[:, 1], 1) / h
-    values = (ny[:, :, None] * nx[:, None, :]).reshape(len(pts), basis.n_local)
-    grads = np.empty((len(pts), basis.n_local, 2))
-    grads[:, :, 0] = (ny[:, :, None] * dx[:, None, :]).reshape(len(pts), basis.n_local)
-    grads[:, :, 1] = (dy[:, :, None] * nx[:, None, :]).reshape(len(pts), basis.n_local)
-    return values, grads
+    grads = [eval_axis_derivative(basis, ref_point, axis, 1, h) for axis in (0, 1)]
+    return eval_axis_derivative(basis, ref_point, 0, 0, h), np.stack(grads, axis=-1)
 
 
 def eval_axis_derivative(basis: QpBasis, ref_point, axis: int, j: int, h: float):

@@ -1,13 +1,13 @@
 """Linear solve, reference solutions, and error norms on the cut domain.
 
-The reference solutions are globally defined analytic expressions (a
-truncated double series for the unit square with f = 1, a quadratic for the
-unit disk), which also serve as the smooth extension when evaluating errors
-on the perturbed domain. A reference evaluates value and gradient together,
-once per point set; the series sums each edge of the square as a complex
-power series by Horner's rule, without terms below SERIES_CUTOFF. The
-inside cells' points form a tensor lattice, on which the series factors
-into per-axis tables and matrix products.
+The reference solutions are analytic expressions (a truncated double series for
+the unit square with f = 1, a quadratic for the unit disk), evaluated as they
+stand on the perturbed domain: the quadratic extends smoothly, but the series'
+terms grow like e^(n pi s) at distance s outside the square. A reference
+evaluates value and gradient together, once per point set; the series sums each
+edge of the square as a complex power series by Horner's rule, without terms
+below SERIES_CUTOFF. The inside cells' points form a tensor lattice, on which
+the series factors into per-axis tables and matrix products.
 """
 
 from __future__ import annotations

@@ -136,11 +136,11 @@ def _grid(origin, side, h0: float | None, level: int) -> BackgroundGrid:
     return BackgroundGrid(origin=origin, h=side / n, nx=n, ny=n)
 
 
-def _check_coarsest(h0, h: float, bound: str, value: float, limit: float, why: str) -> None:
-    """Reject, before level 0, an h0 whose coarsest mesh size h breaks the study's bound."""
+def _check_coarsest(cause: str, h: float, bound: str, value: float, limit: float, why: str):
+    """Reject, before level 0, the setting under which the coarsest h breaks the study's bound."""
     if not value < limit:
         msg = f"at the coarsest h = {h:.4g}, {bound} = {value:.4g} must be below {limit:g}"
-        raise ValueError(f"h0 = {h0} is too coarse: {msg} {why}")
+        raise ValueError(f"{cause}: {msg} {why}")
 
 
 MAX_POLYGON_VERTICES = 1_000_000  # normal-l2 has 21k at its finest default level
@@ -211,7 +211,9 @@ def _square_study(cfg: StudyConfig, study: str) -> list[ConvergenceRecord]:
     # The grid ends 0.25 - h/3 past the unit square, which moves out by at most delta.
     h = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, 0).h
     delta = h**cfg.alpha if cfg.alpha is not None else 0.0
-    _check_coarsest(cfg.h0, h, "h/3 + delta", h / 3 + delta, 0.25, "for the square to fit the grid")
+    too_large = f"alpha = {cfg.alpha} is too small, delta = h^alpha = {delta:.4g} too large"
+    cause = too_large if h / 3 < 0.25 else f"h0 = {cfg.h0} is too coarse"
+    _check_coarsest(cause, h, "h/3 + delta", h / 3 + delta, 0.25, "for the square to fit the grid")
 
     def build(level):
         grid = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, level)
@@ -250,7 +252,8 @@ def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     domain = Disk(center=(0.0, 0.0), radius=1.0)
     h_coarse = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, 0).h
     why = "for the perturbed circle to fit the grid [-1.25, 1.25]^2"
-    _check_coarsest(cfg.h0, h_coarse, f"delta = h^{exponent:g}", h_coarse**exponent, 0.25, why)
+    bound, cause = f"delta = h^{exponent:g}", f"h0 = {cfg.h0} is too coarse"
+    _check_coarsest(cause, h_coarse, bound, h_coarse**exponent, 0.25, why)
 
     def vertices(h: float) -> int:
         # Keep the polygon's own chord sag below 0.5% of the amplitude, so
@@ -282,7 +285,8 @@ def run_levelset_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     ref = ReferenceSolution.disk_quadratic()
     domain = Disk(center=(0.0, 0.0), radius=1.0)
     h = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, 0).h
-    _check_coarsest(cfg.h0, h, "4 h / radius", 4 * h / domain.radius, 1.0, "to resolve the disk")
+    cause, why = f"h0 = {cfg.h0} is too coarse", "to resolve the disk"
+    _check_coarsest(cause, h, "4 h / radius", 4 * h / domain.radius, 1.0, why)
 
     def build(level):
         grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, level)

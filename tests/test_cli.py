@@ -80,6 +80,16 @@ class TestExitCodes:
         assert "is too coarse" in err and bound in err
         assert not out.exists()
 
+    # At the default h0, h/3 fits the grid and delta = h^0.5 = 0.35 does not:
+    # the message blames alpha, not the unset h0.
+    @pytest.mark.parametrize("command", ["solve", "delta-study"])
+    def test_alpha_too_small_for_domain_names_alpha(self, command, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main([command, "--alpha", "0.5", "--levels", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err and "h0 = None" not in err
+        assert not out.exists()
+
     def test_invalid_p_is_usage_error(self, tmp_path):
         out = tmp_path / "r.csv"
         code = main(
