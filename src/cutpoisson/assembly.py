@@ -116,6 +116,10 @@ def _bisection(n: int, p: int, n_levels: int, offset: int):
     return cut_level, side, np.array(box_lows, dtype=np.intp)
 
 
+# The most cells per grid axis that _dissection_order's int64 keys can number.
+MAX_CELLS_PER_AXIS = 8192
+
+
 def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray):
     """The nodes' nested-dissection postorder, as a permutation of the nodes,
     and per axis the low gridlines of the bisection's boxes of BOX cells.
@@ -150,7 +154,7 @@ def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray):
     key |= (1 << (2 * n_levels - depth)) - 1
     # One sort by key, then deeper boxes first, then node, packed into one
     # int64; the node index makes every value distinct and is read back.
-    # The three fit in 63 bits for grids of up to 8192 cells per axis.
+    # At p = 3 the three take 61 bits at MAX_CELLS_PER_AXIS and 65 at twice it.
     depth_bits, node_bits = (2 * n_levels).bit_length(), m.bit_length()
     packed = ((key << depth_bits | 2 * n_levels - depth) << node_bits) | np.arange(m)
     return np.sort(packed) & ((1 << node_bits) - 1), box_lows

@@ -10,7 +10,7 @@ class MeshError(Exception):
 
 
 class QuadratureError(Exception):
-    """Clipping, triangulation, or rule construction failure."""
+    """The cut geometry misses the polygon's area: the polygon is not simple."""
 
 
 class SolverError(Exception):

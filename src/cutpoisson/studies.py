@@ -3,9 +3,11 @@
 Three studies drive the solver end to end: radially perturbed unit square
 boundaries with amplitude delta = h^alpha against the series reference,
 oscillation-frequency perturbed circles isolating the normal approximation
-error, and marching-triangles level-set contours of the unit disk. Each
-refinement level halves h, rebuilds the geometry, solves, and records the
-measured geometric errors together with the three error norms.
+error, and marching-triangles level-set contours of the unit disk.
+``StudyConfig`` checks the shared inputs once; each study adds its own
+checks and its polygon builder, and one level loop, ``_run_levels``, halves
+h per level, builds the polygon, solves, and records the measured geometric
+errors together with the three error norms.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .assembly import assemble_system, penalty_parameters
+from .assembly import MAX_CELLS_PER_AXIS, assemble_system, penalty_parameters
 from .basis import qp_basis
 from .errors import SolverError
 from .geometry import (
@@ -66,8 +68,6 @@ BASE_CELLS = 12
 
 
 def _base_cells(side: float, h0: float | None) -> int:
-    if h0 is not None and not 0.0 < h0 < math.inf:
-        raise ValueError(f"h0 must be positive and finite, got {h0}")
     return BASE_CELLS if h0 is None else max(1, round(side / h0))
 
 
@@ -79,9 +79,9 @@ def _square_origin(h0: float | None) -> tuple[float, float]:
 _NORM_TARGETS = ("energy", "h1", "l2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
-    """Parameters of one study run; unset fields fall back to defaults."""
+    """One study run's parameters, checked on construction; unset fields fall back to defaults."""
 
     p: int = 1
     levels: int | None = None
@@ -89,6 +89,21 @@ class StudyConfig:
     alpha: float | None = None
     alpha_n: float | None = None
     norm_target: str = "energy"
+
+    def __post_init__(self):
+        if self.h0 is not None and not 0.0 < self.h0 < math.inf:
+            raise ValueError(f"h0 must be positive and finite, got {self.h0}")
+        for name, value in (("alpha", self.alpha), ("alpha_n", self.alpha_n)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.alpha is not None and self.alpha <= 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}: delta = h^alpha must shrink")
+        if self.norm_target not in _NORM_TARGETS:
+            raise ValueError(f"norm_target must be one of {_NORM_TARGETS}")
+        if self.levels is not None and self.levels < 1:
+            raise ValueError("levels must be at least 1")
+        if self.levels is None:
+            object.__setattr__(self, "levels", 5 if self.p <= 2 else 4)
 
 
 @dataclass
@@ -123,14 +138,6 @@ _COLUMNS = [(f.name, _PARSERS[f.type]) for f in fields(ConvergenceRecord)]
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
-def _default_levels(p: int) -> int:
-    return 5 if p <= 2 else 4
-
-
-def _default_terms(p: int) -> int:
-    return 50 if p <= 2 else 100
-
-
 def _grid(origin, side, h0: float | None, level: int) -> BackgroundGrid:
     n = _base_cells(side, h0) * 2**level
     return BackgroundGrid(origin=origin, h=side / n, nx=n, ny=n)
@@ -146,32 +153,33 @@ def _check_coarsest(cause: str, h: float, bound: str, value: float, limit: float
 MAX_POLYGON_VERTICES = 1_000_000  # normal-l2 has 21k at its finest default level
 
 
-def _solve_on_polygon(grid, poly, p, ref, params):
-    """Classify, assemble, solve, and measure; returns (norms, dofs)."""
-    basis = qp_basis(p)
-    am = classify_elements(grid, poly)
-    system, dofmap = assemble_system(am, basis, params, f=lambda x, y: np.ones_like(x))
-    coeffs = solve_spd(system)
-    resid = galerkin_residual(system, coeffs)
-    if resid > 1e-10 * np.linalg.norm(system.rhs):
-        raise SolverError(f"Galerkin residual {resid:.3e} exceeds contract")
-    sol = DiscreteSolution(coefficients=coeffs, dofmap=dofmap, basis=basis, am=am)
-    norms = compute_error_norms(sol, ref, params=params)
-    return norms, dofmap.n_dofs
+def _run_levels(cfg: StudyConfig, study: str, origin, side, domain, ref, polygon):
+    """Solve on each level's grid over ``origin`` and ``side`` and record the errors.
 
-
-def _run_levels(cfg: StudyConfig, study: str, build_level) -> list[ConvergenceRecord]:
-    levels = cfg.levels if cfg.levels is not None else _default_levels(cfg.p)
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+    ``polygon(grid)`` builds the level's boundary, which approximates
+    ``domain``; ``ref`` is the exact solution the norms measure against.
+    """
+    base = _base_cells(side, cfg.h0)
+    cells = base * 2 ** (cfg.levels - 1)
+    if cells > MAX_CELLS_PER_AXIS:
+        msg = f"h0 = {side / base:.4g} with levels = {cfg.levels} needs {cells:,} cells per axis"
+        raise ValueError(f"{msg} on the finest grid, more than {MAX_CELLS_PER_AXIS:,}")
+    basis, params = qp_basis(cfg.p), penalty_parameters(cfg.p)
     records = []
-    for i in range(levels):
+    for i in range(cfg.levels):
         t0 = time.perf_counter()
         try:
-            grid, poly, domain, ref = build_level(i)
-            params = penalty_parameters(cfg.p)
+            grid = _grid(origin, side, cfg.h0, i)
+            poly = polygon(grid)
             geo = measure_geometric_errors(poly, domain)
-            norms, dofs = _solve_on_polygon(grid, poly, cfg.p, ref, params)
+            am = classify_elements(grid, poly)
+            system, dofmap = assemble_system(am, basis, params, f=lambda x, y: np.ones_like(x))
+            coeffs = solve_spd(system)
+            resid = galerkin_residual(system, coeffs)
+            if resid > 1e-10 * np.linalg.norm(system.rhs):
+                raise SolverError(f"Galerkin residual {resid:.3e} exceeds contract")
+            sol = DiscreteSolution(coefficients=coeffs, dofmap=dofmap, basis=basis, am=am)
+            norms = compute_error_norms(sol, ref, params=params)
         except Exception as exc:
             msg = f"{study} study failed at level {i}: {exc}"
             try:
@@ -187,13 +195,14 @@ def _run_levels(cfg: StudyConfig, study: str, build_level) -> list[ConvergenceRe
                 h=grid.h,
                 delta=geo.delta,
                 delta_n=geo.delta_n,
-                dofs=dofs,
+                dofs=dofmap.n_dofs,
                 err_energy=norms.energy,
                 err_h1=norms.h1_semi,
                 err_l2=norms.l2,
                 wall_time=time.perf_counter() - t0,
             )
         )
+        del am, system, dofmap, coeffs, sol  # free this level before the next, larger one
     return compute_rates(records)
 
 
@@ -201,27 +210,22 @@ def _square_study(cfg: StudyConfig, study: str) -> list[ConvergenceRecord]:
     """Unit square perturbed by delta = h^alpha, or exact when alpha is unset."""
     if cfg.p not in (1, 2, 3):
         raise ValueError("p must be 1, 2 or 3")
-    if cfg.alpha is not None and not math.isfinite(cfg.alpha):
-        raise ValueError(f"alpha must be finite, got {cfg.alpha}")
-    if cfg.alpha is not None and cfg.alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {cfg.alpha}: delta = h^alpha must shrink")
-    ref = ReferenceSolution.square_series(_default_terms(cfg.p))
-    domain = UnitSquare()
+
+    def delta(h: float) -> float:
+        return h**cfg.alpha if cfg.alpha is not None else 0.0
 
     # The grid ends 0.25 - h/3 past the unit square, which moves out by at most delta.
-    h = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, 0).h
-    delta = h**cfg.alpha if cfg.alpha is not None else 0.0
-    too_large = f"alpha = {cfg.alpha} is too small, delta = h^alpha = {delta:.4g} too large"
+    origin = _square_origin(cfg.h0)
+    h = _grid(origin, SQUARE_SIDE, cfg.h0, 0).h
+    too_large = f"alpha = {cfg.alpha} is too small, delta = h^alpha = {delta(h):.4g} too large"
     cause = too_large if h / 3 < 0.25 else f"h0 = {cfg.h0} is too coarse"
-    _check_coarsest(cause, h, "h/3 + delta", h / 3 + delta, 0.25, "for the square to fit the grid")
+    _check_coarsest(cause, h, "h/3 + delta", h / 3 + delta(h), 0.25, "for the square to fit the grid")
 
-    def build(level):
-        grid = _grid(_square_origin(cfg.h0), SQUARE_SIDE, cfg.h0, level)
-        delta = grid.h**cfg.alpha if cfg.alpha is not None else 0.0
-        poly = perturb_square_boundary(delta, 16 * math.ceil(1.0 / grid.h))
-        return grid, poly, domain, ref
+    def polygon(grid):
+        return perturb_square_boundary(delta(grid.h), 16 * math.ceil(1.0 / grid.h))
 
-    return _run_levels(cfg, study, build)
+    ref = ReferenceSolution.square_series(50 if cfg.p <= 2 else 100)
+    return _run_levels(cfg, study, origin, SQUARE_SIDE, UnitSquare(), ref, polygon)
 
 
 def run_delta_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
@@ -241,15 +245,7 @@ def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         raise ValueError("the normal approximation study uses p = 2")
     if cfg.alpha_n is None:
         raise ValueError("normal study requires alpha_n")
-    if not math.isfinite(cfg.alpha_n):
-        raise ValueError(f"alpha_n must be finite, got {cfg.alpha_n}")
-    if cfg.norm_target not in _NORM_TARGETS:
-        raise ValueError(f"norm_target must be one of {_NORM_TARGETS}")
-    exponent = {"energy": cfg.p + 0.5, "h1": float(cfg.p), "l2": cfg.p + 1.0}[
-        cfg.norm_target
-    ]
-    ref = ReferenceSolution.disk_quadratic()
-    domain = Disk(center=(0.0, 0.0), radius=1.0)
+    exponent = cfg.p + {"energy": 0.5, "h1": 0.0, "l2": 1.0}[cfg.norm_target]
     h_coarse = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, 0).h
     why = "for the perturbed circle to fit the grid [-1.25, 1.25]^2"
     bound, cause = f"delta = h^{exponent:g}", f"h0 = {cfg.h0} is too coarse"
@@ -263,37 +259,34 @@ def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         freq = oscillation_frequency(cfg.alpha_n, h, h_coarse)
         return max(64 * math.ceil(1.0 / h), 16 * freq, n_sag)
 
-    finest = max(cfg.levels or _default_levels(cfg.p), 1) - 1
+    finest = cfg.levels - 1
     n_vertices = vertices(_grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, finest).h)
     if n_vertices > MAX_POLYGON_VERTICES:
         msg = f"{n_vertices:.3g} polygon vertices at level {finest}"
         raise ValueError(f"alpha_n = {cfg.alpha_n} needs {msg}, more than {MAX_POLYGON_VERTICES:,}")
 
-    def build(level):
-        grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, level)
+    def polygon(grid):
         delta = grid.h**exponent
-        poly = perturb_circle_boundary(delta, cfg.alpha_n, grid.h, h_coarse, vertices(grid.h))
-        return grid, poly, domain, ref
+        return perturb_circle_boundary(delta, cfg.alpha_n, grid.h, h_coarse, vertices(grid.h))
 
-    return _run_levels(cfg, "normal", build)
+    ref = ReferenceSolution.disk_quadratic()
+    return _run_levels(cfg, "normal", CIRCLE_ORIGIN, CIRCLE_SIDE, Disk(), ref, polygon)
 
 
 def run_levelset_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Unit disk described by the zero contour of nodal level-set samples."""
     if cfg.p not in (1, 2):
         raise ValueError("the level-set study uses p = 1 or 2")
-    ref = ReferenceSolution.disk_quadratic()
-    domain = Disk(center=(0.0, 0.0), radius=1.0)
+    domain = Disk()
     h = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, 0).h
     cause, why = f"h0 = {cfg.h0} is too coarse", "to resolve the disk"
     _check_coarsest(cause, h, "4 h / radius", 4 * h / domain.radius, 1.0, why)
 
-    def build(level):
-        grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, level)
-        poly = extract_levelset_boundary(domain, grid)
-        return grid, poly, domain, ref
+    def polygon(grid):
+        return extract_levelset_boundary(domain, grid)
 
-    return _run_levels(cfg, "levelset", build)
+    ref = ReferenceSolution.disk_quadratic()
+    return _run_levels(cfg, "levelset", CIRCLE_ORIGIN, CIRCLE_SIDE, domain, ref, polygon)
 
 
 def run_single(cfg: StudyConfig) -> list[ConvergenceRecord]:

@@ -113,6 +113,41 @@ class TestExitCodes:
         assert f"more than {studies.MAX_POLYGON_VERTICES:,}" in capsys.readouterr().err
         assert not out.exists()
 
+    # Both ask for more cells per axis than the dof numbering's int64 keys
+    # hold: 25,000 at level 0, and 12 * 2^19 at level 19. The check comes
+    # before level 0, so no polygon or cell mask is ever built.
+    @pytest.mark.parametrize(
+        "argv, builder, message",
+        [
+            (["levelset-study", "--p", "1", "--h0", "1e-4", "--levels", "1"],
+             "extract_levelset_boundary", "h0 = 0.0001 with levels = 1 needs 25,000 cells"),
+            (["delta-study", "--p", "1", "--alpha", "2", "--levels", "20"],
+             "perturb_square_boundary", "h0 = 0.125 with levels = 20 needs 6,291,456 cells"),
+        ],
+        ids=["levelset-h0-1e-4", "delta-20-levels"],
+    )
+    def test_finest_grid_above_limit_is_usage_error(
+        self, argv, builder, message, tmp_path, capsys, monkeypatch
+    ):
+        def no_build(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(studies, builder, no_build)
+        monkeypatch.setattr(studies, "classify_elements", no_build)
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and f"more than {studies.MAX_CELLS_PER_AXIS:,}" in err
+        assert not out.exists()
+
+    # alpha_n 5 also fails the vertex guard at the default 5 levels, so the
+    # level count must be checked first, as given, not read as unset.
+    def test_zero_levels_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["normal-study", "--alpha-n", "5", "--levels", "0", "--out", str(out)]) == 2
+        assert "levels must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRuns:
     def test_delta_study_writes_csv(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from cutpoisson import (
     run_single,
     write_records_csv,
 )
+from cutpoisson import studies
 from cutpoisson.studies import CSV_HEADER, least_squares_rate
 
 
@@ -179,6 +180,41 @@ class TestStudyRunners:
     def test_delta_requires_alpha(self):
         with pytest.raises(ValueError):
             run_delta_study(StudyConfig(p=1))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("h0", 0.0, "h0 must be positive and finite"),
+            ("alpha", math.nan, "alpha must be finite"),
+            ("alpha", 0.0, "alpha must be positive"),
+            ("alpha_n", math.inf, "alpha_n must be finite"),
+            ("norm_target", "x", "norm_target must be one of"),
+            ("levels", 0, "levels must be at least 1"),
+        ],
+    )
+    def test_config_rejects_bad_input_on_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(**{field: value})
+
+    def test_config_resolves_default_levels(self):
+        assert [StudyConfig(p=p).levels for p in (1, 2, 3)] == [5, 5, 4]
+        assert StudyConfig(p=3, levels=2).levels == 2
+
+    def test_basis_and_penalties_built_once_per_study(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(p):
+                calls.append(fn.__name__)
+                return fn(p)
+
+            return wrapper
+
+        for name in ("qp_basis", "penalty_parameters"):
+            monkeypatch.setattr(studies, name, counted(getattr(studies, name)))
+        recs = run_levelset_study(StudyConfig(p=1, levels=2))
+        assert len(recs) == 2
+        assert sorted(calls) == ["penalty_parameters", "qp_basis"]
 
     def test_levelset_smoke(self):
         recs = run_levelset_study(StudyConfig(p=1, levels=3))
