@@ -77,16 +77,25 @@ class DofMap:
     the factor: :func:`build_dofmap` numbers the nodes in nested-dissection
     postorder. ``dof_coords[dof]`` is the physical position of the dof's node.
 
-    ``clean_boxes`` (boxes, BOX p + 1, BOX p + 1) int32 holds the dofs of
-    the bisection's boxes of BOX x BOX inside cells that are no ghost-face
-    element, as node lattices indexed [iy, ix]. All such boxes have the same
-    matrix blocks (``solver.condense``).
+    ``clean_groups[k]`` (groups, BOX 2^k p + 1, BOX 2^k p + 1) int32 holds
+    the dofs of the clean groups of level k as node lattices indexed [iy, ix].
+    A clean group of level 0 (a clean box) is a bisection box of BOX x BOX
+    inside cells that are no ghost-face element; one of level k > 0 is a
+    bisection box of BOX 2^k cells per side whose four children are clean
+    groups of level k - 1. Level 0 is always listed, each next level while
+    it has a group. All groups of one level have the same matrix blocks
+    (``solver.condense``).
     """
 
     cell_dofs: np.ndarray
     n_dofs: int
     dof_coords: np.ndarray
-    clean_boxes: np.ndarray
+    clean_groups: tuple[np.ndarray, ...]
+
+    @property
+    def clean_boxes(self) -> np.ndarray:
+        """The clean groups of level 0, (boxes, BOX p + 1, BOX p + 1)."""
+        return self.clean_groups[0]
 
 
 def _bisection(n: int, p: int, n_levels: int, offset: int):
@@ -95,25 +104,26 @@ def _bisection(n: int, p: int, n_levels: int, offset: int):
     Returns the cut level of each gridline 0..n (``n_levels`` for gridlines
     that no box cuts), for each node coordinate 0..p n its side bits (the bit
     of level L, 1 << (2 (n_levels - 1 - L) + offset), is set when the node
-    lies above the level-L cut of its box), and the low gridlines of the
-    boxes of BOX cells.
+    lies above the level-L cut of its box), and per k the low gridlines of
+    the boxes of BOX 2^k cells, for every k with BOX 2^k <= n.
     """
     cut_level = np.full(n + 2, n_levels)  # one pad entry past gridline n
     side = np.zeros(p * n + 1, dtype=np.int64)
-    boxes, box_lows = [(0, n)], []
+    boxes, box_lows = [(0, n)], [[] for _ in range(max(1, (n // BOX).bit_length()))]
     for level in range(n_levels):
         bit = 1 << (2 * (n_levels - 1 - level) + offset)
         halves = []
         for lo, hi in boxes:
-            if hi - lo == BOX:
-                box_lows.append(lo)
+            size, rest = divmod(hi - lo, BOX)
+            if not rest and size & (size - 1) == 0:
+                box_lows[size.bit_length() - 1].append(lo)
             if hi - lo > 1:
                 mid = (lo + hi) // 2
                 cut_level[mid] = level
                 side[p * mid + 1 : p * hi + 1] |= bit
                 halves += [(lo, mid), (mid, hi)]
         boxes = halves
-    return cut_level, side, np.array(box_lows, dtype=np.intp)
+    return cut_level, side, [np.array(lows, dtype=np.intp) for lows in box_lows]
 
 
 # The most cells per grid axis that _dissection_order's int64 keys can number.
@@ -122,7 +132,7 @@ MAX_CELLS_PER_AXIS = 8192
 
 def _dissection_order(grid, p: int, nodes: np.ndarray, reach: np.ndarray):
     """The nodes' nested-dissection postorder, as a permutation of the nodes,
-    and per axis the low gridlines of the bisection's boxes of BOX cells.
+    and per axis and k the low gridlines of the bisection's boxes of BOX 2^k cells.
 
     The tree bisects the grid's cells alternately in x and y, at depth 2L
     and 2L + 1 for level L, down to one-cell leaves. ``nodes`` and
@@ -196,30 +206,45 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
     cell_dofs = np.full((grid.n_cells, len(local)), -1, dtype=np.int32)
     cell_dofs[am.active] = dof_of_node[raw]
 
+    # Level 0 checks a box's cells, level k > 0 its four children's corners.
     clean = am.classification == INSIDE
     clean[faces[:, :2]] = False
-    bx, by = np.meshgrid(*box_lows)
-    corner = (by * grid.nx + bx).ravel()
     span = np.arange(BOX)
-    corner = corner[clean[corner[:, None] + (grid.nx * span[:, None] + span).ravel()].all(axis=1)]
-    cx, cy = grid.cell_coords(corner)
-    k = np.arange(BOX * p + 1)
+    parts = (grid.nx * span[:, None] + span).ravel()
+    groups = []
+    for level, lows in enumerate(zip(*box_lows)):
+        bx, by = np.meshgrid(*lows)
+        corner = (by * grid.nx + bx).ravel()
+        corner = corner[clean[corner[:, None] + parts].all(axis=1)]
+        if level and not len(corner):
+            break
+        clean = np.zeros(grid.n_cells, dtype=bool)
+        clean[corner] = True
+        parts = (BOX << level) * np.array([0, 1, grid.nx, grid.nx + 1])
+        cx, cy = grid.cell_coords(corner)
+        k = np.arange((BOX << level) * p + 1)
+        groups.append(dof_of_node[(p * (cy * gnx + cx))[:, None, None] + gnx * k[:, None] + k])
     return DofMap(
         cell_dofs=cell_dofs,
         n_dofs=len(unique),
         dof_coords=np.asarray(grid.origin) + np.take(nodes, order, axis=1).T * (grid.h / p),
-        clean_boxes=dof_of_node[(p * (cy * gnx + cx))[:, None, None] + gnx * k[:, None] + k],
+        clean_groups=tuple(groups),
     )
 
 
 @dataclass
 class SparseSystem:
     """Symmetric sparse matrix and load vector over the active dofs, and the
-    ``DofMap.clean_boxes`` that ``solve_spd`` condenses (none: factor all)."""
+    ``DofMap.clean_groups`` that ``solve_spd`` condenses (none: factor all)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    clean_boxes: np.ndarray | None = None
+    clean_groups: tuple[np.ndarray, ...] = ()
+
+    @property
+    def clean_boxes(self) -> np.ndarray | None:
+        """The clean groups of level 0, or None without groups."""
+        return self.clean_groups[0] if self.clean_groups else None
 
 
 def symmetry_error(a: sp.spmatrix) -> float:
@@ -456,4 +481,4 @@ def assemble_system(
     bulk = assemble_bulk(am, basis, f, vrules, dofmap)
     matrix = bulk.matrix + assemble_nitsche_boundary(am, basis, params, brules, dofmap)
     matrix += assemble_ghost_penalty(am, basis, params, dofmap)
-    return SparseSystem(matrix.tocsr(), bulk.rhs, dofmap.clean_boxes), dofmap
+    return SparseSystem(matrix.tocsr(), bulk.rhs, dofmap.clean_groups), dofmap

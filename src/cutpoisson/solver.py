@@ -8,10 +8,17 @@ evaluates value and gradient together, once per point set; the series sums each
 edge of the square as a complex power series by Horner's rule, without terms
 below SERIES_CUTOFF. The inside cells' points form a tensor lattice, on which
 the series factors into per-axis tables and matrix products.
+
+The direct solve condenses the clean part of the bisection tree before the
+sparse factor, which is nested dissection with the identical fronts of the
+clean region computed once: each level of clean groups (boxes of 6, 12, 24, ...
+inside cells) shares one dense Cholesky of its crosses, and SuperLU factors
+only the Schur complement S on the remaining dofs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +31,6 @@ from .assembly import (
     PenaltyParameters,
     SparseSystem,
     _owning_dofs,
-    _scatter,
     ghost_penalty_form,
 )
 from .basis import QpBasis, eval_basis
@@ -64,46 +70,129 @@ FACTOR_OPTIONS = {
 }
 
 
-def condense(a: sp.csr_matrix, boxes: np.ndarray):
-    """Eliminate the interiors of ``boxes`` (``DofMap.clean_boxes``) from the CSR matrix a.
+@functools.cache
+def _lattice(n: int, nested: bool):
+    """Masks of the cross and the ring (the outer nodes) of an n x n group lattice,
+    and for a nested group the positions in X u B of its four children's rings."""
+    ring = np.pad(np.zeros((n - 2, n - 2), dtype=bool), 1, constant_values=True)
+    cross, half = ~ring, n // 2
+    if not nested:
+        return cross, ring, None
+    mid = np.arange(n) == half
+    cross &= mid | mid[:, None]  # less the children's interiors
+    at = np.empty((n, n), dtype=np.intp)
+    at[cross], at[ring] = np.split(np.arange(cross.sum() + ring.sum()), [cross.sum()])
+    child_ring = _lattice(half + 1, False)[1]
+    children = [at[y : y + half + 1, x : x + half + 1] for y in (0, half) for x in (0, half)]
+    return cross, ring, np.array([child[child_ring] for child in children])
 
-    I is a box lattice's interior, B its outer ring. All boxes share the first's
-    A_II = L L^T and A_IB; with Y = L^-1 A_IB, the Schur complement onto B is
-    C = Y^T Y, symmetrized. Returns S = A[R, R] - the sum of the C blocks
-    (exactly symmetric: a pair of B dofs lies in at most two boxes), the dofs
-    R outside every I, the ``cho_factor`` of A_II, X = A_II^-1 A_IB, and the
-    I and B dofs as (|I|, boxes) and (|B|, boxes) tables, row-major per box.
+
+def _shared_blocks(a: sp.csr_matrix, groups):
+    """Per level of ``groups``, the first group's ``cho_factor`` of M_XX, X = M_XX^-1 M_XB
+    and Schur block C onto B, and all groups' X and B dofs (see :func:`condense`)."""
+    levels, local = [], np.full(a.shape[0], -1)
+    for lattices in groups:
+        cross, ring, child = _lattice(len(lattices[0]), bool(levels))
+        # Group-major (Fortran) tables: X^T g_X's BLAS path depends on g[xs]'s order.
+        xs, bs = (np.asfortranarray(lattices[:, m].T) for m in (cross, ring))
+        nx, nodes = len(xs), np.concatenate((xs[:, 0], bs[:, 0]))
+        local[nodes] = np.arange(len(nodes))
+        rows = a[xs[:, 0]]
+        at = local[rows.indices]
+        m = np.zeros((nx, len(nodes)), order="F")  # A[X, X u B]
+        m[np.repeat(np.arange(nx), np.diff(rows.indptr))[at >= 0], at[at >= 0]] = rows.data[at >= 0]
+        local[nodes] = -1
+        below = 0.0  # the four children's C, on X u B and then on B x B
+        if levels:
+            c = np.broadcast_to(levels[-1][2], (4,) + levels[-1][2].shape)
+            flat = child[:, :, None] * len(nodes) + child[:, None, :]
+            below = np.bincount(flat.ravel(), c.ravel(), len(nodes) ** 2).reshape(len(nodes), -1)
+            m -= below[:nx]
+            below = below[nx:, nx:]
+        chol = scipy.linalg.cho_factor(m[:, :nx], lower=True)
+        y = scipy.linalg.solve_triangular(chol[0], m[:, nx:], lower=True, overwrite_b=True)
+        c = below + y.T @ y
+        x_xb = scipy.linalg.solve_triangular(chol[0], y, lower=True, trans="T")
+        levels.append((chol, x_xb, 0.5 * (c + c.T), xs, bs))
+    return levels
+
+
+def condense(a: sp.csr_matrix, groups):
+    """Eliminate the interiors of the clean groups (``DofMap.clean_groups``) from the CSR matrix a.
+
+    Level by level from the boxes up, X is a group lattice's cross (its
+    interior less its four children's interiors; a box's whole interior) and
+    B its ring (the outer nodes). A level's groups share the first's blocks:
+    M is A[X, X u B] less the children's Schur blocks C on the X rows,
+    M_XX = L L^T, Y = L^-1 M_XB, and the Schur block onto B is
+    C = (the children's C on B x B) + Y^T Y, symmetrized. Returns
+    S = A[R, R] - the sum of C over the rings of the maximal groups (those in
+    no group of the next level), the dofs R outside every interior, and per
+    level the ``cho_factor`` of M_XX, X = M_XX^-1 M_XB and the X and B dofs
+    as (|X|, groups) and (|B|, groups) tables. A pair of ring dofs lies in at
+    most two maximal groups, whose C add to the pair's A entry in the same
+    order on both sides of the diagonal: S is exactly symmetric.
     """
-    ring = np.pad(np.zeros(np.subtract(boxes.shape[1:], 2), dtype=bool), 1, constant_values=True)
-    # Box-major (Fortran) tables: X^T b_I's BLAS path depends on rhs[inner]'s order.
-    inner, outer = (np.asfortranarray(boxes[:, m].T) for m in (~ring, ring))
-    a_i = a[inner[:, 0]]
-    chol = scipy.linalg.cho_factor(a_i[:, inner[:, 0]].toarray(), lower=True)
-    y = scipy.linalg.solve_triangular(chol[0], a_i[:, outer[:, 0]].toarray(), lower=True)
-    c = y.T @ y
+    levels = _shared_blocks(a, groups)
     kept = np.ones(a.shape[0], dtype=bool)
-    kept[inner] = False
+    for *_, xs, _ in levels:
+        kept[xs] = False
     rows = np.flatnonzero(kept)
-    # A[R, R] in one masked pass: a removed row keeps no entry, so a kept row
-    # starts at the count of kept entries before it.
-    mask = np.repeat(kept, np.diff(a.indptr)) & kept[a.indices]
-    indptr = np.concatenate(([0], np.cumsum(mask)))[a.indptr[np.append(rows, len(kept))]]
-    new = np.cumsum(kept, dtype=a.indices.dtype) - 1
-    a_rr = sp.csr_matrix((a.data[mask], new[a.indices[mask]], indptr), shape=(len(rows),) * 2)
-    s = a_rr - _scatter(new[outer.T], 0.5 * (c + c.T), len(rows))
-    x_ib = scipy.linalg.solve_triangular(chol[0], y, lower=True, trans="T")
-    return s, rows, chol, x_ib, inner, outer
+    new = np.cumsum(kept, dtype=np.int32) - 1  # R's numbering; a removed dof's column is dropped
+    new[~kept] = len(rows)
+    a_r = a[rows]
+    rings = [new[bs[:, kept[bs].all(axis=0)]] for *_, bs in levels]  # the maximal groups'
+    # S's rows as segments of entries, each a column and the slot of its value
+    # in ``values``: a kept row's entries of A, then per ring dof of a maximal
+    # group, in group order, that group's ring with the dof's row of -C.
+    # Written level by level, then gathered into row order.
+    values = np.concatenate([a_r.data] + [-c.ravel() for _, _, c, _, _ in levels])
+    seg_row = np.concatenate([np.arange(len(rows))] + [d.T.ravel() for d in rings])
+    seg_len = np.concatenate([np.diff(a_r.indptr)] + [np.full(d.size, len(d)) for d in rings])
+    slots, cols = np.empty((2, seg_len.sum()), dtype=np.int32)
+    lo = slot = a_r.nnz
+    slots[:lo], cols[:lo] = np.arange(lo), new[a_r.indices]
+    del a_r
+    for d, (_, _, block, _, _) in zip(rings, levels):
+        (k, m), i = d.shape, np.arange(len(d), dtype=np.int32)
+        at = slice(lo, lo + m * block.size)
+        # Ring pair (b, e) reads C[e, b], so a row of S reads along a row of C.
+        slots[at].reshape(m, k, k)[:] = slot + i * k + i[:, None]
+        cols[at].reshape(m, k, k)[:] = d.T[:, None, :]
+        lo, slot = at.stop, slot + block.size
+    indptr = np.concatenate(([0], np.cumsum(seg_len)))
+    segments = sp.csr_matrix((slots, cols, indptr), shape=(len(seg_len), len(rows) + 1))
+    del slots, cols
+    segments = segments[np.argsort(seg_row, kind="stable")]
+    per_row = np.bincount(seg_row, minlength=len(rows))
+    indptr = segments.indptr[np.append(np.cumsum(per_row) - per_row, len(seg_len))]
+    shape = (len(rows), len(rows) + 1)
+    segments = sp.csr_matrix((segments.data, segments.indices, indptr), shape=shape)
+    # csr_tocsc sorts each column's rows; the removed columns' entries go to
+    # the last column and are dropped. S is symmetric, so its CSC arrays are
+    # its CSR arrays with sorted columns, and duplicates stay in order.
+    t = segments.tocsc()
+    del segments
+    data = np.empty(t.indptr[-2])
+    for lo in range(0, len(data), 1 << 16):  # a gather by intp runs faster than by int32
+        hi = min(lo + (1 << 16), len(data))
+        data[lo:hi] = values[t.data[lo:hi].astype(np.intp)]
+    s = sp.csr_matrix((data, t.indices[: len(data)], t.indptr[:-1]), shape=(len(rows),) * 2)
+    s.has_sorted_indices, s.has_canonical_format = True, False  # only duplicates are left
+    s.sum_duplicates()
+    return s, rows, [(chol, x_xb, xs, bs) for chol, x_xb, _, xs, bs in levels]
 
 
 def solve_spd(system: SparseSystem) -> np.ndarray:
     """Direct sparse solve with a relative residual contract of 1e-12.
 
-    With ``system.clean_boxes`` the factor is that of :func:`condense`'s S,
-    and x_I = A_II^-1 b_I - X x_B recovers the interiors. SuperLU reads the
-    CSR arrays of S (or A) as CSC: the transpose, the same exactly symmetric
-    matrix, without a copy. The factor is L U with diagonal pivots in the
-    matrix's own numbering (FACTOR_OPTIONS), which an SPD matrix always
-    admits. The fill therefore depends on the numbering: ``build_dofmap``
+    With ``system.clean_groups`` the factor is that of :func:`condense`'s S.
+    The load condenses bottom-up, g_B -= X^T g_X per group, and the
+    eliminated nodes are recovered top-down, x_X = M_XX^-1 g_X - X x_B.
+    SuperLU reads the CSR arrays of S (or A) as CSC: the transpose, the
+    same exactly symmetric matrix, without a copy. The factor is L U with
+    diagonal pivots in the matrix's own numbering (FACTOR_OPTIONS), which an
+    SPD matrix always admits. The fill therefore depends on the numbering: ``build_dofmap``
     numbers the dofs in nested-dissection order, which S keeps. SuperLU
     swaps rows only where a diagonal pivot is exactly zero; the factor then
     has perm_r != perm_c, and SolverError is raised before the solve. An
@@ -122,7 +211,7 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
         return np.zeros_like(b)
     try:
         if system.clean_boxes is not None and len(system.clean_boxes):
-            s, kept, chol, x_ib, inner, outer = condense(a, system.clean_boxes)
+            s, kept, levels = condense(a, system.clean_groups)
         s_as_csc = sp.csc_matrix((s.data, s.indices, s.indptr), shape=s.shape)
         lu = spla.splu(s_as_csc, **FACTOR_OPTIONS)
     except Exception as exc:
@@ -132,11 +221,15 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     solve = lu.solve
     if s is not a:
         def solve(rhs):
-            # S x_R = b_R - the sum of X^T b_I, as A_BI A_II^-1 = X^T.
-            g = rhs - np.bincount(outer.ravel(), (x_ib.T @ rhs[inner]).ravel(), len(rhs))
+            # Bottom-up, g_B -= X^T g_X per group, as M_BX M_XX^-1 = X^T;
+            # then S x_R = g_R, and top-down x_X = M_XX^-1 g_X - X x_B.
+            g = rhs.copy()
+            for _, x_xb, xs, bs in levels:
+                g -= np.bincount(bs.ravel(), (x_xb.T @ g[xs]).ravel(), len(g))
             x = np.empty_like(rhs)
             x[kept] = lu.solve(g[kept])
-            x[inner] = scipy.linalg.cho_solve(chol, rhs[inner]) - x_ib @ x[outer]
+            for chol, x_xb, xs, bs in reversed(levels):
+                x[xs] = scipy.linalg.cho_solve(chol, g[xs]) - x_xb @ x[bs]
             return x
 
     x = solve(b)

@@ -153,17 +153,22 @@ def _check_coarsest(cause: str, h: float, bound: str, value: float, limit: float
 MAX_POLYGON_VERTICES = 1_000_000  # normal-l2 has 21k at its finest default level
 
 
+def _check_finest_grid(cfg: StudyConfig, side: float):
+    """Reject a finest grid with more cells per axis than the dof numbering holds."""
+    base = _base_cells(side, cfg.h0)
+    cells = base * 2 ** (cfg.levels - 1)
+    if cells > MAX_CELLS_PER_AXIS:
+        msg = f"h0 = {side / base:.4g} with levels = {cfg.levels} needs {cells:,} cells per axis"
+        raise ValueError(f"{msg} on the finest grid, more than {MAX_CELLS_PER_AXIS:,}")
+
+
 def _run_levels(cfg: StudyConfig, study: str, origin, side, domain, ref, polygon):
     """Solve on each level's grid over ``origin`` and ``side`` and record the errors.
 
     ``polygon(grid)`` builds the level's boundary, which approximates
     ``domain``; ``ref`` is the exact solution the norms measure against.
     """
-    base = _base_cells(side, cfg.h0)
-    cells = base * 2 ** (cfg.levels - 1)
-    if cells > MAX_CELLS_PER_AXIS:
-        msg = f"h0 = {side / base:.4g} with levels = {cfg.levels} needs {cells:,} cells per axis"
-        raise ValueError(f"{msg} on the finest grid, more than {MAX_CELLS_PER_AXIS:,}")
+    _check_finest_grid(cfg, side)
     basis, params = qp_basis(cfg.p), penalty_parameters(cfg.p)
     records = []
     for i in range(cfg.levels):
@@ -251,19 +256,27 @@ def run_normal_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     bound, cause = f"delta = h^{exponent:g}", f"h0 = {cfg.h0} is too coarse"
     _check_coarsest(cause, h_coarse, bound, h_coarse**exponent, 0.25, why)
 
-    def vertices(h: float) -> int:
+    def floor(h: float) -> int:
         # Keep the polygon's own chord sag below 0.5% of the amplitude, so
         # the measured location error tracks the nominal delta; for small
         # delta = h^(p+1) the default 64/h vertices are not enough.
         n_sag = math.ceil(2.0 * math.pi / math.sqrt(0.04 * h**exponent)) if h**exponent else 0
-        freq = oscillation_frequency(cfg.alpha_n, h, h_coarse)
-        return max(64 * math.ceil(1.0 / h), 16 * freq, n_sag)
+        return max(64 * math.ceil(1.0 / h), n_sag)
 
+    def vertices(h: float) -> int:
+        return max(floor(h), 16 * oscillation_frequency(cfg.alpha_n, h, h_coarse))
+
+    _check_finest_grid(cfg, CIRCLE_SIDE)
     finest = cfg.levels - 1
-    n_vertices = vertices(_grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, finest).h)
-    if n_vertices > MAX_POLYGON_VERTICES:
-        msg = f"{n_vertices:.3g} polygon vertices at level {finest}"
-        raise ValueError(f"alpha_n = {cfg.alpha_n} needs {msg}, more than {MAX_POLYGON_VERTICES:,}")
+    h_finest = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, cfg.h0, finest).h
+    # alpha_n does not set the floor: past the bound, the level count is the cause.
+    for cause, n_vertices in (
+        (f"levels = {cfg.levels}", floor(h_finest)),
+        (f"alpha_n = {cfg.alpha_n}", vertices(h_finest)),
+    ):
+        if n_vertices > MAX_POLYGON_VERTICES:
+            msg = f"{n_vertices:.3g} polygon vertices at level {finest}"
+            raise ValueError(f"{cause} needs {msg}, more than {MAX_POLYGON_VERTICES:,}")
 
     def polygon(grid):
         delta = grid.h**exponent

@@ -113,6 +113,34 @@ class TestExitCodes:
         assert f"more than {studies.MAX_POLYGON_VERTICES:,}" in capsys.readouterr().err
         assert not out.exists()
 
+    # The finest grid is checked before the vertex bound, and a vertex floor
+    # that alpha_n does not set (64/h, or the chord sag at delta = h^3 for
+    # the L2 norm) blames the level count: at 9 levels the sag alone asks
+    # for 1.35e6 vertices at level 8. alpha_n = 5 at 5 levels asks for 8.4e7
+    # through its oscillation frequency.
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["--alpha-n", "1", "--levels", "20"], "levels = 20 needs 6,291,456 cells per axis"),
+            (["--alpha-n", "0", "--levels", "12"], "levels = 12 needs 24,576 cells per axis"),
+            (["--alpha-n", "0", "--norm", "l2", "--levels", "9"],
+             "levels = 9 needs 1.35e+06 polygon vertices at level 8"),
+            (["--alpha-n", "5", "--levels", "5"],
+             "alpha_n = 5.0 needs 8.39e+07 polygon vertices at level 4"),
+        ],
+        ids=["1-at-20", "0-at-12", "0-l2-at-9", "5-at-5"],
+    )
+    def test_vertex_guard_names_its_cause(self, argv, cause, tmp_path, capsys, monkeypatch):
+        def no_polygon(*args):
+            raise AssertionError("a polygon was built")
+
+        monkeypatch.setattr(studies, "perturb_circle_boundary", no_polygon)
+        out = tmp_path / "r.csv"
+        assert main(["normal-study", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert cause in err and ("alpha_n" in err) == ("alpha_n" in cause)
+        assert not out.exists()
+
     # Both ask for more cells per axis than the dof numbering's int64 keys
     # hold: 25,000 at level 0, and 12 * 2^19 at level 19. The check comes
     # before level 0, so no polygon or cell mask is ever built.

@@ -261,20 +261,59 @@ def test_condensed_solve_matches_full_factor(am, p):
     x = solve_spd(system)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
     if len(system.clean_boxes):
-        assert symmetry_error(solver.condense(system.matrix, system.clean_boxes)[0]) == 0.0
+        assert symmetry_error(solver.condense(system.matrix, system.clean_groups)[0]) == 0.0
+
+
+# square_mesh(96) bisects into boxes of 6, 12, 24 and 48 cells; the square
+# holds 100 clean boxes, 16 clean groups of 12 cells and 4 of 24.
+@pytest.mark.parametrize("n, counts", [(48, [16, 4]), (96, [100, 16, 4])])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_nested_condensation_matches_full_factor(n, counts, p):
+    system = unit_load_system(square_mesh(n), p)
+    assert [len(groups) for groups in system.clean_groups] == counts
+    expected = spla.splu(system.matrix.tocsc(), **solver.FACTOR_OPTIONS).solve(system.rhs)
+    x = solve_spd(system)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert symmetry_error(solver.condense(system.matrix, system.clean_groups)[0]) == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_clean_boxes_share_their_blocks(p):
-    # The level-set disk at level 2 has 16 clean boxes among cut cells.
+    # The level-set disk at level 2 has 16 clean boxes among cut cells, and
+    # 4 clean groups of 12 cells. The rows of a box's interior, and of a
+    # group's cross (its interior less its four boxes' interiors), are the
+    # same on the box's or group's lattice in every box or group.
     grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 2)
     am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
     system = unit_load_system(am, p)
-    boxes, a = system.clean_boxes, system.matrix
-    assert boxes.shape == (16, 6 * p + 1, 6 * p + 1)
-    inner = boxes[:, 1:-1, 1:-1].reshape(16, -1)
-    blocks = np.array([a[i][:, box.ravel()].toarray() for i, box in zip(inner, boxes)])
-    assert np.abs(blocks - blocks[0]).max() <= 1e-14 * np.abs(blocks).max()
+    boxes, groups, a = *system.clean_groups, system.matrix
+    assert boxes.shape == (16, 6 * p + 1, 6 * p + 1) and groups.shape == (4, 12 * p + 1, 12 * p + 1)
+    cross = np.zeros((12 * p + 1,) * 2, dtype=bool)
+    cross[6 * p, 1:-1] = cross[1:-1, 6 * p] = True
+    for lattices, rows in ((boxes, boxes[:, 1:-1, 1:-1]), (groups, groups[:, cross])):
+        rows = rows.reshape(len(lattices), -1)
+        blocks = np.array([a[i][:, nodes.ravel()].toarray() for i, nodes in zip(rows, lattices)])
+        assert np.abs(blocks - blocks[0]).max() <= 1e-14 * np.abs(blocks).max()
+
+
+def test_condensed_factor_fill_on_the_disk():
+    # The level-set disk at level 3, p = 2 (19,481 dofs): 96 clean boxes, 16
+    # groups of 12 cells and 4 of 24. Condensing every level leaves 6,773
+    # dofs, whose factor has 855,552 entries (1,128,576 with the boxes alone).
+    grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 3)
+    am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
+    system = unit_load_system(am, 2)
+    assert [len(groups) for groups in system.clean_groups] == [96, 16, 4]
+    factors, real_splu = [], spla.splu
+
+    def splu(matrix, **options):
+        factors.append(real_splu(matrix, **options))
+        return factors[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver.spla, "splu", splu)
+        solve_spd(system)
+    assert factors[0].shape == (6773, 6773) and factors[0].nnz == 855552
 
 
 def test_factor_reads_the_matrix_without_a_copy():
