@@ -467,12 +467,11 @@ def assemble_system(
 
     Cut-cell and Nitsche terms are per-cell moments of the rules times tables,
     exactly symmetric COO sums of at most two values per off-diagonal entry.
-    Quadrature of order 2p, which is not exact on cut cells. Against order
-    2p + 6 at level 4, relative to each term's largest entry: on the
-    level-set disk the p=2 cut-cell stiffness is off by 4.8e-3, the p=2
-    Nitsche matrix by 4.2e-2 and the p=1 Nitsche matrix by 6.7e-3; on the
-    perturbed square and circle every gap is at most 1.5e-9. Returns
-    (system, dofmap).
+    Quadrature of order 2p: the cut-cell stiffness and load are exact, and
+    the Nitsche terms are not. Against order 2p + 6 boundary rules at level
+    4, relative to the largest entry: on the level-set disk the p=2 Nitsche
+    matrix is off by 4.2e-2 and the p=1 one by 6.7e-3; on the perturbed
+    square and circle by at most 1.5e-9. Returns (system, dofmap).
     """
     p = basis.p
     dofmap = build_dofmap(am, p)

@@ -3,16 +3,20 @@
 The rules are built on the active mesh's cut geometry (``ActiveMesh.cut_geometry``;
 :mod:`cutpoisson.mesh` describes the split and the strip walk): its boundary
 pieces and cut-cell trapezoids, computed once per mesh for every quadrature
-order. Boundary rules map 1D Gauss points onto the pieces' end points,
-volume rules map tensor Gauss rules onto the trapezoids in one batch: all
-weights are positive and all points lie in element ∩ domain.
+order. Boundary rules map 1D Gauss points onto the pieces' end points. A cut
+cell's volume rule is a Gauss lattice on the bounding box of its trapezoids,
+whose weights are fitted to the exact Legendre moments of element ∩ domain
+(moment fitting, Müller, Kummer & Oberlack 2013): the points lie in that box,
+not always in the domain, and some weights are negative.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 
 from .mesh import ActiveMesh
 
@@ -61,6 +65,7 @@ def gauss_legendre_1d(n: int) -> QuadRule1D:
     return QuadRule1D(points=pts, weights=w)
 
 
+@functools.cache
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     rule = gauss_legendre_1d(n)
     return 0.5 * (rule.points + 1.0), 0.5 * rule.weights
@@ -147,12 +152,79 @@ def rule_batches(rules: dict):
 # ---------------------------------------------------------------------------
 
 
+def _legendre_moments(traps: np.ndarray, boxes: np.ndarray, n: int) -> np.ndarray:
+    """Legendre moments (traps, n, n) of strip trapezoids in their boxes' coordinates.
+
+    Entry [k, a, b] integrates P_a(s) P_b(t) over trapezoid k, where s and t
+    map box k (rows x0, y0, x1, y1) onto [-1, 1]. Along the strip n Gauss
+    points are exact: the integrand there is a polynomial of degree at most
+    2n - 1. Across it, the integral of P_b is (P_(b+1) - P_(b-1)) / (2b + 1)
+    between the trapezoid's lower and upper edges, with P_(-1) = 0.
+    """
+    u, wu = _gauss01(n)
+    xl, xr, lo_l, lo_r, hl, hr = traps.T
+    centre = 0.5 * (boxes[:, :2] + boxes[:, 2:])
+    # A box of zero width or height has no area: any positive half size
+    # keeps its coordinates finite.
+    half = np.maximum(0.5 * (boxes[:, 2:] - boxes[:, :2]), np.finfo(float).tiny)
+    width = (xr - xl)[:, None]
+    s = (xl[:, None] + width * u - centre[:, :1]) / half[:, :1]
+    lo = lo_l[:, None] + (lo_r - lo_l)[:, None] * u
+    hi = lo + hl[:, None] + (hr - hl)[:, None] * u
+    v = leg.legvander((np.stack((hi, lo)) - centre[:, 1:]) / half[:, 1:], n)
+    v = v[0] - v[1]
+    v[..., 2:] -= v[..., :-2]
+    across = half[:, 1:, None] / (2 * np.arange(n) + 1) * v[..., 1:]
+    along = leg.legvander(s, n - 1) * (width * wu)[:, :, None]
+    return np.matmul(along.transpose(0, 2, 1), across)
+
+
+def _fitted_lattices(geo, n: int) -> CutVolumeRule:
+    """Moment-fitted n x n Gauss lattices, n^2 points per cell in one rule.
+
+    One lattice per cell of ``geo.trapezoid_cells`` (ascending), on the
+    bounding box of the cell's trapezoids. With the box's exact Legendre
+    moments M (a, b < n) and T_ia = w_i P_a(g_i) (2a + 1) / 2 for the Gauss
+    rule (g, w) on [-1, 1], the weights W = T M T^T integrate Q_(n-1) over
+    the cell's trapezoids exactly: sum_ij W_ij P_c(g_i) P_d(g_j) = M_cd.
+    The trapezoids' moments go in chunks of POINT_BATCH Gauss points and add
+    up per cell in one segmented sum.
+    """
+    traps, cells = geo.trapezoids, geo.trapezoid_cells
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    xl, xr, lo_l, lo_r, hl, hr = traps.T
+    boxes = np.column_stack(
+        (
+            np.minimum.reduceat(xl, first),
+            np.minimum.reduceat(np.minimum(lo_l, lo_r), first),
+            np.maximum.reduceat(xr, first),
+            np.maximum.reduceat(np.maximum(lo_l + hl, lo_r + hr), first),
+        )
+    )
+    box_of = np.repeat(np.arange(len(first)), np.diff([*first, len(cells)]))
+    moments = np.empty((len(traps), n, n))
+    step = max(1, POINT_BATCH // n)
+    for start in range(0, len(traps), step):
+        b = slice(start, start + step)
+        moments[b] = _legendre_moments(traps[b], boxes[box_of[b]], n)
+    moments = np.add.reduceat(moments, first, axis=0)
+    g, w = leg.leggauss(n)
+    fit = w[:, None] * leg.legvander(g, n - 1) * (np.arange(n) + 0.5)
+    weights = fit @ moments @ fit.T  # [cell, i (x), j (y)]
+    lo, hi = boxes[:, :2, None], boxes[:, 2:, None]
+    x, y = np.clip(0.5 * (lo + hi + (hi - lo) * g), lo, hi).transpose(1, 0, 2)
+    points = np.stack(np.broadcast_arrays(x[:, :, None], y[:, None, :]), axis=-1)
+    return CutVolumeRule(points=points.reshape(-1, 2), weights=weights.reshape(-1))
+
+
 @dataclass
 class VolumeRuleSet:
     """Volume rules for all active elements of a mesh.
 
     Inside elements share one reference tensor rule (points on [0,1]^2 with
-    weights summing to 1); cut elements carry individual physical rules.
+    weights summing to 1); cut elements carry individual physical rules,
+    moment-fitted Gauss lattices whose points lie in the bounding box of
+    element ∩ domain and whose weights may be negative.
     """
 
     inside_ref_points: np.ndarray
@@ -161,18 +233,20 @@ class VolumeRuleSet:
 
 
 def build_volume_rules(am: ActiveMesh, order: int) -> VolumeRuleSet:
-    """Volume rules of the given exactness degree for every active element.
+    """Volume rules exact on Q_order for every active element.
 
-    Cut elements map Gauss points onto the mesh's shared strip trapezoids.
+    A cut element gets an (order + 1)^2 Gauss lattice on the bounding box of
+    its strip trapezoids, with weights fitted to the exact Legendre moments
+    of element ∩ domain (:func:`_fitted_lattices`): they integrate every
+    polynomial of degree at most ``order`` in each variable exactly, and may
+    be negative. A cut element without trapezoids gets an empty rule.
     """
     ref = _trapezoids_rule(np.array([[0.0, 1.0, 0.0, 0.0, 1.0, 1.0]]), order)  # [0, 1]^2
     geo = am.cut_geometry
     ids = am.cut_ids
-    rows = np.searchsorted(geo.trapezoid_cells, ids, side="right")
-    counts = np.diff(rows, prepend=0)
-    per_trap = _points_for_degree(order + 1) * _points_for_degree(order)
-    rule = _trapezoids_rule(geo.trapezoids, order)
-    cut = dict(zip(ids.tolist(), _split_rule(rule, per_trap * counts)))
+    n = order + 1
+    walked = np.isin(ids, geo.trapezoid_cells)
+    cut = dict(zip(ids.tolist(), _split_rule(_fitted_lattices(geo, n), n * n * walked)))
     return VolumeRuleSet(inside_ref_points=ref.points, inside_ref_weights=ref.weights, cut=cut)
 
 

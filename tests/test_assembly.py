@@ -41,6 +41,7 @@ from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _
 
 from oracles import (
     PROPERTY,
+    cut_volume_rule,
     meshes,
     near_gridline_star_meshes,
     nested_dissection_loop,
@@ -277,6 +278,23 @@ def test_moments_match_per_cell_oracle(am, p):
     assert abs(nit - nit_ref).max() <= 1e-13 * abs(nit_ref).max()
     assert symmetry_error(bulk.matrix) == 0.0
     assert symmetry_error(nit) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cut_cell_bulk_is_exact_on_the_levelset_disk(p):
+    # The order-2p fitted rules are exact on the stiffness and the load, so
+    # they match strip rules of order 2p + 6, which are exact there too.
+    grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 1)
+    am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
+    basis, params, dm = qp_basis(p), penalty_parameters(p), build_dofmap(am, p)
+    vrules = build_volume_rules(am, 2 * p)
+    strips = {e: cut_volume_rule(grid.cell_box(e), am.poly, 2 * p + 6) for e in vrules.cut}
+    exact = VolumeRuleSet(vrules.inside_ref_points, vrules.inside_ref_weights, strips)
+    brules = build_boundary_rules(am, 2 * p)
+    bulk = assemble_bulk(am, basis, product, vrules, dm)
+    k_ref, rhs_ref, _ = per_cell_bulk_nitsche(am, basis, params, product, exact, brules, dm)
+    assert abs(bulk.matrix - k_ref).max() <= 1e-13 * abs(k_ref).max()
+    assert np.max(np.abs(bulk.rhs - rhs_ref)) <= 1e-13 * np.max(np.abs(rhs_ref))
 
 
 def test_whole_cell_as_cut_rule_gives_inside_matrix():

@@ -1,4 +1,4 @@
-"""Property tests of the shared cut geometry and the strip-trapezoid rules.
+"""Property tests of the shared cut geometry and the cut-cell rules built on it.
 
 Random cut configurations (grid offsets including zero, so that square edges
 lie on gridlines; perturbation amplitudes and phases; level-set contours,
@@ -198,7 +198,7 @@ def examples(fixtures):
     return decorate
 
 
-# The oracle moment check is the slowest, so it gets fewer examples.
+# The oracle moment checks are the slowest, so they get fewer examples.
 ORACLE = settings(PROPERTY, max_examples=5)
 
 
@@ -212,15 +212,33 @@ def test_volume_weights_sum_to_polygon_area(am):
     assert total == pytest.approx(shoelace(am.poly.vertices), rel=1e-10)
 
 
-@PROPERTY
+@ORACLE
 @given(meshes)
-def test_weights_nonnegative_and_points_in_cell(am):
-    rules = build_volume_rules(am, 4)
-    for eid, rule in rules.cut.items():
-        x0, y0, x1, y1 = am.grid.cell_box(eid)
-        assert np.all(rule.weights >= 0.0)
-        assert np.all((rule.points[:, 0] >= x0) & (rule.points[:, 0] <= x1))
-        assert np.all((rule.points[:, 1] >= y0) & (rule.points[:, 1] <= y1))
+@example(NEEDLE)
+@example(GRID_VERTEX)
+@example(CLAMPED_TIE)
+def test_rules_exact_on_q_order_with_points_in_cell(am):
+    # The fitted weights may be negative, so no sign is checked: each rule
+    # must integrate x^a y^b, a, b <= order, as the clipping oracle does.
+    orders = (2, 4, 6)
+    rules = [build_volume_rules(am, order).cut for order in orders]
+    for eid in rules[0]:
+        box = am.grid.cell_box(eid)
+        x0, y0, x1, y1 = box
+        pieces = clip_polygon_to_box(am.poly, box)
+        exact = np.array(
+            [
+                [sum(greens_monomial_integral(p, a, b) for p in pieces) for b in range(7)]
+                for a in range(7)
+            ]
+        )
+        for order, cut in zip(orders, rules):
+            x, y = cut[eid].points.T
+            assert np.all((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+            k = np.arange(order + 1)[:, None]
+            got = (cut[eid].weights * x**k) @ (y**k).T
+            error = np.abs(got - exact[k, k.T])
+            assert np.all(error <= 1e-12 * (x1 - x0) ** 2), (box, order, error.max())
 
 
 def assert_moments_match_oracle(rule, box, poly, degree=6):
