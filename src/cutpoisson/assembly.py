@@ -31,7 +31,7 @@ from .quadrature import (
     VolumeRuleSet,
     build_boundary_rules,
     build_volume_rules,
-    gauss_legendre_1d,
+    _gauss01,
     rule_batches,
 )
 
@@ -82,20 +82,15 @@ class DofMap:
     A clean group of level 0 (a clean box) is a bisection box of BOX x BOX
     inside cells that are no ghost-face element; one of level k > 0 is a
     bisection box of BOX 2^k cells per side whose four children are clean
-    groups of level k - 1. Level 0 is always listed, each next level while
-    it has a group. All groups of one level have the same matrix blocks
-    (``solver.condense``).
+    groups of level k - 1. The levels are listed up to the first without a
+    group: none on a grid without a clean box. All groups of one level have
+    the same matrix blocks (``solver.condense``).
     """
 
     cell_dofs: np.ndarray
     n_dofs: int
     dof_coords: np.ndarray
     clean_groups: tuple[np.ndarray, ...]
-
-    @property
-    def clean_boxes(self) -> np.ndarray:
-        """The clean groups of level 0, (boxes, BOX p + 1, BOX p + 1)."""
-        return self.clean_groups[0]
 
 
 def _bisection(n: int, p: int, n_levels: int, offset: int):
@@ -216,7 +211,7 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
         bx, by = np.meshgrid(*lows)
         corner = (by * grid.nx + bx).ravel()
         corner = corner[clean[corner[:, None] + parts].all(axis=1)]
-        if level and not len(corner):
+        if not len(corner):
             break
         clean = np.zeros(grid.n_cells, dtype=bool)
         clean[corner] = True
@@ -235,16 +230,11 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
 @dataclass
 class SparseSystem:
     """Symmetric sparse matrix and load vector over the active dofs, and the
-    ``DofMap.clean_groups`` that ``solve_spd`` condenses (none: factor all)."""
+    ``DofMap.clean_groups`` that ``solve_spd`` condenses (empty: it factors A)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     clean_groups: tuple[np.ndarray, ...] = ()
-
-    @property
-    def clean_boxes(self) -> np.ndarray | None:
-        """The clean groups of level 0, or None without groups."""
-        return self.clean_groups[0] if self.clean_groups else None
 
 
 def symmetry_error(a: sp.spmatrix) -> float:
@@ -403,11 +393,10 @@ def _face_jumps(am: ActiveMesh, basis: QpBasis, params: PenaltyParameters, dofma
     so s_h(v, v) is the sum over orientations of ||v[dofs] jump^T||^2.
     """
     h, p = am.grid.h, basis.p
-    rule = gauss_legendre_1d(p + 1)
-    t = 0.5 * (rule.points + 1.0)
+    t, w = _gauss01(p + 1)
     orders = range(1, p + 1)
     penalty = [params.gamma[j - 1] * h ** (2 * j - 1) for j in orders]
-    scale = np.sqrt(np.outer(penalty, 0.5 * h * rule.weights)).reshape(-1, 1)
+    scale = np.sqrt(np.outer(penalty, h * w)).reshape(-1, 1)
     faces = am.ghost_faces_arr
     lattice = np.arange(basis.n_local).reshape(p + 1, p + 1)  # [iy, ix]
     for axis, normal in enumerate((lattice.T, lattice)):

@@ -42,7 +42,8 @@ class QuadRule1D:
 
 @dataclass(frozen=True)
 class CutVolumeRule:
-    """Physical quadrature points and area weights for element ∩ domain."""
+    """Physical points in the bounding box of element ∩ domain, and weights,
+    some possibly negative, that integrate over element ∩ domain."""
 
     points: np.ndarray  # (n, 2)
     weights: np.ndarray  # (n,)
@@ -77,7 +78,7 @@ def _points_for_degree(degree: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules on boundary pieces and strip trapezoids
+# Gauss rules on boundary pieces
 # ---------------------------------------------------------------------------
 
 
@@ -94,26 +95,6 @@ def _pieces_rule(start, end, normals, order: int) -> CutBoundaryRule:
         weights=(np.hypot(d[:, 0], d[:, 1])[:, None] * w).reshape(-1),
         normals=np.repeat(normals, len(s), axis=0),
     )
-
-
-def _trapezoids_rule(traps: np.ndarray, order: int) -> CutVolumeRule:
-    """Tensor Gauss rules mapped onto strip trapezoids, exact to the given degree.
-
-    Across the strip the integrand is a polynomial of degree order + 1 (the
-    trapezoid's lower and upper edges are linear), along it of degree order.
-    All weights are nonnegative and all points lie in the trapezoids.
-    """
-    u, wu = _gauss01(_points_for_degree(order + 1))
-    v, wv = _gauss01(_points_for_degree(order))
-    xl, xr, lo_l, lo_r, hl, hr = traps.T
-    width = xr - xl
-    x = xl[:, None] + width[:, None] * u
-    lo = lo_l[:, None] + (lo_r - lo_l)[:, None] * u
-    height = hl[:, None] + (hr - hl)[:, None] * u
-    y = lo[:, :, None] + height[:, :, None] * v
-    w = (width[:, None] * wu * height)[:, :, None] * wv
-    x = np.broadcast_to(x[:, :, None], y.shape)
-    return CutVolumeRule(points=np.column_stack((x.ravel(), y.ravel())), weights=w.ravel())
 
 
 def _split_rule(rule, counts):
@@ -239,15 +220,18 @@ def build_volume_rules(am: ActiveMesh, order: int) -> VolumeRuleSet:
     its strip trapezoids, with weights fitted to the exact Legendre moments
     of element ∩ domain (:func:`_fitted_lattices`): they integrate every
     polynomial of degree at most ``order`` in each variable exactly, and may
-    be negative. A cut element without trapezoids gets an empty rule.
+    be negative. A cut element without trapezoids gets an empty rule. The
+    inside elements' rule is the tensor of the 1D Gauss rule on [0, 1] with
+    ``order // 2 + 1`` points, x-major.
     """
-    ref = _trapezoids_rule(np.array([[0.0, 1.0, 0.0, 0.0, 1.0, 1.0]]), order)  # [0, 1]^2
+    s, w = _gauss01(_points_for_degree(order))
+    ref = np.column_stack((np.repeat(s, len(s)), np.tile(s, len(s))))
     geo = am.cut_geometry
     ids = am.cut_ids
     n = order + 1
     walked = np.isin(ids, geo.trapezoid_cells)
     cut = dict(zip(ids.tolist(), _split_rule(_fitted_lattices(geo, n), n * n * walked)))
-    return VolumeRuleSet(inside_ref_points=ref.points, inside_ref_weights=ref.weights, cut=cut)
+    return VolumeRuleSet(inside_ref_points=ref, inside_ref_weights=np.outer(w, w).ravel(), cut=cut)
 
 
 def build_boundary_rules(am: ActiveMesh, order: int) -> dict[int, CutBoundaryRule]:

@@ -90,18 +90,13 @@ def _lattice(n: int, nested: bool):
 def _shared_blocks(a: sp.csr_matrix, groups):
     """Per level of ``groups``, the first group's ``cho_factor`` of M_XX, X = M_XX^-1 M_XB
     and Schur block C onto B, and all groups' X and B dofs (see :func:`condense`)."""
-    levels, local = [], np.full(a.shape[0], -1)
+    levels = []
     for lattices in groups:
         cross, ring, child = _lattice(len(lattices[0]), bool(levels))
         # Group-major (Fortran) tables: X^T g_X's BLAS path depends on g[xs]'s order.
         xs, bs = (np.asfortranarray(lattices[:, m].T) for m in (cross, ring))
         nx, nodes = len(xs), np.concatenate((xs[:, 0], bs[:, 0]))
-        local[nodes] = np.arange(len(nodes))
-        rows = a[xs[:, 0]]
-        at = local[rows.indices]
-        m = np.zeros((nx, len(nodes)), order="F")  # A[X, X u B]
-        m[np.repeat(np.arange(nx), np.diff(rows.indptr))[at >= 0], at[at >= 0]] = rows.data[at >= 0]
-        local[nodes] = -1
+        m = a[xs[:, 0]][:, nodes].toarray(order="F")  # A[X, X u B]
         below = 0.0  # the four children's C, on X u B and then on B x B
         if levels:
             c = np.broadcast_to(levels[-1][2], (4,) + levels[-1][2].shape)
@@ -210,7 +205,7 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     if not np.any(b):
         return np.zeros_like(b)
     try:
-        if system.clean_boxes is not None and len(system.clean_boxes):
+        if system.clean_groups:
             s, kept, levels = condense(a, system.clean_groups)
         s_as_csc = sp.csc_matrix((s.data, s.indices, s.indptr), shape=s.shape)
         lu = spla.splu(s_as_csc, **FACTOR_OPTIONS)

@@ -42,7 +42,7 @@ from cutpoisson import (
 )
 from cutpoisson.geometry import _shoelace
 from cutpoisson.mesh import BackgroundGrid, classify_elements
-from cutpoisson.quadrature import CutVolumeRule, _trapezoids_rule
+from cutpoisson.quadrature import CutVolumeRule, _gauss01, _points_for_degree
 
 # Derandomized so that tier-1 runs the same examples every time.
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
@@ -667,6 +667,26 @@ def _piece_endpoints(a_all, b_all, seg, t0, t1) -> tuple[np.ndarray, np.ndarray]
     d = b_all[seg] - a
     end = np.where((t1 == 1.0)[:, None], b_all[seg], a + t1[:, None] * d)
     return a + t0[:, None] * d, end
+
+
+def _trapezoids_rule(traps: np.ndarray, order: int) -> CutVolumeRule:
+    """Tensor Gauss rules mapped onto strip trapezoids, exact to the given degree.
+
+    Across the strip the integrand is a polynomial of degree order + 1 (the
+    trapezoid's lower and upper edges are linear), along it of degree order.
+    All weights are nonnegative and all points lie in the trapezoids.
+    """
+    u, wu = _gauss01(_points_for_degree(order + 1))
+    v, wv = _gauss01(_points_for_degree(order))
+    xl, xr, lo_l, lo_r, hl, hr = traps.T
+    width = xr - xl
+    x = xl[:, None] + width[:, None] * u
+    lo = lo_l[:, None] + (lo_r - lo_l)[:, None] * u
+    height = hl[:, None] + (hr - hl)[:, None] * u
+    y = lo[:, :, None] + height[:, :, None] * v
+    w = (width[:, None] * wu * height)[:, :, None] * wv
+    x = np.broadcast_to(x[:, :, None], y.shape)
+    return CutVolumeRule(points=np.column_stack((x.ravel(), y.ravel())), weights=w.ravel())
 
 
 def cut_volume_rule(box, poly, order: int) -> CutVolumeRule:

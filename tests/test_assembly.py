@@ -147,9 +147,10 @@ def test_clean_boxes_hold_no_cut_cell_or_ghost_face_element():
     grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 2)
     am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
     dm = build_dofmap(am, 2)
-    assert len(dm.clean_boxes) and dm.clean_boxes.shape[1:] == (13, 13)
-    assert dm.clean_boxes.dtype == np.int32
-    coords = dm.dof_coords[dm.clean_boxes]
+    boxes = dm.clean_groups[0]
+    assert len(boxes) and boxes.shape[1:] == (13, 13)
+    assert boxes.dtype == np.int32
+    coords = dm.dof_coords[boxes]
     lo, hi = coords.min(axis=(1, 2)), coords.max(axis=(1, 2))
     assert np.allclose(hi - lo, 6 * grid.h)
     # Each box is its node lattice at spacing h / p, indexed [iy, ix].

@@ -19,6 +19,7 @@ from cutpoisson.mesh import (
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 
 from oracles import (
+    _trapezoids_rule,
     cell_volume_rule,
     clip_polygon_to_box,
     cut_volume_rule,
@@ -73,6 +74,22 @@ class TestTrapezoidRule:
                 )
                 got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
                 assert got == pytest.approx(exact, abs=2e-14)
+
+
+class TestInsideRule:
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_tensor_gauss_rule_on_the_unit_square(self, order):
+        grid = BackgroundGrid(origin=(-0.25, -0.25), h=0.375, nx=4, ny=4)
+        rules = build_volume_rules(classify_elements(grid, UNIT_SQUARE), order)
+        # The strip rule on the one trapezoid [0, 1]^2, bit for bit.
+        unit = _trapezoids_rule(np.array([[0.0, 1.0, 0.0, 0.0, 1.0, 1.0]]), order)
+        assert np.array_equal(rules.inside_ref_points, unit.points)
+        assert np.array_equal(rules.inside_ref_weights, unit.weights)
+        x, y = rules.inside_ref_points.T
+        for a in range(order + 1):
+            for b in range(order + 1):
+                got = np.sum(rules.inside_ref_weights * x**a * y**b)
+                assert abs(got - 1.0 / ((a + 1) * (b + 1))) <= 1e-15
 
 
 class TestClip:

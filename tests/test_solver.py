@@ -260,13 +260,14 @@ def test_condensed_solve_matches_full_factor(am, p):
     expected = spla.splu(system.matrix.tocsc(), **solver.FACTOR_OPTIONS).solve(system.rhs)
     x = solve_spd(system)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
-    if len(system.clean_boxes):
+    if system.clean_groups:
         assert symmetry_error(solver.condense(system.matrix, system.clean_groups)[0]) == 0.0
 
 
 # square_mesh(96) bisects into boxes of 6, 12, 24 and 48 cells; the square
-# holds 100 clean boxes, 16 clean groups of 12 cells and 4 of 24.
-@pytest.mark.parametrize("n, counts", [(48, [16, 4]), (96, [100, 16, 4])])
+# holds 100 clean boxes, 16 clean groups of 12 cells and 4 of 24. square_mesh(18)
+# holds none, and lists no level.
+@pytest.mark.parametrize("n, counts", [(48, [16, 4]), (96, [100, 16, 4]), (18, [])])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_nested_condensation_matches_full_factor(n, counts, p):
     system = unit_load_system(square_mesh(n), p)
@@ -335,7 +336,7 @@ def test_factor_reads_the_matrix_without_a_copy():
         for n in (18, 24):
             system = unit_load_system(square_mesh(n), 2)
             solve_spd(system)
-            data = condensed[-1].data if len(system.clean_boxes) else system.matrix.data
+            data = condensed[-1].data if system.clean_groups else system.matrix.data
             assert np.shares_memory(factored[-1].data, data)
     assert len(factored) == 2 and len(condensed) == 1
 

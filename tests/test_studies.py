@@ -244,3 +244,39 @@ class TestStudyRunners:
         times = [r.wall_time for r in recs]
         if times[-2] >= 0.25:
             assert times[-1] / times[-2] <= 16.0
+
+
+# Every column but wall_time of two short studies, as recorded before the
+# refactors that must leave the study CSVs unchanged. Floats agree to 1e-10
+# relative: the refinement stop of solve_spd moves errors by about 6e-12.
+PINNED_ROWS = [
+    ("levelset", 1, 0, 0.20833333333333334, 0.00832875620807263, 0.11601032071868844, 109,
+     0.08921558975873325, 0.07282789987728334, 0.006623870610031832, None, None, None),
+    ("levelset", 1, 1, 0.10416666666666667, 0.002369798965917413, 0.06616065313804045, 373,
+     0.04116927756487951, 0.03713529015556341, 0.0016646752202455132,
+     1.115727699783337, 0.9717003922446092, 1.992433758119425),
+    ("levelset", 1, 2, 0.052083333333333336, 0.0006326930874585795, 0.03781081940417012, 1313,
+     0.01997566295567193, 0.018735308141104863, 0.00042598200627739065,
+     1.0433247482323575, 0.9870311448297793, 1.966376336954597),
+    ("delta", 2, 0, 0.125, 0.005522243747752897, 1.409666391694, 361,
+     0.010742871327349829, 0.005997303112509312, 0.00045224521171713, None, None, None),
+    ("delta", 2, 1, 0.0625, 0.0009764386974806527, 0.013944056565143399, 1225,
+     0.002139622504440228, 0.001102429917693162, 7.999497704836393e-05,
+     2.3279514565462036, 2.4436269450943144, 2.4991239080314536),
+    ("delta", 2, 2, 0.03125, 0.00017262952942687093, 0.0024660728095553565, 4489,
+     0.0004767257958452803, 0.00021221609512592723, 1.4138052050498185e-05,
+     2.1661246855652556, 2.3770809615037214, 2.5003260563832574),
+]
+
+
+def test_study_rows_match_pinned_values():
+    records = run_levelset_study(StudyConfig(p=1, levels=3))
+    records += run_delta_study(StudyConfig(p=2, alpha=2.5, levels=3))
+    names = [name for name, _ in studies._COLUMNS if name != "wall_time"]
+    assert len(records) == len(PINNED_ROWS)
+    for row, expected in zip(([getattr(r, n) for n in names] for r in records), PINNED_ROWS):
+        for value, pinned in zip(row, expected, strict=True):
+            if isinstance(pinned, float):
+                assert value == pytest.approx(pinned, rel=1e-10, abs=0.0), (row, expected)
+            else:
+                assert value == pinned and type(value) is type(pinned), (row, expected)
