@@ -43,12 +43,10 @@ __all__ = [
     "DofMap",
     "build_dofmap",
     "SparseSystem",
-    "point_basis",
     "assemble_bulk",
     "assemble_nitsche_boundary",
     "assemble_ghost_penalty",
     "assemble_system",
-    "symmetry_error",
 ]
 
 
@@ -237,14 +235,6 @@ class SparseSystem:
     clean_groups: tuple[np.ndarray, ...] = ()
 
 
-def symmetry_error(a: sp.spmatrix) -> float:
-    """max |A - A^T| relative to max |A|."""
-    d = (a - a.T).tocoo()
-    num = np.max(np.abs(d.data)) if d.nnz else 0.0
-    den = np.max(np.abs(a.tocoo().data)) if a.nnz else 1.0
-    return float(num / den) if den else 0.0
-
-
 def _scatter(dofs: np.ndarray, local: np.ndarray, n_dofs: int) -> sp.csr_matrix:
     """Sum of local matrices, (k, k) shared or (m, k, k), at the dof rows of dofs (m, k)."""
     m, k = dofs.shape
@@ -252,18 +242,6 @@ def _scatter(dofs: np.ndarray, local: np.ndarray, n_dofs: int) -> sp.csr_matrix:
     cols = np.tile(dofs, (1, k)).reshape(-1)
     data = np.broadcast_to(local, (m, k, k)).reshape(-1)
     return sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-
-
-def point_basis(basis: QpBasis, dofmap: DofMap, grid, points: np.ndarray, cells: np.ndarray):
-    """Basis at physical points, each evaluated in its owning cell.
-
-    Returns the shape function values (q, k), physical gradients (q, k, 2) and
-    the owning cells' global dofs (q, k) as int32, from one ``eval_basis``
-    call over all points. An inactive owning cell raises MeshError naming it.
-    """
-    dofs = _owning_dofs(dofmap, cells)
-    vals, grads = eval_basis(basis, (points - grid.cell_origin(cells)) / grid.h, grid.h)
-    return vals, grads, dofs
 
 
 def _owning_dofs(dofmap: DofMap, cells: np.ndarray) -> np.ndarray:

@@ -87,11 +87,6 @@ class BoundaryPolygon:
     def signed_area(self) -> float:
         return _shoelace(self.vertices)
 
-    @property
-    def perimeter(self) -> float:
-        d = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """Start and end points of all segments, each (n, 2)."""
         return self.vertices, np.roll(self.vertices, -1, axis=0)

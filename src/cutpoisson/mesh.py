@@ -9,14 +9,16 @@ the polygon; excluded otherwise. A cell the polygon touches only at a corner
 is Cut but owns no piece. Every inside/outside question has one even-odd
 answer: just below a gridline, a ray running left along it meets exactly the
 pieces that end on the gridline from below (:func:`inside_below`). It gives
-each uncut cell its class, and each strip of the cut cells its bottom state.
+each uncut cell its class and splits each cut cell's top edge into inside
+and outside intervals; the same count over the pieces' lower ends, just
+above a gridline, splits its bottom edge.
 The ghost-penalty face set consists of the interior faces of the active
 mesh touching at least one Cut element; it is computed on first use. The
 cut geometry, computed once per active mesh for every quadrature order,
-reuses the split and walks all Cut elements in vertical strips, in one pass
-of array operations: going up a strip, the intervals between its bounds
-(the box bottom, the pieces, the box top) alternate between inside and
-outside.
+reuses the split in one pass of array operations: each Cut element gets the
+bounding box of its part of the domain and the arcs of that part's boundary
+along which Green's formula integrates: its pieces and the inside intervals
+of its top and bottom edges.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError, QuadratureError
+from .errors import MeshError
 from .geometry import BoundaryPolygon
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "classify_elements",
     "ghost_faces",
     "inside_below",
-    "strip_trapezoids",
 ]
 
 OUTSIDE, INSIDE, CUT = 0, 1, 2
@@ -64,18 +65,9 @@ class BackgroundGrid:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    def cell_id(self, ix: int, iy: int) -> int:
-        return iy * self.nx + ix
-
     def cell_coords(self, eid) -> tuple[np.ndarray, np.ndarray]:
         eid = np.asarray(eid)
         return eid % self.nx, eid // self.nx
-
-    def cell_box(self, eid: int) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) of the closed element box."""
-        ix, iy = int(eid) % self.nx, int(eid) // self.nx
-        ox, oy = self.origin
-        return (ox + ix * self.h, oy + iy * self.h, ox + (ix + 1) * self.h, oy + (iy + 1) * self.h)
 
     def cell_origin(self, eid) -> np.ndarray:
         ix, iy = self.cell_coords(eid)
@@ -127,7 +119,7 @@ class ActiveMesh:
 
     @functools.cached_property
     def cut_geometry(self) -> "CutGeometry":
-        """Boundary pieces and cut-cell trapezoids, shared by every quadrature order."""
+        """Boundary pieces and cut-cell boxes and arcs, shared by every quadrature order."""
         return _build_cut_geometry(self)
 
 
@@ -229,65 +221,6 @@ def inside_below(key, x, y) -> np.ndarray:
     return met % 2 == 1
 
 
-def strip_trapezoids(boxes, start, end, key, piece, piece_box, h: float):
-    """Decompose each box ∩ polygon into trapezoids over vertical strips.
-
-    ``boxes`` rows are (x0, y0, x1, y1). ``start``/``end`` are the pieces of
-    the polygon's gridline split, in either direction, and ``key`` their
-    sorted upper ends; the pieces ``piece`` lie in the closed boxes
-    ``boxes[piece_box]``. The strips of a box run between consecutive
-    abscissae of the box and its pieces; an abscissa within 1e-14*h of the
-    next lower one joins its edge. Going up a strip, the intervals between
-    its bounds (the box bottom, the pieces by height, the box top) alternate
-    between inside and outside, starting from :func:`inside_below` at the
-    strip's lower right corner. Returns rows
-    (xl, xr, lo_l, lo_r, hl, hr) and the box of each row, grouped by box: x
-    in [xl, xr], y from lo_l + (lo_r - lo_l) u upwards by hl + (hr - hl) u
-    with u = (x - xl)/(xr - xl), and hl, hr >= 0.
-    """
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    nb = len(boxes)
-    p, q = start[piece], end[piece]
-    # Strip edges: the abscissae of each box, sorted by (box, x) and merged.
-    cand_box = np.concatenate((np.arange(nb), np.arange(nb), piece_box, piece_box))
-    cand_x = np.concatenate((boxes[:, 0], boxes[:, 2], p[:, 0], q[:, 0]))
-    order = np.lexsort((cand_x, cand_box))
-    new = np.diff(cand_box[order], prepend=-1) != 0
-    new |= np.diff(cand_x[order], prepend=-np.inf) > 1e-14 * h
-    edge = np.empty(len(order), dtype=int)
-    edge[order] = np.cumsum(new) - 1
-    xs, xs_box = cand_x[order][new], cand_box[order][new]
-    inner = xs_box[1:] == xs_box[:-1]
-    xl, xr, strip_box = xs[:-1][inner], xs[1:][inner], xs_box[:-1][inner]
-    y0, y1 = boxes[strip_box, 1], boxes[strip_box, 3]
-
-    # A piece spans the strips from its left to its right edge; the strip
-    # starting at edge i of box b is strip i - b.
-    ep, eq = edge[2 * nb :].reshape(2, -1)
-    k, s = _ranges(np.minimum(ep, eq) - piece_box, np.abs(eq - ep))
-    dx = q[k, 0] - p[k, 0]
-    dy = q[k, 1] - p[k, 1]
-    ya = np.clip(p[k, 1] + (xl[s] - p[k, 0]) / dx * dy, y0[s], y1[s])
-    yb = np.clip(p[k, 1] + (xr[s] - p[k, 0]) / dx * dy, y0[s], y1[s])
-
-    # The bounds of every strip from the bottom up: the box bottom, the
-    # pieces by height, the box top. Interval i of a strip, from its bound i
-    # to bound i + 1, is inside when the strip's bottom is inside xor i is odd.
-    m = len(xl)
-    strip = np.concatenate((np.arange(m), s, np.arange(m)))
-    order = np.lexsort((np.concatenate((np.full(m, -np.inf), ya + yb, np.full(m, np.inf))), strip))
-    bound = np.column_stack((np.concatenate((y0, ya, y1)), np.concatenate((y0, yb, y1))))[order]
-    strip = strip[order]
-    i = np.arange(len(strip)) - np.searchsorted(strip, strip)
-    bottom = inside_below(key, xr, y0)
-    inside = (strip[1:] == strip[:-1]) & (bottom[strip[:-1]] != (i[:-1] % 2 == 1))
-    strip, lo, hi = strip[:-1][inside], bound[:-1][inside], bound[1:][inside]
-    height = np.maximum(hi - lo, 0.0)
-    keep = height.max(axis=1) > 0.0
-    rows = np.column_stack((xl[strip], xr[strip], lo, height))[keep]
-    return rows, strip_box[strip][keep]
-
-
 @dataclass(frozen=True)
 class CutGeometry:
     """Order-independent cut geometry of an active mesh.
@@ -298,51 +231,102 @@ class CutGeometry:
     exactly on a gridline, origin[k] + j*h, so no piece straddles a
     gridline. ``owner[i]`` is the cell whose boundary integrals piece i
     belongs to, the split's owner on the inner side of the boundary.
-    ``trapezoids`` rows decompose the cut cells ∩ polygon as
-    returned by :func:`strip_trapezoids`, whose even-odd walk takes each
-    piece in the cell holding its lower-left corner; ``trapezoid_cells``
-    holds the cell of each row, ascending.
+    ``cells`` lists, ascending, the cut cells K whose part of the domain,
+    K ∩ Ω_h, has a bounding box ``boxes`` (rows x0, y0, x1, y1) of positive
+    width and height. ``arcs`` rows (s0, t0, s1, t1) run counterclockwise
+    along the boundary of K ∩ Ω_h, in the coordinates s, t that map box
+    ``arc_box`` (ascending) onto [-1, 1]: the cell's pieces and the inside
+    intervals of its top edge, from right to left, and of its bottom edge,
+    from left to right. The rest of that boundary lies on the cell's left
+    and right edges.
     """
 
     seg: np.ndarray
     start: np.ndarray
     end: np.ndarray
     owner: np.ndarray
-    trapezoids: np.ndarray
-    trapezoid_cells: np.ndarray
+    cells: np.ndarray
+    boxes: np.ndarray
+    arcs: np.ndarray
+    arc_box: np.ndarray
 
 
 def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
-    """Walk the strips of all cut cells through the pieces of the gridline split.
+    """The boxes and arcs of all cut cells from the pieces of the gridline split.
 
-    Each piece lies in one closed cell box and is walked in the cell holding
-    its lower-left corner, the largest c with origin + c*h <= x on each
-    axis; a piece along a face thus lies on the box's left or bottom edge.
-    QuadratureError is raised when the trapezoids and inside cells miss the
-    polygon's area.
+    Each piece lies in one closed cell box and goes to the cell holding its
+    lower-left corner, the largest c with origin + c*h <= x on each axis; a
+    piece along a face thus lies on the box's left or bottom edge. The
+    inside intervals of a cell's top edge lie just below it, where
+    :func:`inside_below` counts the pieces' upper ends; those of its bottom
+    edge lie just above it, where the pieces' lower ends count. The arcs
+    bound the cell's part of the domain, less the parts of its left and
+    right edges, so their ends span its box.
     """
     grid = am.grid
     seg, start, end, owner, _, key = am._split
-    ids = am.cut_ids
-    box_of = np.full(grid.n_cells, -1)
-    box_of[ids] = np.arange(len(ids))
     origin, h = np.array(grid.origin), grid.h
+    corner = np.minimum(start, end)
+    c = _cell_index(corner, origin, h)
+    # Per axis k: the piece lies on the gridline x_k = origin[k] + c*h.
+    on_line = (start == end) & (corner == origin + c * h)
     # A piece on the grid's top or right edge, as in a mesh fitted to the
     # grid, goes to the last row or column.
-    c = np.minimum(_cell_index(np.minimum(start, end), origin, h), (grid.nx - 1, grid.ny - 1))
-    box = box_of[c[:, 1] * grid.nx + c[:, 0]]
-    piece = np.nonzero(box >= 0)[0]
-    piece = piece[np.argsort(box[piece], kind="stable")]
+    c = np.minimum(c, (grid.nx - 1, grid.ny - 1))
+    cell = c[:, 1] * grid.nx + c[:, 0]
+
+    ids = am.cut_ids
     (ox, oy), (ix, iy) = grid.origin, grid.cell_coords(ids)
-    boxes = np.column_stack((ox + ix * h, oy + iy * h, ox + (ix + 1) * h, oy + (iy + 1) * h))
-    traps, row_box = strip_trapezoids(boxes, start, end, key, piece, box[piece], h)
-    # 1e-9 of the area lies far above roundoff (under 1e-14 on the study meshes) and far below
-    # the miss of a polygon that is not simple (1e-2 of the area for a figure-eight loop).
-    xl, xr, _, _, hl, hr = traps.T
-    missed = 0.5 * np.sum((xr - xl) * (hl + hr)) + len(am.inside_ids) * h * h - am.poly.signed_area
-    if abs(missed) > 1e-9 * am.poly.signed_area:
-        raise QuadratureError(f"cut and inside cells miss the polygon area by {missed:.3e}")
-    return CutGeometry(seg, start, end, owner, traps, ids[row_box])
+    x0, x1 = ox + ix * h, ox + (ix + 1) * h
+    low = np.where((end[:, 1] < start[:, 1])[:, None], end, start)[start[:, 1] != end[:, 1]]
+    top, top_l, top_r = _inside_intervals(key, x0, x1, oy + (iy + 1) * h)
+    bottom, bottom_l, bottom_r = _inside_intervals(
+        np.sort(low[:, 1] + 1j * low[:, 0]), x0, x1, oy + iy * h
+    )
+
+    # A gridline piece along the bottom or top edge lies in an inside
+    # interval of that edge or off the cell's part of the domain, and one
+    # along the left edge bounds that part only when its inside lies in the
+    # cell.
+    keep = (am.classification[cell] == CUT) & ~on_line[:, 1] & ~(on_line[:, 0] & (owner != cell))
+    arc_cell = np.concatenate((cell[keep], ids[top], ids[bottom]))
+    order = np.argsort(arc_cell, kind="stable")
+    arc_cell = arc_cell[order]
+    p = np.concatenate((start[keep], top_r, bottom_l))[order]
+    q = np.concatenate((end[keep], top_l, bottom_r))[order]
+    first = np.flatnonzero(np.diff(arc_cell, prepend=-1))
+    lo = np.minimum.reduceat(np.minimum(p, q), first)
+    hi = np.maximum.reduceat(np.maximum(p, q), first)
+    positive = np.all(hi > lo, axis=1)
+    count = np.diff(first, append=len(arc_cell))
+    arc = np.repeat(positive, count)
+    arc_box = np.repeat(np.cumsum(positive) - 1, count)[arc]
+    boxes = np.concatenate((lo, hi), axis=1)[positive]
+    # 2 (x - lo) / (hi - lo) - 1, exactly -1 and 1 on the box's edges.
+    lo, size = boxes[arc_box, :2], (boxes[:, 2:] - boxes[:, :2])[arc_box]
+    arcs = (np.concatenate((p[arc], q[arc]), axis=1) - np.tile(lo, 2)) * 2 / np.tile(size, 2) - 1
+    return CutGeometry(seg, start, end, owner, arc_cell[first][positive], boxes, arcs, arc_box)
+
+
+def _inside_intervals(key, x0, x1, y):
+    """The inside intervals of the edges from (x0, y) to (x1, y) on gridlines.
+
+    ``key`` is the sorted ends y + ix, on one side of the gridlines, of the
+    pieces that are not horizontal. Just beside a gridline, on that side,
+    the polygon holds a point when an odd number of the ends on the gridline
+    lie left of it, as in :func:`inside_below`; the ends within an edge split
+    it into intervals that alternate from there. Returns the edge of each
+    inside interval and its left and right end points.
+    """
+    first = np.searchsorted(key, y + 1j * x0, side="right")
+    last = np.searchsorted(key, y + 1j * x1)
+    edge, i = _ranges(first, last - first + 1)
+    xs = np.append(key.imag, 0.0)
+    left = np.where(i > first[edge], xs[i - 1], x0[edge])
+    right = np.where(i < last[edge], xs[i], x1[edge])
+    inside = (i - np.searchsorted(key.real, y)[edge]) % 2 == 1
+    edge, y = edge[inside], y[edge[inside]]
+    return edge, np.column_stack((left[inside], y)), np.column_stack((right[inside], y))
 
 
 def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh:

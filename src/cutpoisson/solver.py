@@ -392,11 +392,6 @@ class ReferenceSolution:
     def disk_quadratic(cls) -> "ReferenceSolution":
         return cls("disk_quadratic", disk_solution)
 
-    @classmethod
-    def from_callables(cls, value_fn, gradient_fn, kind: str = "custom"):
-        """Reference from vectorized callables p -> (m,) and p -> (m, 2)."""
-        return cls(kind, lambda p: (value_fn(p), gradient_fn(p)))
-
 
 @dataclass
 class DiscreteSolution:

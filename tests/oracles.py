@@ -2,22 +2,25 @@
 
 These deliberately avoid the code paths they are meant to check: polygon
 integrals go through Green's theorem edge integrals, cut cells are clipped by
-Sutherland-Hodgman half-planes rather than walked in strips, distances come
-from closed forms, and the series reference is cross-checked against a finite
-difference solve and against a direct evaluation of every term. The cut
-geometry is checked against a loop that splits one segment and walks one cell
-at a time, with each strip's bottom state from a vertical ray where the
-library's runs along the gridline. The level-set contour is checked
+Sutherland-Hodgman half-planes rather than reached through the gridline
+split, distances come from closed forms, and the series reference is
+cross-checked against a finite difference solve and against a direct
+evaluation of every term. The cut geometry's pieces are checked against a
+loop that splits one segment at a time. The level-set contour is checked
 against a loop over one triangle at a time that chains the crossings through
 dicts, and the Cut mask against a loop that clips one segment against one
-candidate cell at a time with ``segment_box_interval``; both must agree bit
-for bit. ``cut_volume_rule`` integrates over one given box: it clips the
-polygon to the box and runs that loop's walk of one box. The ghost penalty
-is checked against local matrices built from hand-broadcast face tensor
+candidate cell at a time with ``segment_box_interval``; all must agree bit
+for bit. ``cut_volume_rule`` integrates over one given box with positive
+weights: it clips the polygon's segments to the box and walks it in vertical
+strips, one strip at a time, each strip's bottom state from a vertical ray
+where the library's counts run along the gridlines. The ghost penalty is
+checked against local matrices built from hand-broadcast face tensor
 products, one derivative order at a time, and summed face by face. The dof
 numbering is checked against a recursion over boxes of cells that filters
 lists of nodes, with each node's reach taken from the set of cells it shares
-entries with.
+entries with. The small helpers that only the tests use (cell ids and boxes,
+the perimeter, the symmetry error, the basis at points and a reference from
+callables) live here too.
 
 The module also holds the random cut configurations that the property tests
 draw: grid offsets including zero, so that square edges lie on gridlines;
@@ -40,12 +43,55 @@ from cutpoisson import (
     eval_basis,
     extract_levelset_boundary,
 )
+from cutpoisson.assembly import _owning_dofs
 from cutpoisson.geometry import _shoelace
 from cutpoisson.mesh import BackgroundGrid, classify_elements
 from cutpoisson.quadrature import CutVolumeRule, _gauss01, _points_for_degree
+from cutpoisson.solver import ReferenceSolution
 
 # Derandomized so that tier-1 runs the same examples every time.
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+def cell_id(grid, ix: int, iy: int) -> int:
+    return iy * grid.nx + ix
+
+
+def cell_box(grid, eid: int) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1) of the closed element box."""
+    ix, iy = int(eid) % grid.nx, int(eid) // grid.nx
+    ox, oy = grid.origin
+    return (ox + ix * grid.h, oy + iy * grid.h, ox + (ix + 1) * grid.h, oy + (iy + 1) * grid.h)
+
+
+def perimeter(poly) -> float:
+    d = np.roll(poly.vertices, -1, axis=0) - poly.vertices
+    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+
+
+def symmetry_error(a: sp.spmatrix) -> float:
+    """max |A - A^T| relative to max |A|."""
+    d = (a - a.T).tocoo()
+    num = np.max(np.abs(d.data)) if d.nnz else 0.0
+    den = np.max(np.abs(a.tocoo().data)) if a.nnz else 1.0
+    return float(num / den) if den else 0.0
+
+
+def point_basis(basis, dofmap, grid, points: np.ndarray, cells: np.ndarray):
+    """Basis at physical points, each evaluated in its owning cell.
+
+    Returns the shape function values (q, k), physical gradients (q, k, 2) and
+    the owning cells' global dofs (q, k) as int32, from one ``eval_basis``
+    call over all points. An inactive owning cell raises MeshError naming it.
+    """
+    dofs = _owning_dofs(dofmap, cells)
+    vals, grads = eval_basis(basis, (points - grid.cell_origin(cells)) / grid.h, grid.h)
+    return vals, grads, dofs
+
+
+def reference_from_callables(value_fn, gradient_fn, kind: str = "custom") -> ReferenceSolution:
+    """Reference from vectorized callables p -> (m,) and p -> (m, 2)."""
+    return ReferenceSolution(kind, lambda p: (value_fn(p), gradient_fn(p)))
 
 
 def shoelace(vertices) -> float:
@@ -381,10 +427,12 @@ def inside_below_scalar(a, b, x: float, y: float) -> bool:
 
 
 def strip_trapezoids_one_box(box, start, end, ring, h: float) -> np.ndarray:
-    """Strip walk of one box, one strip at a time; the same rows as
-    ``mesh.strip_trapezoids`` gives for that box.
+    """Decompose box ∩ polygon into trapezoids over vertical strips, one strip at a time.
 
-    The strip edges are the distinct abscissae of the box and the pieces,
+    ``start``/``end`` are the polygon's pieces in the closed box, in either
+    direction. Returns rows (xl, xr, lo_l, lo_r, hl, hr): x in [xl, xr], y
+    from lo_l + (lo_r - lo_l) u upwards by hl + (hr - hl) u with
+    u = (x - xl)/(xr - xl), and hl, hr >= 0. The strip edges are the distinct abscissae of the box and the pieces,
     less each one within 1e-14*h of the one below it; an abscissa belongs to
     the nearest edge at or below it. Each strip's bottom state is
     ``inside_below_scalar`` at its bottom centre against the segments
@@ -414,17 +462,16 @@ def strip_trapezoids_one_box(box, start, end, ring, h: float) -> np.ndarray:
 
 
 def cut_geometry_loop(am):
-    """The cut geometry of an active mesh, one segment and one cell at a time.
+    """The pieces of an active mesh's cut geometry, one segment at a time.
 
-    Returns (seg, start, end, owner, trapezoids): the pieces, the cell owning
-    each piece, and each cut cell's trapezoid rows. A segment's points are
-    its start vertex and its crossings with each gridline g = origin + j*h
-    with min < g < max of its end coordinates, each with that coordinate set
-    to g, in order along the segment; its pieces join each point to the next
-    and the last to the segment's end vertex, and a piece is dropped only
-    when its two end points are equal. Each piece is walked in the cell
-    holding its lower-left corner. ``mesh._build_cut_geometry`` must give
-    the same arrays bit for bit.
+    Returns (seg, start, end, owner): the pieces and the cell owning each
+    piece. A segment's points are its start vertex and its crossings with
+    each gridline g = origin + j*h with min < g < max of its end
+    coordinates, each with that coordinate set to g, in order along the
+    segment; its pieces join each point to the next and the last to the
+    segment's end vertex, and a piece is dropped only when its two end
+    points are equal. ``mesh._build_cut_geometry`` must give the same arrays
+    bit for bit.
     """
     grid = am.grid
     poly = am.poly
@@ -437,22 +484,10 @@ def cut_geometry_loop(am):
     def cell_of(x, y) -> int:
         ix = min(max(int(np.floor((x - ox) / h)), 0), grid.nx - 1)
         iy = min(max(int(np.floor((y - oy) / h)), 0), grid.ny - 1)
-        return grid.cell_id(ix, iy)
-
-    def lower_left_cell(p, q) -> int:
-        index = []
-        for x, o in zip(np.minimum(p, q), (ox, oy)):
-            c = int(np.floor((x - o) / h))
-            while o + c * h > x:
-                c -= 1
-            while o + (c + 1) * h <= x:
-                c += 1
-            index.append(c)
-        return grid.cell_id(*index)
+        return cell_id(grid, ix, iy)
 
     pieces = []
     owner = []
-    listed: dict[int, list[int]] = {}
     for s in range(len(a_all)):
         a, b = a_all[s], b_all[s]
         d = b - a
@@ -474,20 +509,13 @@ def cut_geometry_loop(am):
             if np.array_equal(p, q):
                 continue
             mid = 0.5 * (p + q)
-            eid = cell_of(mid[0] - eps * nrm[0], mid[1] - eps * nrm[1])
-            owner.append(eid)
-            listed.setdefault(lower_left_cell(p, q), []).append(len(pieces))
+            owner.append(cell_of(mid[0] - eps * nrm[0], mid[1] - eps * nrm[1]))
             pieces.append((s, p, q))
 
     seg = np.array([s for s, _, _ in pieces])
     start = np.array([p for _, p, _ in pieces])
     end = np.array([q for _, _, q in pieces])
-    trapezoids = {}
-    for eid in map(int, am.cut_ids):
-        ix = listed.get(eid, [])
-        box = grid.cell_box(eid)
-        trapezoids[eid] = strip_trapezoids_one_box(box, start[ix], end[ix], (start, end), h)
-    return seg, start, end, np.array(owner), trapezoids
+    return seg, start, end, np.array(owner)
 
 
 def levelset_boundary_loop(domain: Disk, grid) -> BoundaryPolygon:
@@ -879,7 +907,7 @@ def lowest_active_cell(am, cell_dofs, x: float, y: float):
         return cands
 
     ids = sorted(
-        grid.cell_id(ix, iy)
+        cell_id(grid, ix, iy)
         for ix in axis_candidates(gx, grid.nx)
         for iy in axis_candidates(gy, grid.ny)
     )

@@ -16,7 +16,6 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 import cutpoisson as cp
-from cutpoisson.assembly import symmetry_error
 from cutpoisson.mesh import BackgroundGrid, classify_elements
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
 from cutpoisson.studies import (
@@ -27,7 +26,14 @@ from cutpoisson.studies import (
     run_normal_study,
 )
 
-from oracles import clip_polygon_to_box, cut_volume_rule, greens_monomial_integral, shoelace
+from oracles import (
+    clip_polygon_to_box,
+    cut_volume_rule,
+    greens_monomial_integral,
+    reference_from_callables,
+    shoelace,
+    symmetry_error,
+)
 
 
 def ones(x, y):
@@ -143,7 +149,7 @@ def test_02_patch_test():
     am, basis, params, system, dofmap = _patch_problem()
     coeffs = cp.solve_spd(system)
     sol = cp.DiscreteSolution(coefficients=coeffs, dofmap=dofmap, basis=basis, am=am)
-    ref = cp.ReferenceSolution.from_callables(
+    ref = reference_from_callables(
         lambda p: p[:, 0] * (1 - p[:, 0]) * p[:, 1] * (1 - p[:, 1]),
         lambda p: np.column_stack(
             (

@@ -23,7 +23,7 @@ from cutpoisson import (
     qp_basis,
 )
 from cutpoisson import quadrature
-from cutpoisson.assembly import PenaltyParameters, point_basis, symmetry_error
+from cutpoisson.assembly import PenaltyParameters
 from cutpoisson.mesh import (
     CUT,
     INSIDE,
@@ -41,12 +41,15 @@ from cutpoisson.studies import CIRCLE_ORIGIN, CIRCLE_SIDE, SQUARE_SIDE, _grid, _
 
 from oracles import (
     PROPERTY,
+    cell_box,
     cut_volume_rule,
     meshes,
     near_gridline_star_meshes,
     nested_dissection_loop,
     per_cell_bulk_nitsche,
     per_face_ghost_penalty,
+    point_basis,
+    symmetry_error,
 )
 
 
@@ -289,7 +292,7 @@ def test_cut_cell_bulk_is_exact_on_the_levelset_disk(p):
     am = classify_elements(grid, extract_levelset_boundary(Disk((0.0, 0.0), 1.0), grid))
     basis, params, dm = qp_basis(p), penalty_parameters(p), build_dofmap(am, p)
     vrules = build_volume_rules(am, 2 * p)
-    strips = {e: cut_volume_rule(grid.cell_box(e), am.poly, 2 * p + 6) for e in vrules.cut}
+    strips = {e: cut_volume_rule(cell_box(grid, e), am.poly, 2 * p + 6) for e in vrules.cut}
     exact = VolumeRuleSet(vrules.inside_ref_points, vrules.inside_ref_weights, strips)
     brules = build_boundary_rules(am, 2 * p)
     bulk = assemble_bulk(am, basis, product, vrules, dm)

@@ -27,17 +27,21 @@ from cutpoisson.quadrature import _points_for_degree, build_boundary_rules, buil
 
 from oracles import (
     PROPERTY,
+    cell_box,
     cell_volume_rule,
     clip_polygon_to_box,
     cut_geometry_loop,
     cut_volume_rule,
+    disks_on_grids,
     greens_monomial_integral,
+    levelset_meshes,
     mark_cut_cells_loop,
     meshes,
     near_gridline_star_meshes,
     perturbed_square,
     point_in_polygon_scalar,
     shoelace,
+    square_meshes,
 )
 
 # The unshifted square: edges on gridlines, corners on grid vertices.
@@ -63,7 +67,8 @@ ACUTE_VERTEX = classify_elements(
 )
 # Polygons that are simple in exact arithmetic, with vertices within a few
 # ulp of gridlines, so that some of their boundary pieces are a few ulp
-# long; the strip walk needs every piece to meet its neighbours.
+# long; the cut-cell boxes and moments need every piece to meet its
+# neighbours.
 PENTAGON = classify_elements(
     BackgroundGrid((-0.25, -0.25), 0.125, 12, 12),
     BoundaryPolygon(
@@ -117,8 +122,8 @@ SLIVER_B = classify_elements(
 )
 # Simple in exact arithmetic: segment 8 runs left just below y = 0.5 into
 # vertex 0, and segment 0 runs right along y = 0.5, enclosing an outside
-# notch; their pieces beside the notch are walked in cells 29 and 37, below
-# and above y = 0.5. Segment 6 runs from y = 0.12499999999999999 to
+# notch; their pieces beside the notch lie in cells 29 and 37, below and
+# above y = 0.5. Segment 6 runs from y = 0.12499999999999999 to
 # 0.1250000000000001 and so crosses the gridline y = 0.125, although
 # (y - origin)/h of its lower end rounds onto that gridline.
 CLAMPED_TIE = classify_elements(
@@ -138,8 +143,8 @@ CLAMPED_TIE = classify_elements(
     ),
 )
 # A needle: vertices 3 and 5 lie 8e-16 apart, so the pieces beside them
-# nearly coincide, and rounding can order them either way in cell 71's
-# strips; the even-odd walk does not depend on their order.
+# nearly coincide, and rounding can order them either way across cell 71;
+# Green's formula does not depend on their order.
 NEEDLE = classify_elements(
     BackgroundGrid((-0.25, -0.25), 0.09375, 16, 16),
     BoundaryPolygon(
@@ -156,8 +161,8 @@ NEEDLE = classify_elements(
     ),
 )
 # Segment 2 crosses y = 0.6875 at x = 0.3125 - 2.3e-15 and ends 8e-16 below
-# that gridline at the grid vertex's x, so cell 42 has a strip 2.3e-15 wide
-# beside the vertex.
+# that gridline at the grid vertex's x, so cell 42 holds a sliver 2.3e-15
+# wide beside the vertex.
 GRID_VERTEX = classify_elements(
     BackgroundGrid((-0.25, -0.25), 0.1875, 8, 8),
     BoundaryPolygon(
@@ -223,7 +228,7 @@ def test_rules_exact_on_q_order_with_points_in_cell(am):
     orders = (2, 4, 6)
     rules = [build_volume_rules(am, order).cut for order in orders]
     for eid in rules[0]:
-        box = am.grid.cell_box(eid)
+        box = cell_box(am.grid, eid)
         x0, y0, x1, y1 = box
         pieces = clip_polygon_to_box(am.poly, box)
         exact = np.array(
@@ -258,7 +263,7 @@ def assert_moments_match_oracle(rule, box, poly, degree=6):
 def test_cut_cell_moments_match_clipping_oracle(am):
     rules = build_volume_rules(am, 6)
     for eid, rule in rules.cut.items():
-        assert_moments_match_oracle(rule, am.grid.cell_box(eid), am.poly)
+        assert_moments_match_oracle(rule, cell_box(am.grid, eid), am.poly)
 
 
 U_SHAPE = [
@@ -283,22 +288,23 @@ def test_multi_component_cells(vertices, area):
 
 
 def test_strip_walk_runs_once_per_mesh(monkeypatch):
-    walked = []
-    walk = mesh.strip_trapezoids
+    # The order-independent pass over the pieces runs once for both orders.
+    built = []
+    build = mesh._build_cut_geometry
 
-    def counting_walk(boxes, *args):
-        walked.append(np.array(boxes))
-        return walk(boxes, *args)
+    def counting_build(am):
+        built.append(am)
+        return build(am)
 
-    monkeypatch.setattr(mesh, "strip_trapezoids", counting_walk)
+    monkeypatch.setattr(mesh, "_build_cut_geometry", counting_build)
     grid = BackgroundGrid(origin=(-0.3, -0.3), h=1.5 / 24, nx=24, ny=24)
     am = classify_elements(grid, perturbed_square(0.02, 1.0))
     p = 2
     for order in (2 * p, 2 * p + 2):
         build_volume_rules(am, order)
         build_boundary_rules(am, order)
-    assert len(walked) == 1
-    assert np.array_equal(walked[0], [grid.cell_box(e) for e in am.cut_ids])
+    assert len(built) == 1 and built[0] is am
+    assert np.all(np.isin(am.cut_geometry.cells, am.cut_ids))
 
 
 @PROPERTY
@@ -311,15 +317,11 @@ def test_strip_walk_runs_once_per_mesh(monkeypatch):
 @example(SLIVER_B)
 def test_cut_geometry_matches_loop_bit_for_bit(am):
     geo = am.cut_geometry
-    seg, start, end, owner, trapezoids = cut_geometry_loop(am)
+    seg, start, end, owner = cut_geometry_loop(am)
     assert np.array_equal(geo.seg, seg)
     assert np.array_equal(geo.start, start)
     assert np.array_equal(geo.end, end)
     assert np.array_equal(geo.owner, owner)
-    walked = [eid for eid, rows in trapezoids.items() if len(rows)]
-    assert np.array_equal(np.unique(geo.trapezoid_cells), walked)
-    for eid, rows in trapezoids.items():
-        assert np.array_equal(geo.trapezoids[geo.trapezoid_cells == eid], rows), eid
 
 
 @PROPERTY
@@ -381,7 +383,7 @@ def test_pieces_share_end_points_on_gridlines(am):
 def test_pieces_clamped_onto_one_face_are_ordered_by_unclamped_height():
     rules = build_volume_rules(CLAMPED_TIE, 2)
     for eid, rule in rules.cut.items():
-        box = CLAMPED_TIE.grid.cell_box(eid)
+        box = cell_box(CLAMPED_TIE.grid, eid)
         area = sum(shoelace(p) for p in clip_polygon_to_box(CLAMPED_TIE.poly, box))
         assert np.sum(rule.weights) == pytest.approx(area, rel=1e-12, abs=1e-15), eid
 
@@ -405,7 +407,7 @@ def test_every_piece_lies_in_one_closed_cell_box(am):
 def test_pieces_within_rounding_match_clipping_oracle(am):
     rules = build_volume_rules(am, 6)
     for eid, rule in rules.cut.items():
-        assert_moments_match_oracle(rule, am.grid.cell_box(eid), am.poly)
+        assert_moments_match_oracle(rule, cell_box(am.grid, eid), am.poly)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -456,7 +458,70 @@ def test_corner_touch_cell_is_cut_with_empty_rule():
     # Cell 13 is the box (-0.125, -0.125, 0, 0): the square meets it only at
     # its corner (0, 0). It is cut, but no boundary piece lies in it.
     am = UNSHIFTED_SQUARE
-    assert am.grid.cell_box(13) == (-0.125, -0.125, 0.0, 0.0)
+    assert cell_box(am.grid, 13) == (-0.125, -0.125, 0.0, 0.0)
     assert am.classification[13] == CUT
     assert build_volume_rules(am, 4).cut[13].weights.size == 0
     assert 13 not in build_boundary_rules(am, 4)
+
+
+def _ring(grid) -> list[int]:
+    """The cells of the 12 x 12 grid just outside the unshifted square."""
+    ix, iy = grid.cell_coords(np.arange(grid.n_cells))
+    return np.nonzero(np.maximum(np.abs(ix - 5.5), np.abs(iy - 5.5)) == 4.5)[0].tolist()
+
+
+@pytest.mark.parametrize(
+    ("am", "empty"),
+    [
+        pytest.param(UNSHIFTED_SQUARE, _ring(UNSHIFTED_SQUARE.grid), id="unshifted_square"),
+        pytest.param(NEAR_GRIDLINES, [], id="near_gridlines"),
+        pytest.param(CONTOUR, [], id="contour"),
+        pytest.param(ACUTE_VERTEX, [35], id="acute_vertex"),
+        pytest.param(PENTAGON, [], id="pentagon"),
+        pytest.param(SLIVER_A, [16, 24], id="sliver_a"),
+        pytest.param(SLIVER_B, [], id="sliver_b"),
+        pytest.param(CLAMPED_TIE, [44], id="clamped_tie"),
+        pytest.param(NEEDLE, [], id="needle"),
+        pytest.param(GRID_VERTEX, [41], id="grid_vertex"),
+    ],
+)
+def test_cells_without_a_box_get_empty_rules(am, empty):
+    # A cut cell gets an empty rule exactly when its part of the domain has
+    # no box of positive width and height: the square's ring touches it only
+    # along edges, and SLIVER_A's cell 16 holds only a horizontal pair of
+    # pieces. Slivers a few ulp across keep their box and a rule.
+    rules = build_volume_rules(am, 2).cut
+    assert [e for e, rule in rules.items() if rule.weights.size == 0] == empty
+    assert np.array_equal(np.setdiff1d(am.cut_ids, am.cut_geometry.cells), empty)
+
+
+# A lobe in cell 6, [0.5, 0.75] x [0.25, 0.5], beside an edge on the gridline
+# x = 0.5 whose inside lies in cell 5: cell 6's box starts at the lobe.
+LOBE = classify_elements(
+    BackgroundGrid((0.0, 0.0), 0.25, 4, 4),
+    BoundaryPolygon(
+        [[0.1, 0.1], [0.7, 0.1], [0.7, 0.45], [0.6, 0.45], [0.6, 0.15], [0.5, 0.15], [0.5, 0.9], [0.1, 0.9]]
+    ),
+)
+
+
+@PROPERTY
+@given(
+    square_meshes()
+    | levelset_meshes()
+    | disks_on_grids().map(lambda dg: classify_elements(dg[1], extract_levelset_boundary(*dg)))
+)
+@example(LOBE)
+def test_lattice_boxes_bound_the_clipped_cells(am):
+    # The lattice of a cut cell lies in the bounding box of K ∩ Ω_h, so no
+    # point lies farther than delta outside the domain.
+    geo = am.cut_geometry
+    boxes = dict(zip(geo.cells.tolist(), geo.boxes))
+    for eid in am.cut_ids.tolist():
+        pieces = clip_polygon_to_box(am.poly, cell_box(am.grid, eid))
+        if not pieces:
+            assert eid not in boxes
+            continue
+        v = np.concatenate(pieces)
+        expected = np.concatenate((v.min(axis=0), v.max(axis=0)))
+        assert np.all(np.abs(boxes[eid] - expected) <= 1e-12 * am.grid.h), eid

@@ -22,6 +22,7 @@ from oracles import (
     dist_to_unit_square_boundary,
     is_simple_polygon,
     levelset_boundary_loop,
+    perimeter,
     shoelace,
 )
 
@@ -48,7 +49,7 @@ class TestBoundaryPolygon:
     def test_area_perimeter(self):
         sq = BoundaryPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
         assert sq.signed_area == pytest.approx(1.0, abs=1e-15)
-        assert sq.perimeter == pytest.approx(4.0, abs=1e-15)
+        assert perimeter(sq) == pytest.approx(4.0, abs=1e-15)
 
 
 class TestPerturbSquare:

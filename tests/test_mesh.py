@@ -23,7 +23,7 @@ from cutpoisson.mesh import (
 )
 from cutpoisson.quadrature import build_volume_rules
 
-from oracles import cell_volume_rule, shoelace
+from oracles import cell_box, cell_id, cell_volume_rule, shoelace
 
 
 def small_grid(n=6, h=0.25, origin=(-0.25, -0.25)):
@@ -48,8 +48,8 @@ class TestBackgroundGrid:
 
     def test_cell_box(self):
         g = small_grid()
-        assert g.cell_box(0) == (-0.25, -0.25, 0.0, 0.0)
-        assert g.cell_box(7) == (0.0, 0.0, 0.25, 0.25)
+        assert cell_box(g, 0) == (-0.25, -0.25, 0.0, 0.0)
+        assert cell_box(g, 7) == (0.0, 0.0, 0.25, 0.25)
 
 
 class TestClassification:
@@ -57,9 +57,9 @@ class TestClassification:
         poly = perturb_square_boundary(0.0, 16)
         grid = small_grid(12, 0.125)
         am = classify_elements(grid, poly)
-        center_cell = grid.cell_id(6, 6)  # box [0.5, 0.625]^2, interior
+        center_cell = cell_id(grid, 6, 6)  # box [0.5, 0.625]^2, interior
         assert am.classification[center_cell] == INSIDE
-        corner_cell = grid.cell_id(0, 0)  # box around (-0.25,-0.25), outside
+        corner_cell = cell_id(grid, 0, 0)  # box around (-0.25,-0.25), outside
         assert am.classification[corner_cell] == OUTSIDE
 
     def test_crossed_cell_is_cut(self):
@@ -67,7 +67,7 @@ class TestClassification:
         grid = BackgroundGrid(origin=(0.0, 0.0), h=0.25, nx=4, ny=4)
         am = classify_elements(grid, poly)
         # cell [0, 0.25]^2 is crossed by the first slanted segment
-        assert am.classification[grid.cell_id(0, 0)] == CUT
+        assert am.classification[cell_id(grid, 0, 0)] == CUT
 
     def test_tangential_touch_is_cut(self):
         # polygon edge collinear with a cell face
@@ -75,7 +75,7 @@ class TestClassification:
         grid = BackgroundGrid(origin=(0.0, 0.0), h=0.25, nx=4, ny=4)
         am = classify_elements(grid, poly)
         # the outside cell below the bottom edge still touches the polygon
-        assert am.classification[grid.cell_id(1, 0)] == CUT
+        assert am.classification[cell_id(grid, 1, 0)] == CUT
 
     def test_polygon_outside_grid_rejected(self):
         poly = perturb_square_boundary(0.0, 16)
@@ -90,7 +90,7 @@ class TestClassification:
         for v in poly.vertices:
             covered = False
             for eid in am.active:
-                x0, y0, x1, y1 = grid.cell_box(int(eid))
+                x0, y0, x1, y1 = cell_box(grid, int(eid))
                 if x0 <= v[0] <= x1 and y0 <= v[1] <= y1:
                     covered = True
                     break

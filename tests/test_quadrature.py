@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 import pytest
 
 from cutpoisson import (
@@ -10,20 +11,18 @@ from cutpoisson import (
     perturb_circle_boundary,
     perturb_square_boundary,
 )
-from cutpoisson.mesh import (
-    BackgroundGrid,
-    _split_at_gridlines,
-    classify_elements,
-    strip_trapezoids,
-)
-from cutpoisson.quadrature import build_boundary_rules, build_volume_rules
+from cutpoisson.mesh import BackgroundGrid, classify_elements
+from cutpoisson.quadrature import _box_moments, build_boundary_rules, build_volume_rules
 
 from oracles import (
     _trapezoids_rule,
+    cell_box,
+    cell_id,
     cell_volume_rule,
     clip_polygon_to_box,
     cut_volume_rule,
     greens_monomial_integral,
+    perimeter,
     polyline_length_in_box,
     shoelace,
 )
@@ -171,37 +170,60 @@ class TestClip:
         assert total == pytest.approx(shoelace(poly.vertices), rel=1e-12)
 
 
-def _walk(vertices, box):
-    # On one cell that is the box, the split keeps the polygon's segments.
-    grid = BackgroundGrid(box[:2], box[2] - box[0], 1, 1)
-    _, a, b, _, _, key = _split_at_gridlines(grid, BoundaryPolygon(vertices))
-    piece = np.arange(len(a))
-    traps, _ = strip_trapezoids([box], a, b, key, piece, np.zeros(len(a), dtype=int), grid.h)
-    return traps
+def _cell_moments(vertices, box, n=5):
+    """Box and Legendre moments (n, n) of the shape, the one cut cell of a 3 x 3
+    grid whose middle cell is ``box``."""
+    h = box[2] - box[0]
+    grid = BackgroundGrid((box[0] - h, box[1] - h), h, 3, 3)
+    geo = classify_elements(grid, BoundaryPolygon(vertices)).cut_geometry
+    assert geo.cells.tolist() == [4]
+    return geo.boxes[0], _box_moments(geo, n)[0]
 
 
-def _trapezoid_area(traps):
-    xl, xr, _, _, hl, hr = traps.T
-    return float(np.sum(0.5 * (xr - xl) * (hl + hr)))
+def _oracle_moments(vertices, box, n=5):
+    """The integrals of P_a(s) P_b(t) over the shape, with s, t mapping the box
+    onto [-1, 1], from the Green's theorem monomial integrals."""
+    lo, hi = np.array(box[:2]), np.array(box[2:])
+    v = (np.asarray(vertices, dtype=float) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+    mono = np.array([[greens_monomial_integral(v, i, j) for j in range(n)] for i in range(n)])
+    c = np.array([np.pad(leg.leg2poly(np.eye(n)[a]), (0, n))[:n] for a in range(n)])
+    return c @ mono @ c.T
+
+
+def _assert_cell_moments(vertices, box):
+    """The shape's box is ``box``, its M_00 |box| / 4 its area, and its moments
+    the Green's theorem integrals; returns the moments."""
+    got_box, m = _cell_moments(vertices, box)
+    assert np.array_equal(got_box, box)
+    area = m[0, 0] * np.prod(np.subtract(box[2:], box[:2])) / 4
+    assert area == pytest.approx(shoelace(vertices), rel=1e-14)
+    # The oracle's change from monomials to Legendre polynomials costs about
+    # two digits.
+    assert np.max(np.abs(m - _oracle_moments(vertices, box))) <= 1e-13
+    return m
 
 
 class TestStripTrapezoids:
+    """Cut-cell boxes and moments of whole shapes, from Green's formula over the
+    boundary pieces and the top edge."""
+
     def test_square(self):
-        traps = _walk([[0, 0], [1, 0], [1, 1], [0, 1]], (0.0, 0.0, 1.0, 1.0))
-        assert traps.shape[0] == 1
-        assert _trapezoid_area(traps) == pytest.approx(1.0, rel=1e-15)
+        m = _assert_cell_moments([[0, 0], [1, 0], [1, 1], [0, 1]], (0.0, 0.0, 1.0, 1.0))
+        # The whole box: 4 at P_0 P_0 and zero elsewhere.
+        assert np.max(np.abs(m.ravel()[1:])) <= 1e-15
 
     def test_triangle_identity(self):
-        traps = _walk([[0, 0], [1, 0], [0, 1]], (0.0, 0.0, 1.0, 1.0))
-        assert traps.shape == (1, 6)
-        # x from 0 to 1, floor y = 0, height falling from 1 to 0
-        assert np.allclose(traps[0], [0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        m = _assert_cell_moments([[0, 0], [1, 0], [0, 1]], (0.0, 0.0, 1.0, 1.0))
+        # The half s + t <= 0 of the box: the integral of P_a(s) P_b(t) over
+        # it is (-1)^(a+b) times that over the other half, and the two add up
+        # to the whole box's moments.
+        sign = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
+        whole = np.zeros((5, 5))
+        whole[0, 0] = 4.0
+        assert np.max(np.abs(m + sign * m - whole)) <= 1e-14
 
     def test_l_shaped_hexagon(self):
-        poly = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
-        traps = _walk(poly, (0.0, 0.0, 2.0, 2.0))
-        assert traps.shape[0] == 2
-        assert _trapezoid_area(traps) == pytest.approx(shoelace(poly), rel=1e-12)
+        _assert_cell_moments([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], (0.0, 0.0, 2.0, 2.0))
 
     def test_degenerate_rejected(self):
         # The unit square with a figure-eight loop in its bottom edge is not
@@ -215,8 +237,7 @@ class TestStripTrapezoids:
 
     def test_collinear_chain_ok(self):
         poly = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1.0], [0, 1]]
-        traps = _walk(poly, (0.0, 0.0, 1.0, 1.0))
-        assert _trapezoid_area(traps) == pytest.approx(1.0, rel=1e-12)
+        _assert_cell_moments(poly, (0.0, 0.0, 1.0, 1.0))
 
 
 class TestCutVolumeRule:
@@ -274,7 +295,7 @@ class TestCutBoundaryRule:
         h = 0.25
         grid = BackgroundGrid(origin=(-0.25, -0.1), h=h, nx=6, ny=5)
         rules = build_boundary_rules(classify_elements(grid, UNIT_SQUARE), 2)
-        rule = rules[grid.cell_id(2, 0)]  # box (0.25, -0.1, 0.5, 0.15)
+        rule = rules[cell_id(grid, 2, 0)]  # box (0.25, -0.1, 0.5, 0.15)
         assert np.sum(rule.weights) == pytest.approx(h, rel=1e-13)
         assert np.allclose(rule.normals, [0.0, -1.0])
 
@@ -282,14 +303,14 @@ class TestCutBoundaryRule:
         grid = BackgroundGrid(origin=(-0.5, -0.5), h=0.5, nx=6, ny=6)
         rules = build_boundary_rules(classify_elements(grid, UNIT_SQUARE), 2)
         assert rules
-        assert grid.cell_id(5, 5) not in rules  # box (2, 2, 2.5, 2.5)
+        assert cell_id(grid, 5, 5) not in rules  # box (2, 2, 2.5, 2.5)
 
     def test_arc_length_oracle(self):
         poly = perturb_circle_boundary(0.0, 0.0, 0.1, 0.1, 2048)
         grid = BackgroundGrid(origin=(-1.25, -1.25), h=0.3125, nx=8, ny=8)
         rules = build_boundary_rules(classify_elements(grid, poly), 4)
         for eid, rule in rules.items():
-            expected = polyline_length_in_box(poly.vertices, grid.cell_box(eid))
+            expected = polyline_length_in_box(poly.vertices, cell_box(grid, eid))
             assert np.sum(rule.weights) == pytest.approx(expected, rel=1e-12)
 
     def test_normals_unit(self):
@@ -321,6 +342,6 @@ class TestGlobalConservation:
         assert total_area == pytest.approx(shoelace(poly.vertices), rel=1e-10)
         brules = build_boundary_rules(am, 4)
         total_len = sum(float(np.sum(r.weights)) for r in brules.values())
-        assert total_len == pytest.approx(poly.perimeter, rel=1e-10)
+        assert total_len == pytest.approx(perimeter(poly), rel=1e-10)
         for rule in brules.values():
             assert np.all(rule.weights >= 0)

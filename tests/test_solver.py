@@ -32,7 +32,7 @@ from cutpoisson import (
     solve_spd,
 )
 from cutpoisson import quadrature, solver
-from cutpoisson.assembly import SparseSystem, point_basis, symmetry_error
+from cutpoisson.assembly import SparseSystem
 from cutpoisson.errors import MeshError
 from cutpoisson.mesh import INSIDE, ActiveMesh, BackgroundGrid, classify_elements
 from cutpoisson.quadrature import build_boundary_rules, build_volume_rules, rule_batches
@@ -44,7 +44,10 @@ from oracles import (
     fd_square_center_value,
     lowest_active_cell,
     meshes,
+    point_basis,
+    reference_from_callables,
     series_solution_direct,
+    symmetry_error,
 )
 
 
@@ -462,7 +465,7 @@ def test_lattice_without_factors_evaluates_exactly_its_points(lattice):
     def gradient_fn(p):
         return np.column_stack((3.0 * np.cos(3.0 * p[:, 0]), np.sin(3.0 * p[:, 0]))) * np.exp(p[:, 1:])
 
-    custom = ReferenceSolution.from_callables(value_fn, gradient_fn)
+    custom = reference_from_callables(value_fn, gradient_fn)
     for ref in (custom, ReferenceSolution.disk_quadratic()):
         val, grad = ref.on_lattice(*lattice)
         assert np.array_equal(val.ravel(), ref.value(points))
@@ -642,7 +645,7 @@ class TestErrorNorms:
         # nodal values of a polynomial of degree <= p on a fitted mesh
         u = lambda x, y: x * (1 - x) * y * (1 - y)
         sol = fitted_square_solution(p=2, coeffs_from=u)
-        ref = ReferenceSolution.from_callables(
+        ref = reference_from_callables(
             lambda p: u(p[:, 0], p[:, 1]),
             lambda p: np.column_stack(
                 (
@@ -658,7 +661,7 @@ class TestErrorNorms:
 
     def test_zero_against_zero(self):
         sol = fitted_square_solution()
-        ref = ReferenceSolution.from_callables(
+        ref = reference_from_callables(
             lambda p: np.zeros(len(p)), lambda p: np.zeros((len(p), 2))
         )
         norms = compute_error_norms(sol, ref, params=penalty_parameters(2))
@@ -666,7 +669,7 @@ class TestErrorNorms:
 
     def test_l2_of_constant_one(self):
         sol = fitted_square_solution()
-        ref = ReferenceSolution.from_callables(
+        ref = reference_from_callables(
             lambda p: np.ones(len(p)), lambda p: np.zeros((len(p), 2))
         )
         norms = compute_error_norms(sol, ref, params=penalty_parameters(2))
@@ -713,7 +716,7 @@ class TestErrorNorms:
         assert len(expected) > 3
         assert sizes == expected
 
-        direct = ReferenceSolution.from_callables(
+        direct = reference_from_callables(
             lambda p: series_solution_direct(p, 50)[0],
             lambda p: series_solution_direct(p, 50)[1],
         )
@@ -779,7 +782,7 @@ class TestReferenceMemo:
             counts["gradient"] += 1
             return p[:, ::-1].copy()
 
-        ref = ReferenceSolution.from_callables(value_fn, gradient_fn)
+        ref = reference_from_callables(value_fn, gradient_fn)
         ref.value(MEMO_POINTS)
         ref.gradient(MEMO_POINTS)
         assert counts == {"value": 1, "gradient": 1}
