@@ -7,11 +7,13 @@ straddles a gridline. An element is Cut if its closed box holds one of the
 points, or if it owns a boundary piece; Inside if it lies strictly within
 the polygon; excluded otherwise. A cell the polygon touches only at a corner
 is Cut but owns no piece. Every inside/outside question has one even-odd
-answer: just below a gridline, a ray running left along it meets exactly the
-pieces that end on the gridline from below (:func:`inside_below`). It gives
-each uncut cell its class and splits each cut cell's top edge into inside
-and outside intervals; the same count over the pieces' lower ends, just
-above a gridline, splits its bottom edge.
+answer, :func:`_inside_intervals`: just beside a gridline, a ray running left
+along it meets exactly the pieces that end on the gridline from that side.
+Over the pieces' upper ends, just below a gridline, it splits each cut
+cell's top edge into inside and outside intervals and classifies each run of
+uncut cells along a grid row at the bottom edge of the run's first cell;
+over their lower ends, just above a gridline, it splits each cut cell's
+bottom edge.
 The ghost-penalty face set consists of the interior faces of the active
 mesh touching at least one Cut element; it is computed on first use. The
 cut geometry, computed once per active mesh for every quadrature order,
@@ -40,7 +42,6 @@ __all__ = [
     "CutGeometry",
     "classify_elements",
     "ghost_faces",
-    "inside_below",
 ]
 
 OUTSIDE, INSIDE, CUT = 0, 1, 2
@@ -138,7 +139,7 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     which holds mid - 1e-9*h*normal (the inner side of the boundary).
     ``cut`` marks the cells that own a piece or whose closed box, lo =
     origin + c*h to lo + h on each axis, holds a point. ``key`` holds the
-    pieces' sorted upper ends for :func:`inside_below`.
+    pieces' sorted upper ends for :func:`_inside_intervals`.
     """
     origin, h = np.array(grid.origin), grid.h
     a, b = poly.segments()
@@ -208,19 +209,6 @@ def _ranges(first, count) -> tuple[np.ndarray, np.ndarray]:
     return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + first[i]
 
 
-def inside_below(key, x, y) -> np.ndarray:
-    """Whether the polygon holds the points just below each (x, y) on a gridline.
-
-    ``key`` is the sorted upper ends of the pieces of the polygon's gridline
-    split, as :func:`_split_at_gridlines` returns it. No piece straddles a
-    gridline, so the ray running left just below (x, y) meets exactly the
-    pieces whose upper end lies on the gridline y left of x and whose lower
-    end lies below it; an odd count is inside.
-    """
-    met = np.searchsorted(key, y + 1j * x) - np.searchsorted(key.real, y)
-    return met % 2 == 1
-
-
 @dataclass(frozen=True)
 class CutGeometry:
     """Order-independent cut geometry of an active mesh.
@@ -258,8 +246,8 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     lower-left corner, the largest c with origin + c*h <= x on each axis; a
     piece along a face thus lies on the box's left or bottom edge. The
     inside intervals of a cell's top edge lie just below it, where
-    :func:`inside_below` counts the pieces' upper ends; those of its bottom
-    edge lie just above it, where the pieces' lower ends count. The arcs
+    :func:`_inside_intervals` counts the pieces' upper ends; those of its
+    bottom edge lie just above it, where the pieces' lower ends count. The arcs
     bound the cell's part of the domain, less the parts of its left and
     right edges, so their ends span its box.
     """
@@ -312,11 +300,11 @@ def _inside_intervals(key, x0, x1, y):
     """The inside intervals of the edges from (x0, y) to (x1, y) on gridlines.
 
     ``key`` is the sorted ends y + ix, on one side of the gridlines, of the
-    pieces that are not horizontal. Just beside a gridline, on that side,
-    the polygon holds a point when an odd number of the ends on the gridline
-    lie left of it, as in :func:`inside_below`; the ends within an edge split
-    it into intervals that alternate from there. Returns the edge of each
-    inside interval and its left and right end points.
+    pieces that are not horizontal. No piece straddles a gridline, so just
+    beside one, on that side, the polygon holds a point when an odd number
+    of the ends on the gridline lie left of it. The ends within an edge
+    split it into intervals that alternate from there. Returns the edge of
+    each inside interval and its left and right end points.
     """
     first = np.searchsorted(key, y + 1j * x0, side="right")
     last = np.searchsorted(key, y + 1j * x1)
@@ -333,11 +321,13 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
     """Classify all grid cells against the polygon and collect the active mesh.
 
     The Cut cells come from one gridline split of all segments, which the
-    mesh keeps for its cut geometry. The boundary does not meet an uncut
-    cell's closed box, so :func:`inside_below` at its lower-left corner, all
-    uncut cells in one batch, gives its class. The ghost faces and the cut
-    geometry are left to the first access of ``ghost_faces_arr`` and
-    ``cut_geometry``.
+    mesh keeps for its cut geometry. No point of the split lies in an uncut
+    cell's closed box, so a run of uncut cells along a grid row, edges
+    included, lies on one side of the boundary: one batch of
+    :func:`_inside_intervals` on the bottom edges of the runs' first cells,
+    lo to lo + h as in the closed-box test, classifies them all. The ghost
+    faces and the cut geometry are left to the first access of
+    ``ghost_faces_arr`` and ``cut_geometry``.
     """
     ext = grid.extent
     v = poly.vertices
@@ -351,9 +341,12 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
 
     split = _split_at_gridlines(grid, poly)
     *_, cut, key = split
-    uncut = np.nonzero(~cut)[0]
+    first = ~cut & ((np.arange(grid.n_cells) % grid.nx == 0) | np.roll(cut, 1))
+    x, y = grid.cell_origin(np.flatnonzero(first)).T
+    inside = np.zeros(len(x), dtype=bool)
+    inside[_inside_intervals(key, x, x + grid.h, y)[0]] = True
     classification = np.full(grid.n_cells, CUT, dtype=np.int8)
-    classification[uncut] = np.where(inside_below(key, *grid.cell_origin(uncut).T), INSIDE, OUTSIDE)
+    classification[~cut] = np.where(inside[np.cumsum(first)[~cut] - 1], INSIDE, OUTSIDE)
 
     active = np.nonzero(classification != OUTSIDE)[0]
     am = ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)

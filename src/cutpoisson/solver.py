@@ -450,17 +450,21 @@ def eval_discrete(sol: DiscreteSolution, x):
 
 @dataclass(frozen=True)
 class ErrorNorms:
-    """Energy norm, H1 seminorm, L2 norm, and the stabilization part.
+    """Energy norm, H1 seminorm, L2 norm, and the energy norm's other parts.
 
     The energy norm is ||grad e||^2 + h ||grad_n e||^2 + (1/h) ||e||^2 + |e|_s^2
     over the cut domain and its polygonal boundary; the penalty weight beta is
-    not included in the norm.
+    not included in the norm. Its parts are ``h1_semi`` and the square roots
+    of the other three terms: ``flux_part`` of h ||grad_n e||^2 and
+    ``trace_part`` of (1/h) ||e||^2 on the boundary, ``stab_part`` of |e|_s^2.
     """
 
     energy: float
     h1_semi: float
     l2: float
     stab_part: float
+    flux_part: float
+    trace_part: float
 
 
 def galerkin_residual(system: SparseSystem, coefficients: np.ndarray) -> float:
@@ -534,4 +538,6 @@ def compute_error_norms(
         h1_semi=float(np.sqrt(grad_sq)),
         l2=float(np.sqrt(val_sq)),
         stab_part=float(np.sqrt(stab_sq)),
+        flux_part=float(np.sqrt(h * flux_sq)),
+        trace_part=float(np.sqrt(trace_sq / h)),
     )
