@@ -228,7 +228,7 @@ def build_dofmap(am: ActiveMesh, p: int) -> DofMap:
 @dataclass
 class SparseSystem:
     """Symmetric sparse matrix and load vector over the active dofs, and the
-    ``DofMap.clean_groups`` that ``solve_spd`` condenses (empty: it factors A)."""
+    ``DofMap.clean_groups`` that ``solve_spd`` condenses (empty: S = A)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -326,13 +326,12 @@ def assemble_bulk(
     rhs += np.bincount(dofs.reshape(-1), (moments[:, 1] @ load).reshape(-1), minlength=n)
 
     inside = am.inside_ids
-    if len(inside):
-        dofs_in = dofmap.cell_dofs[inside]
-        matrix += _scatter(dofs_in, 4.0 * stiffness[0][mirror], n)
-        ref_pts, w = rules.inside_ref_points, rules.inside_ref_weights * h * h
-        pts = grid.cell_origin(inside)[:, None, :] + h * ref_pts
-        loc_rhs = (f(pts[:, :, 0], pts[:, :, 1]) * w) @ eval_basis(basis, ref_pts, h)[0]
-        rhs += np.bincount(dofs_in.reshape(-1), loc_rhs.reshape(-1), minlength=n)
+    dofs_in = dofmap.cell_dofs[inside]
+    matrix += _scatter(dofs_in, 4.0 * stiffness[0][mirror], n)
+    ref_pts, w = rules.inside_ref_points, rules.inside_ref_weights * h * h
+    pts = grid.cell_origin(inside)[:, None, :] + h * ref_pts
+    loc_rhs = (f(pts[:, :, 0], pts[:, :, 1]) * w) @ eval_basis(basis, ref_pts, h)[0]
+    rhs += np.bincount(dofs_in.reshape(-1), loc_rhs.reshape(-1), minlength=n)
 
     return SparseSystem(matrix=matrix, rhs=rhs)
 

@@ -116,8 +116,11 @@ def _shoelace(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
-# Outward normals of the square edges in tie-break order: bottom, right,
-# top, left.
+# The unit square's corners, counterclockwise from the origin. Edge e runs
+# from corner e to corner e + 1, in the tie-break order bottom, right, top,
+# left, and _SQUARE_EDGE_NORMALS[e] is its outward normal.
+_SQUARE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_SQUARE_EDGES = np.roll(_SQUARE_CORNERS, -1, axis=0) - _SQUARE_CORNERS
 _SQUARE_EDGE_NORMALS = np.array(
     [[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
 )
@@ -141,21 +144,13 @@ def closest_point(domain: ExactDomain, x) -> tuple[np.ndarray, np.ndarray]:
         n = rel / r[:, None]
         q = c + domain.radius * n
     elif isinstance(domain, UnitSquare):
-        m = pts.shape[0]
-        cx = np.clip(pts[:, 0], 0.0, 1.0)
-        cy = np.clip(pts[:, 1], 0.0, 1.0)
-        # Axis-aligned projections computed exactly, in tie-break order
-        # bottom, right, top, left.
-        projs = np.empty((4, m, 2))
-        projs[0] = np.column_stack((cx, np.zeros(m)))
-        projs[1] = np.column_stack((np.ones(m), cy))
-        projs[2] = np.column_stack((cx, np.ones(m)))
-        projs[3] = np.column_stack((np.zeros(m), cy))
-        dists = np.hypot(
-            pts[None, :, 0] - projs[:, :, 0], pts[None, :, 1] - projs[:, :, 1]
-        )
-        best = np.argmin(dists, axis=0)  # first minimum wins the tie-break
-        q = projs[best, np.arange(m)]
+        # Each edge's projection, exact: across the edge its own coordinate,
+        # along it the coordinate clipped to [0, 1].
+        across = _SQUARE_EDGE_NORMALS[:, None, :] != 0.0
+        projs = np.where(across, _SQUARE_CORNERS[:, None, :], np.clip(pts, 0.0, 1.0))
+        d = pts - projs
+        best = np.argmin(np.hypot(d[..., 0], d[..., 1]), axis=0)  # first minimum wins the tie-break
+        q = projs[best, np.arange(len(pts))]
         n = _SQUARE_EDGE_NORMALS[best]
     else:
         raise TypeError(f"unsupported domain type {type(domain).__name__}")
@@ -173,18 +168,8 @@ def perturb_square_boundary(delta: float, segments_per_side: int) -> BoundaryPol
         raise ValueError("delta must be nonnegative")
     if segments_per_side < 16:
         raise ValueError("segments_per_side must be at least 16")
-    m = segments_per_side
-    t = np.arange(m) / m
-    zeros = np.zeros(m)
-    ones = np.ones(m)
-    pts = np.concatenate(
-        [
-            np.column_stack((t, zeros)),  # bottom, left to right
-            np.column_stack((ones, t)),  # right, upward
-            np.column_stack((1.0 - t, ones)),  # top, right to left
-            np.column_stack((zeros, 1.0 - t)),  # left, downward
-        ]
-    )
+    t = (np.arange(segments_per_side) / segments_per_side)[:, None]
+    pts = (_SQUARE_CORNERS[:, None] + t * _SQUARE_EDGES[:, None]).reshape(-1, 2)
     center = np.array([0.45, 0.35])
     rel = pts - center
     r = np.hypot(rel[:, 0], rel[:, 1])

@@ -126,7 +126,8 @@ def condense(a: sp.csr_matrix, groups):
     level the ``cho_factor`` of M_XX, X = M_XX^-1 M_XB and the X and B dofs
     as (|X|, groups) and (|B|, groups) tables. A pair of ring dofs lies in at
     most two maximal groups, whose C add to the pair's A entry in the same
-    order on both sides of the diagonal: S is exactly symmetric.
+    order on both sides of the diagonal: S is exactly symmetric. Without
+    groups, S has A's arrays (sorted, without duplicates) and R is every dof.
     """
     levels = _shared_blocks(a, groups)
     kept = np.ones(a.shape[0], dtype=bool)
@@ -181,11 +182,11 @@ def condense(a: sp.csr_matrix, groups):
 def solve_spd(system: SparseSystem) -> np.ndarray:
     """Direct sparse solve with a relative residual contract of 1e-12.
 
-    With ``system.clean_groups`` the factor is that of :func:`condense`'s S.
-    The load condenses bottom-up, g_B -= X^T g_X per group, and the
-    eliminated nodes are recovered top-down, x_X = M_XX^-1 g_X - X x_B.
-    SuperLU reads the CSR arrays of S (or A) as CSC: the transpose, the
-    same exactly symmetric matrix, without a copy. The factor is L U with
+    The factor is that of :func:`condense`'s S for ``system.clean_groups``,
+    which is A itself when there are none. The load condenses bottom-up,
+    g_B -= X^T g_X per group, and the eliminated nodes are recovered top-down,
+    x_X = M_XX^-1 g_X - X x_B. SuperLU reads the CSR arrays of S as CSC: the
+    transpose, the same exactly symmetric matrix, without a copy. The factor is L U with
     diagonal pivots in the matrix's own numbering (FACTOR_OPTIONS), which an
     SPD matrix always admits. The fill therefore depends on the numbering: ``build_dofmap``
     numbers the dofs in nested-dissection order, which S keeps. SuperLU
@@ -198,34 +199,32 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     solved to roundoff without error (so is [[1, 2], [2, 1]], and so is the
     square on an unshifted grid, whose system has negative eigenvalues).
     """
-    a = s = system.matrix.tocsr()
+    a = system.matrix.tocsr()
     b = system.rhs
     if not np.all(np.isfinite(b)):
         raise SolverError("load vector contains non-finite entries")
     if not np.any(b):
         return np.zeros_like(b)
     try:
-        if system.clean_groups:
-            s, kept, levels = condense(a, system.clean_groups)
+        s, kept, levels = condense(a, system.clean_groups)
         s_as_csc = sp.csc_matrix((s.data, s.indices, s.indptr), shape=s.shape)
         lu = spla.splu(s_as_csc, **FACTOR_OPTIONS)
     except Exception as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError("sparse factorization needed an off-diagonal pivot (zero diagonal pivot)")
-    solve = lu.solve
-    if s is not a:
-        def solve(rhs):
-            # Bottom-up, g_B -= X^T g_X per group, as M_BX M_XX^-1 = X^T;
-            # then S x_R = g_R, and top-down x_X = M_XX^-1 g_X - X x_B.
-            g = rhs.copy()
-            for _, x_xb, xs, bs in levels:
-                g -= np.bincount(bs.ravel(), (x_xb.T @ g[xs]).ravel(), len(g))
-            x = np.empty_like(rhs)
-            x[kept] = lu.solve(g[kept])
-            for chol, x_xb, xs, bs in reversed(levels):
-                x[xs] = scipy.linalg.cho_solve(chol, g[xs]) - x_xb @ x[bs]
-            return x
+
+    def solve(rhs):
+        # Bottom-up, g_B -= X^T g_X per group, as M_BX M_XX^-1 = X^T;
+        # then S x_R = g_R, and top-down x_X = M_XX^-1 g_X - X x_B.
+        g = rhs.copy()
+        for _, x_xb, xs, bs in levels:
+            g -= np.bincount(bs.ravel(), (x_xb.T @ g[xs]).ravel(), len(g))
+        x = np.empty_like(rhs)
+        x[kept] = lu.solve(g[kept])
+        for chol, x_xb, xs, bs in reversed(levels):
+            x[xs] = scipy.linalg.cho_solve(chol, g[xs]) - x_xb @ x[bs]
+        return x
 
     x = solve(b)
     # Iterative refinement with extended-precision residuals of the full A, by
@@ -491,30 +490,28 @@ def compute_error_norms(
     am, basis, h = sol.am, sol.basis, sol.am.grid.h
     order = 2 * basis.p + 2
     vrules = build_volume_rules(am, order)
-    grad_sq = val_sq = 0.0
 
     inside = am.inside_ids
-    if len(inside):
-        ref_pts = vrules.inside_ref_points
-        w = vrules.inside_ref_weights * h * h
-        vals, grads = eval_basis(basis, ref_pts, h)
-        coeff = sol.coefficients[sol.dofmap.cell_dofs[inside]]
-        uh_val = coeff @ vals.T  # (nE, q)
-        uh_grad = np.moveaxis(coeff @ grads.T, 0, -1)  # (nE, q, 2)
-        # The points form a tensor lattice. Per axis: the cell origins plus h
-        # times the rule's distinct abscissae, and each point's index there.
-        axes = []
-        for d, cell in enumerate(am.grid.cell_coords(inside)):
-            cells, at_cell = np.unique(cell, return_inverse=True)
-            r, at_r = np.unique(ref_pts[:, d], return_inverse=True)
-            coords = ((am.grid.origin[d] + cells * h)[:, None] + h * r).ravel()
-            axes.append((coords, at_cell[:, None] * len(r) + at_r))
-        (xs, ix), (ys, iy) = axes
-        ref_val, ref_grad = ref.on_lattice(xs, ys, ix, iy)
-        e_val = ref_val - uh_val
-        e_grad = ref_grad - uh_grad
-        val_sq += float(np.einsum("eq,q->", e_val**2, w))
-        grad_sq += float(np.einsum("eqd,q->", e_grad**2, w))
+    ref_pts = vrules.inside_ref_points
+    w = vrules.inside_ref_weights * h * h
+    vals, grads = eval_basis(basis, ref_pts, h)
+    coeff = sol.coefficients[sol.dofmap.cell_dofs[inside]]
+    uh_val = coeff @ vals.T  # (nE, q)
+    uh_grad = np.moveaxis(coeff @ grads.T, 0, -1)  # (nE, q, 2)
+    # The points form a tensor lattice. Per axis: the cell origins plus h
+    # times the rule's distinct abscissae, and each point's index there.
+    axes = []
+    for d, cell in enumerate(am.grid.cell_coords(inside)):
+        cells, at_cell = np.unique(cell, return_inverse=True)
+        r, at_r = np.unique(ref_pts[:, d], return_inverse=True)
+        coords = ((am.grid.origin[d] + cells * h)[:, None] + h * r).ravel()
+        axes.append((coords, at_cell[:, None] * len(r) + at_r))
+    (xs, ix), (ys, iy) = axes
+    ref_val, ref_grad = ref.on_lattice(xs, ys, ix, iy)
+    e_val = ref_val - uh_val
+    e_grad = ref_grad - uh_grad
+    val_sq = float(np.einsum("eq,q->", e_val**2, w))
+    grad_sq = float(np.einsum("eqd,q->", e_grad**2, w))
 
     def errors_at(rules):  # (rule, e, grad e) per batch of the rules' points
         for cells, rule in rule_batches(rules):

@@ -932,6 +932,12 @@ def perturbed_square(amplitude: float, phase: float, per_side: int = 16) -> Boun
     return BoundaryPolygon(pts + (amplitude * np.cos(5.0 * theta + phase))[:, None] * rhat)
 
 
+def no_inside_cell_mesh():
+    """A quadrilateral that cuts all four cells of a 2 x 2 grid with h = 0.5: no cell is inside."""
+    grid = BackgroundGrid(origin=(0.0, 0.0), h=0.5, nx=2, ny=2)
+    return classify_elements(grid, BoundaryPolygon([[0.1, 0.15], [0.85, 0.2], [0.9, 0.8], [0.2, 0.9]]))
+
+
 offsets = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
 amplitudes = st.one_of(st.just(0.0), st.floats(1e-3, 0.04))
 phases = st.floats(0.0, 2.0 * np.pi)

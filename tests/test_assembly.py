@@ -46,6 +46,7 @@ from oracles import (
     meshes,
     near_gridline_star_meshes,
     nested_dissection_loop,
+    no_inside_cell_mesh,
     per_cell_bulk_nitsche,
     per_face_ghost_penalty,
     point_basis,
@@ -187,6 +188,15 @@ class TestBulk:
         rules = build_volume_rules(am, 2)
         bulk = assemble_bulk(am, basis, ones, rules, dm)
         assert np.sum(bulk.rhs) == pytest.approx(poly.signed_area, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_load_sum_is_area_without_inside_cells(self, p):
+        # The basis sums to 1.
+        am = no_inside_cell_mesh()
+        assert len(am.inside_ids) == 0
+        dm = build_dofmap(am, p)
+        bulk = assemble_bulk(am, qp_basis(p), ones, build_volume_rules(am, 2 * p), dm)
+        assert np.sum(bulk.rhs) == pytest.approx(am.poly.signed_area, rel=1e-13)
 
     @pytest.mark.parametrize("h", [1.0, 0.37, 0.125])
     def test_single_element_diagonal(self, h):

@@ -44,6 +44,7 @@ from oracles import (
     fd_square_center_value,
     lowest_active_cell,
     meshes,
+    no_inside_cell_mesh,
     point_basis,
     reference_from_callables,
     series_solution_direct,
@@ -263,8 +264,7 @@ def test_condensed_solve_matches_full_factor(am, p):
     expected = spla.splu(system.matrix.tocsc(), **solver.FACTOR_OPTIONS).solve(system.rhs)
     x = solve_spd(system)
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
-    if system.clean_groups:
-        assert symmetry_error(solver.condense(system.matrix, system.clean_groups)[0]) == 0.0
+    assert symmetry_error(solver.condense(system.matrix, system.clean_groups)[0]) == 0.0
 
 
 # square_mesh(96) bisects into boxes of 6, 12, 24 and 48 cells; the square
@@ -336,12 +336,28 @@ def test_factor_reads_the_matrix_without_a_copy():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver.spla, "splu", splu)
         patch.setattr(solver, "condense", condense)
-        for n in (18, 24):
-            system = unit_load_system(square_mesh(n), 2)
-            solve_spd(system)
-            data = condensed[-1].data if system.clean_groups else system.matrix.data
-            assert np.shares_memory(factored[-1].data, data)
-    assert len(factored) == 2 and len(condensed) == 1
+        for n in (18, 24):  # without and with clean boxes
+            solve_spd(unit_load_system(square_mesh(n), 2))
+            assert np.shares_memory(factored[-1].data, condensed[-1].data)
+    assert len(factored) == 2 and len(condensed) == 2
+
+
+# Level 0 of the square and disk studies has no clean box.
+@pytest.mark.parametrize("geometry", ["square", "levelset"])
+def test_condense_without_groups_returns_the_matrix(geometry):
+    if geometry == "square":
+        grid = _grid(_square_origin(None), SQUARE_SIDE, None, 0)
+        poly = perturb_square_boundary(grid.h**2.5, 16 * math.ceil(1.0 / grid.h))
+    else:
+        grid = _grid(CIRCLE_ORIGIN, CIRCLE_SIDE, None, 0)
+        poly = extract_levelset_boundary(Disk(), grid)
+    system = unit_load_system(classify_elements(grid, poly), 2)
+    assert system.clean_groups == ()
+    a = system.matrix.tocsr()
+    s, rows, levels = solver.condense(a, ())
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(s, name), getattr(a, name))
+    assert np.array_equal(rows, np.arange(a.shape[0])) and levels == []
 
 
 class TestSeriesSolution:
@@ -723,6 +739,21 @@ class TestErrorNorms:
         oracle = compute_error_norms(sol, direct, params)
         for name in ("energy", "h1_semi", "l2", "stab_part"):
             assert getattr(norms, name) == pytest.approx(getattr(oracle, name), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("ref", ["square_series", "disk_quadratic"])
+def test_error_norms_without_inside_cells(p, ref):
+    ref = getattr(ReferenceSolution, ref)()
+    am = no_inside_cell_mesh()
+    assert len(am.inside_ids) == 0
+    basis, params = qp_basis(p), penalty_parameters(p)
+    system, dm = assemble_system(am, basis, params, lambda x, y: np.ones_like(x))
+    sol = DiscreteSolution(coefficients=solve_spd(system), dofmap=dm, basis=basis, am=am)
+    norms = compute_error_norms(sol, ref, params)
+    parts = norms.h1_semi**2 + norms.flux_part**2 + norms.trace_part**2 + norms.stab_part**2
+    assert norms.l2 > 0.0 and norms.h1_semi > 0.0
+    assert norms.energy**2 == pytest.approx(parts, rel=1e-12, abs=0.0)
 
 
 class TestGalerkinResidual:
