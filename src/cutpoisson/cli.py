@@ -61,7 +61,8 @@ def _build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
         sp = subs[command] = sub.add_parser(command, help=help_text, allow_abbrev=False)
         default_p = 2 if command == "normal-study" else 1
         sp.add_argument("--p", type=int, default=default_p, help="polynomial degree (1-3)")
-        sp.add_argument("--levels", type=int, help="refinement levels")
+        if command != "solve":  # a single solve runs one level
+            sp.add_argument("--levels", type=int, help="refinement levels")
         sp.add_argument("--h0", type=float, help="coarsest mesh size")
         sp.add_argument("--out", help="CSV output path (default <study>.csv)")
     subs["delta-study"].add_argument(

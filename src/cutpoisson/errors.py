@@ -10,7 +10,8 @@ class MeshError(Exception):
 
 
 class QuadratureError(Exception):
-    """The cut geometry misses the polygon's area: the polygon is not simple."""
+    """The cut geometry misses the polygon's area (the polygon is not simple), or
+    an error norm's squared sum is negative or not finite."""
 
 
 class SolverError(Exception):

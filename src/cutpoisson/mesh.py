@@ -26,7 +26,7 @@ of its top and bottom edges.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,15 +90,16 @@ class ActiveMesh:
     ``active`` lists the active cell ids (Inside or Cut) in ascending order.
     ``ghost_faces_arr`` rows are (cell_low, cell_high, axis) with axis 0 for
     faces with an x-normal and 1 for a y-normal. The polygon used for the
-    classification is retained so downstream assembly can build quadrature,
-    and so is its gridline split: :func:`classify_elements` stores the split
-    it classified with, and a mesh built from its fields splits on first use.
+    classification is retained so downstream assembly can build quadrature.
+    ``split`` is the gridline split that :func:`classify_elements` classified
+    with; a mesh built without it splits when its cut geometry is built.
     """
 
     grid: BackgroundGrid
     poly: BoundaryPolygon
     classification: np.ndarray
     active: np.ndarray
+    split: tuple | None = field(default=None, repr=False)
 
     @property
     def inside_ids(self) -> np.ndarray:
@@ -114,11 +115,6 @@ class ActiveMesh:
         return ghost_faces(self)
 
     @functools.cached_property
-    def _split(self) -> tuple:
-        """The polygon split at the gridlines, computed on first use."""
-        return _split_at_gridlines(self.grid, self.poly)
-
-    @functools.cached_property
     def cut_geometry(self) -> "CutGeometry":
         """Boundary pieces and cut-cell boxes and arcs, shared by every quadrature order."""
         return _build_cut_geometry(self)
@@ -127,9 +123,9 @@ class ActiveMesh:
 def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     """Split every polygon segment at the gridlines, all segments in one batch.
 
-    Returns (seg, start, end, owner, cut, key). The points are each segment's
-    start vertex and its crossings with the gridlines strictly between its
-    end coordinates, in polygon order. A gridline's coordinate is
+    Returns (seg, start, end, owner, cut, upper, lower). The points are each
+    segment's start vertex and its crossings with the gridlines strictly
+    between its end coordinates, in polygon order. A gridline's coordinate is
     origin[k] + j*h, the arithmetic of the cell box edges; a crossing takes
     it exactly. Its parameter t along the segment stays in [0, 1], since
     rounding is monotone, and a t that rounds to 0 or 1 is kept.
@@ -138,8 +134,8 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     end points are equal are dropped. Piece i is owned by cell owner[i],
     which holds mid - 1e-9*h*normal (the inner side of the boundary).
     ``cut`` marks the cells that own a piece or whose closed box, lo =
-    origin + c*h to lo + h on each axis, holds a point. ``key`` holds the
-    pieces' sorted upper ends for :func:`_inside_intervals`.
+    origin + c*h to lo + h on each axis, holds a point. ``upper`` and
+    ``lower`` are the non-horizontal pieces' sorted upper and lower ends.
     """
     origin, h = np.array(grid.origin), grid.h
     a, b = poly.segments()
@@ -188,11 +184,12 @@ def _split_at_gridlines(grid: BackgroundGrid, poly: BoundaryPolygon):
     cut = np.zeros(grid.n_cells, dtype=bool)
     cut[cell[p, 1, j] * grid.nx + cell[p, 0, i]] = True
     cut[owner] = True
-    # The upper ends y + ix of the pieces that are not horizontal. Complex
-    # numbers sort by real part, then imaginary part: by gridline, then by x.
-    rising = start[:, 1] != end[:, 1]
-    top = np.where((end[:, 1] > start[:, 1])[:, None], end, start)[rising]
-    return seg, start, end, owner, cut, np.sort(top[:, 1] + 1j * top[:, 0])
+    # The ends as y + ix, for :func:`_inside_intervals`. Complex numbers sort
+    # by real part, then imaginary part: by gridline, then by x.
+    ends = np.where((end[:, 1] > start[:, 1])[:, None], (end, start), (start, end))
+    ends = ends[:, start[:, 1] != end[:, 1]]
+    upper, lower = np.sort(ends[..., 1] + 1j * ends[..., 0])
+    return seg, start, end, owner, cut, upper, lower
 
 
 def _cell_index(x, o, h):
@@ -252,7 +249,7 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     right edges, so their ends span its box.
     """
     grid = am.grid
-    seg, start, end, owner, _, key = am._split
+    seg, start, end, owner, _, upper, lower = am.split or _split_at_gridlines(grid, am.poly)
     origin, h = np.array(grid.origin), grid.h
     corner = np.minimum(start, end)
     c = _cell_index(corner, origin, h)
@@ -266,11 +263,8 @@ def _build_cut_geometry(am: ActiveMesh) -> CutGeometry:
     ids = am.cut_ids
     (ox, oy), (ix, iy) = grid.origin, grid.cell_coords(ids)
     x0, x1 = ox + ix * h, ox + (ix + 1) * h
-    low = np.where((end[:, 1] < start[:, 1])[:, None], end, start)[start[:, 1] != end[:, 1]]
-    top, top_l, top_r = _inside_intervals(key, x0, x1, oy + (iy + 1) * h)
-    bottom, bottom_l, bottom_r = _inside_intervals(
-        np.sort(low[:, 1] + 1j * low[:, 0]), x0, x1, oy + iy * h
-    )
+    top, top_l, top_r = _inside_intervals(upper, x0, x1, oy + (iy + 1) * h)
+    bottom, bottom_l, bottom_r = _inside_intervals(lower, x0, x1, oy + iy * h)
 
     # A gridline piece along the bottom or top edge lies in an inside
     # interval of that edge or off the cell's part of the domain, and one
@@ -340,18 +334,16 @@ def classify_elements(grid: BackgroundGrid, poly: BoundaryPolygon) -> ActiveMesh
         raise MeshError("polygon must lie strictly inside the grid extent")
 
     split = _split_at_gridlines(grid, poly)
-    *_, cut, key = split
+    cut, upper = split[4:6]
     first = ~cut & ((np.arange(grid.n_cells) % grid.nx == 0) | np.roll(cut, 1))
     x, y = grid.cell_origin(np.flatnonzero(first)).T
     inside = np.zeros(len(x), dtype=bool)
-    inside[_inside_intervals(key, x, x + grid.h, y)[0]] = True
+    inside[_inside_intervals(upper, x, x + grid.h, y)[0]] = True
     classification = np.full(grid.n_cells, CUT, dtype=np.int8)
     classification[~cut] = np.where(inside[np.cumsum(first)[~cut] - 1], INSIDE, OUTSIDE)
 
     active = np.nonzero(classification != OUTSIDE)[0]
-    am = ActiveMesh(grid=grid, poly=poly, classification=classification, active=active)
-    am._split = split
-    return am
+    return ActiveMesh(grid, poly, classification, active, split)
 
 
 def ghost_faces(am: ActiveMesh) -> np.ndarray:

@@ -23,7 +23,6 @@ from .errors import QuadratureError
 from .mesh import ActiveMesh
 
 __all__ = [
-    "QuadRule1D",
     "CutVolumeRule",
     "CutBoundaryRule",
     "gauss_legendre_1d",
@@ -32,14 +31,6 @@ __all__ = [
     "build_boundary_rules",
     "rule_batches",
 ]
-
-
-@dataclass(frozen=True)
-class QuadRule1D:
-    """Gauss-Legendre abscissae and weights on [-1, 1]."""
-
-    points: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,18 +51,18 @@ class CutBoundaryRule:
     normals: np.ndarray  # (n, 2)
 
 
-def gauss_legendre_1d(n: int) -> QuadRule1D:
-    """Standard n-point Gauss-Legendre rule on [-1, 1]."""
+def gauss_legendre_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as (points, weights); every
+    Gauss rule of the package comes from here."""
     if not 1 <= n <= 16:
         raise ValueError(f"gauss_legendre_1d supports 1 <= n <= 16, got {n}")
-    pts, w = np.polynomial.legendre.leggauss(n)
-    return QuadRule1D(points=pts, weights=w)
+    return leg.leggauss(n)
 
 
 @functools.cache
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = gauss_legendre_1d(n)
-    return 0.5 * (rule.points + 1.0), 0.5 * rule.weights
+    g, w = gauss_legendre_1d(n)
+    return 0.5 * (g + 1.0), 0.5 * w
 
 
 def _points_for_degree(degree: int) -> int:
@@ -173,7 +164,7 @@ def _fitted_lattices(boxes: np.ndarray, moments: np.ndarray) -> CutVolumeRule:
     domain exactly: sum_ij W_ij P_c(g_i) P_d(g_j) = M_cd.
     """
     n = moments.shape[1]
-    g, w = leg.leggauss(n)
+    g, w = gauss_legendre_1d(n)
     fit = w[:, None] * leg.legvander(g, n - 1) * (np.arange(n) + 0.5)
     weights = fit @ moments @ fit.T  # [cell, i (x), j (y)]
     lo, hi = boxes[:, :2, None], boxes[:, 2:, None]

@@ -34,7 +34,7 @@ from .assembly import (
     ghost_penalty_form,
 )
 from .basis import QpBasis, eval_basis
-from .errors import EvaluationError, SolverError
+from .errors import EvaluationError, QuadratureError, SolverError
 from .mesh import ActiveMesh
 from .quadrature import build_boundary_rules, build_volume_rules, rule_batches
 
@@ -120,7 +120,7 @@ def condense(a: sp.csr_matrix, groups):
     B its ring (the outer nodes). A level's groups share the first's blocks:
     M is A[X, X u B] less the children's Schur blocks C on the X rows,
     M_XX = L L^T, Y = L^-1 M_XB, and the Schur block onto B is
-    C = (the children's C on B x B) + Y^T Y, symmetrized. Returns
+    C = (the children's C on B x B) + Y^T Y, symmetrized. Returns the CSC
     S = A[R, R] - the sum of C over the rings of the maximal groups (those in
     no group of the next level), the dofs R outside every interior, and per
     level the ``cho_factor`` of M_XX, X = M_XX^-1 M_XB and the X and B dofs
@@ -165,15 +165,15 @@ def condense(a: sp.csr_matrix, groups):
     shape = (len(rows), len(rows) + 1)
     segments = sp.csr_matrix((segments.data, segments.indices, indptr), shape=shape)
     # csr_tocsc sorts each column's rows; the removed columns' entries go to
-    # the last column and are dropped. S is symmetric, so its CSC arrays are
-    # its CSR arrays with sorted columns, and duplicates stay in order.
+    # the last column and are dropped. The rest are S's CSC arrays, with
+    # duplicates in order.
     t = segments.tocsc()
     del segments
     data = np.empty(t.indptr[-2])
     for lo in range(0, len(data), 1 << 16):  # a gather by intp runs faster than by int32
         hi = min(lo + (1 << 16), len(data))
         data[lo:hi] = values[t.data[lo:hi].astype(np.intp)]
-    s = sp.csr_matrix((data, t.indices[: len(data)], t.indptr[:-1]), shape=(len(rows),) * 2)
+    s = sp.csc_matrix((data, t.indices[: len(data)], t.indptr[:-1]), shape=(len(rows),) * 2)
     s.has_sorted_indices, s.has_canonical_format = True, False  # only duplicates are left
     s.sum_duplicates()
     return s, rows, [(chol, x_xb, xs, bs) for chol, x_xb, _, xs, bs in levels]
@@ -185,15 +185,15 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
     The factor is that of :func:`condense`'s S for ``system.clean_groups``,
     which is A itself when there are none. The load condenses bottom-up,
     g_B -= X^T g_X per group, and the eliminated nodes are recovered top-down,
-    x_X = M_XX^-1 g_X - X x_B. SuperLU reads the CSR arrays of S as CSC: the
-    transpose, the same exactly symmetric matrix, without a copy. The factor is L U with
-    diagonal pivots in the matrix's own numbering (FACTOR_OPTIONS), which an
-    SPD matrix always admits. The fill therefore depends on the numbering: ``build_dofmap``
-    numbers the dofs in nested-dissection order, which S keeps. SuperLU
-    swaps rows only where a diagonal pivot is exactly zero; the factor then
-    has perm_r != perm_c, and SolverError is raised before the solve. An
-    exactly singular factor, and a residual of the returned x on the full A
-    above the tolerance after iterative refinement, raise SolverError too.
+    x_X = M_XX^-1 g_X - X x_B. SuperLU reads S's CSC arrays without a copy.
+    The factor is L U with diagonal pivots in the matrix's own numbering
+    (FACTOR_OPTIONS), which an SPD matrix always admits. The fill therefore
+    depends on the numbering: ``build_dofmap`` numbers the dofs in
+    nested-dissection order, which S keeps. SuperLU swaps rows only where a
+    diagonal pivot is exactly zero; the factor then has perm_r != perm_c,
+    and SolverError is raised before the solve. An exactly singular factor,
+    and a residual of the returned x on the full A above the tolerance after
+    iterative refinement, raise SolverError too.
 
     No check detects an indefinite matrix with nonzero pivots: it is
     solved to roundoff without error (so is [[1, 2], [2, 1]], and so is the
@@ -207,8 +207,7 @@ def solve_spd(system: SparseSystem) -> np.ndarray:
         return np.zeros_like(b)
     try:
         s, kept, levels = condense(a, system.clean_groups)
-        s_as_csc = sp.csc_matrix((s.data, s.indices, s.indptr), shape=s.shape)
-        lu = spla.splu(s_as_csc, **FACTOR_OPTIONS)
+        lu = spla.splu(s, **FACTOR_OPTIONS)
     except Exception as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -485,7 +484,8 @@ def compute_error_norms(
     exact. The boundary rules are exact to degree 2p + 2 along each piece.
     The stabilization part is s_h(u_h, u_h): the smooth exact
     solution has no derivative jumps across faces, so this equals the
-    stabilization seminorm of the error.
+    stabilization seminorm of the error. A squared sum that is negative (the
+    cut cells' rules have negative weights) or not finite raises QuadratureError.
     """
     am, basis, h = sol.am, sol.basis, sol.am.grid.h
     order = 2 * basis.p + 2
@@ -529,6 +529,9 @@ def compute_error_norms(
 
     stab_sq = ghost_penalty_form(am, basis, params, sol.dofmap, sol.coefficients)
 
+    for part, sq in (("L2", val_sq), ("H1", grad_sq), ("trace", trace_sq), ("flux", flux_sq)):
+        if not 0.0 <= sq < np.inf:
+            raise QuadratureError(f"squared {part} error sums to {sq:.3e}, not a finite value >= 0")
     energy = float(np.sqrt(grad_sq + h * flux_sq + trace_sq / h + stab_sq))
     return ErrorNorms(
         energy=energy,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from cutpoisson.mesh import (
     INSIDE,
     ActiveMesh,
     BackgroundGrid,
+    CutGeometry,
     classify_elements,
 )
 from cutpoisson.quadrature import (
@@ -382,11 +384,16 @@ class TestGhostPenalty:
         assert abs(ghost_penalty_form(am, basis, params, dm, c) - quad) <= 1e-12 * quad
 
     def test_directly_built_mesh_assembles(self):
-        # A mesh built without classify_elements finds its ghost faces on
-        # first use and assembles the same penalty as a classified one.
+        # A mesh built without classify_elements, and so without its split,
+        # finds its ghost faces on first use, splits for its cut geometry,
+        # and assembles the same penalty as a classified one.
         grid = BackgroundGrid(origin=(-0.25, -0.25), h=0.125, nx=12, ny=12)
         am = classify_elements(grid, perturb_square_boundary(0.0, 16))
         direct = ActiveMesh(grid, am.poly, am.classification, am.active)
+        assert direct.split is None and am.split is not None
+        for f in fields(CutGeometry):
+            got, want = getattr(direct.cut_geometry, f.name), getattr(am.cut_geometry, f.name)
+            assert np.array_equal(got, want)
         basis, params = qp_basis(2), penalty_parameters(2)
         dm = build_dofmap(direct, 2)
         got = assemble_ghost_penalty(direct, basis, params, dm)

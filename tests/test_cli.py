@@ -43,17 +43,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, field",
         [
-            (["normal-study", "--alpha-n", "nan"], "alpha_n"),
-            (["delta-study", "--alpha", "nan"], "alpha"),
-            (["delta-study", "--alpha", "inf"], "alpha"),
-            (["delta-study", "--alpha=-inf"], "alpha"),
+            (["normal-study", "--alpha-n", "nan", "--levels", "1"], "alpha_n"),
+            (["delta-study", "--alpha", "nan", "--levels", "1"], "alpha"),
+            (["delta-study", "--alpha", "inf", "--levels", "1"], "alpha"),
+            (["delta-study", "--alpha=-inf", "--levels", "1"], "alpha"),
             (["solve", "--alpha", "nan"], "alpha"),
         ],
         ids=["alpha-n-nan", "alpha-nan", "alpha-inf", "alpha-minus-inf", "solve-alpha-nan"],
     )
     def test_non_finite_alpha_is_usage_error(self, argv, field, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        assert main([*argv, "--levels", "1", "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
@@ -69,25 +69,34 @@ class TestExitCodes:
         [
             (["solve", "--p", "1", "--h0", "100"], "h/3 + delta"),
             (["solve", "--p", "1", "--h0", "0.75"], "h/3 + delta"),
-            (["levelset-study", "--p", "1", "--h0", "1"], "4 h / radius"),
+            (["levelset-study", "--p", "1", "--h0", "1", "--levels", "1"], "4 h / radius"),
         ],
         ids=["solve-h0-100", "solve-h0-0.75", "levelset-h0-1"],
     )
     def test_h0_too_coarse_for_domain_is_usage_error(self, argv, bound, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        assert main([*argv, "--levels", "1", "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "is too coarse" in err and bound in err
         assert not out.exists()
 
     # At the default h0, h/3 fits the grid and delta = h^0.5 = 0.35 does not:
     # the message blames alpha, not the unset h0.
-    @pytest.mark.parametrize("command", ["solve", "delta-study"])
-    def test_alpha_too_small_for_domain_names_alpha(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["delta-study", "--levels", "1"]], ids=["solve", "delta-study"]
+    )
+    def test_alpha_too_small_for_domain_names_alpha(self, argv, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        assert main([command, "--alpha", "0.5", "--levels", "1", "--out", str(out)]) == 2
+        assert main([*argv, "--alpha", "0.5", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "alpha" in err and "h0 = None" not in err
+        assert not out.exists()
+
+    def test_solve_rejects_levels(self, tmp_path, capsys):
+        # A single solve runs one level; it has no --levels to ignore.
+        out = tmp_path / "r.csv"
+        assert main(["solve", "--p", "1", "--levels", "3", "--out", str(out)]) == 2
+        assert "--levels" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_p_is_usage_error(self, tmp_path):

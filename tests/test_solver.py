@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cutpoisson import (
     DiscreteSolution,
     Disk,
     EvaluationError,
+    QuadratureError,
     ReferenceSolution,
     SolverError,
     assemble_system,
@@ -338,6 +340,7 @@ def test_factor_reads_the_matrix_without_a_copy():
         patch.setattr(solver, "condense", condense)
         for n in (18, 24):  # without and with clean boxes
             solve_spd(unit_load_system(square_mesh(n), 2))
+            assert factored[-1] is condensed[-1]
             assert np.shares_memory(factored[-1].data, condensed[-1].data)
     assert len(factored) == 2 and len(condensed) == 2
 
@@ -355,6 +358,7 @@ def test_condense_without_groups_returns_the_matrix(geometry):
     assert system.clean_groups == ()
     a = system.matrix.tocsr()
     s, rows, levels = solver.condense(a, ())
+    assert s.format == "csc"
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(s, name), getattr(a, name))
     assert np.array_equal(rows, np.arange(a.shape[0])) and levels == []
@@ -754,6 +758,27 @@ def test_error_norms_without_inside_cells(p, ref):
     parts = norms.h1_semi**2 + norms.flux_part**2 + norms.trace_part**2 + norms.stab_part**2
     assert norms.l2 > 0.0 and norms.h1_semi > 0.0
     assert norms.energy**2 == pytest.approx(parts, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_error_norms_reject_a_negative_squared_sum(p):
+    # A 64-gon circle of radius 0.3 on a 3 x 3 grid: the square series is
+    # about 1e32 at the cut cells' lattice points outside the unit square,
+    # and their negative weights drive the squared L2 sum below zero at
+    # p = 2 and 3 (about -1.6e61 and -6.5e61).
+    angle = 2 * np.pi * np.arange(64) / 64
+    poly = BoundaryPolygon(0.3 * np.column_stack((np.cos(angle), np.sin(angle))))
+    am = classify_elements(BackgroundGrid(origin=(-0.375, -0.375), h=0.25, nx=3, ny=3), poly)
+    basis, params = qp_basis(p), penalty_parameters(p)
+    system, dm = assemble_system(am, basis, params, lambda x, y: np.ones_like(x))
+    sol = DiscreteSolution(coefficients=solve_spd(system), dofmap=dm, basis=basis, am=am)
+    ref = ReferenceSolution.square_series(50)
+    if p == 1:
+        norms = compute_error_norms(sol, ref, params)
+        assert all(np.isfinite(getattr(norms, f.name)) for f in fields(norms))
+    else:
+        with pytest.raises(QuadratureError, match="squared L2 error sums to -"):
+            compute_error_norms(sol, ref, params)
 
 
 class TestGalerkinResidual:
